@@ -89,12 +89,12 @@ func TestCLIEndToEnd(t *testing.T) {
 
 func TestCLIErrors(t *testing.T) {
 	bin := buildCLI(t)
-	runCLI(t, bin, false)                                            // no subcommand
-	runCLI(t, bin, false, "frobnicate")                              // unknown subcommand
-	runCLI(t, bin, false, "record", "-w", "counter")                 // missing -o
-	runCLI(t, bin, false, "record", "-w", "nope", "-o", "/tmp/x")    // unknown workload
-	runCLI(t, bin, false, "replay", "-i", "/does/not/exist.qrec")    // missing file
-	runCLI(t, bin, false, "inspect", "-i", "/does/not/exist.qrec")   // missing file
+	runCLI(t, bin, false)                                          // no subcommand
+	runCLI(t, bin, false, "frobnicate")                            // unknown subcommand
+	runCLI(t, bin, false, "record", "-w", "counter")               // missing -o
+	runCLI(t, bin, false, "record", "-w", "nope", "-o", "/tmp/x")  // unknown workload
+	runCLI(t, bin, false, "replay", "-i", "/does/not/exist.qrec")  // missing file
+	runCLI(t, bin, false, "inspect", "-i", "/does/not/exist.qrec") // missing file
 }
 
 func TestCLIVerifyDetectsTampering(t *testing.T) {

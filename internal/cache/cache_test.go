@@ -191,8 +191,8 @@ func TestEvictionWritebackAndNotification(t *testing.T) {
 	l := &recListener{}
 	// Tiny cache: 2 sets x 1 way; lines 0 and 2 collide in set 0.
 	c := New(Config{Sets: 2, Ways: 1}, bus, l)
-	c.Store(0, 99)            // line 0 M in set 0
-	c.Load(2 * LineSize)      // line 2 -> set 0, evicts line 0
+	c.Store(0, 99)       // line 0 M in set 0
+	c.Load(2 * LineSize) // line 2 -> set 0, evicts line 0
 	if len(l.evicts) != 1 || !l.evicts[0].dirty || l.evicts[0].line != 0 {
 		t.Fatalf("evicts = %+v, want one dirty eviction of line 0", l.evicts)
 	}

@@ -13,8 +13,8 @@ import (
 // memPort adapts mem.Memory to CopyPort.
 type memPort struct{ m *mem.Memory }
 
-func (p memPort) Load(addr uint64) uint64     { return p.m.Load(addr) }
-func (p memPort) Store(addr, val uint64)      { p.m.Store(addr, val) }
+func (p memPort) Load(addr uint64) uint64 { return p.m.Load(addr) }
+func (p memPort) Store(addr, val uint64)  { p.m.Store(addr, val) }
 
 func TestByteHelpersRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {

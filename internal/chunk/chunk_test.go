@@ -188,9 +188,9 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("QR"),
 		[]byte("NOPE\x01\x01\x00\x00"),
-		[]byte("QRCL\x09\x01\x00\x00"),       // bad version
-		[]byte("QRCL\x01\x09\x00\x00"),       // bad encoding
-		[]byte("QRCL\x01\x01\x00\x05"),       // count 5, no entries
+		[]byte("QRCL\x09\x01\x00\x00"),        // bad version
+		[]byte("QRCL\x01\x09\x00\x00"),        // bad encoding
+		[]byte("QRCL\x01\x01\x00\x05"),        // count 5, no entries
 		append((&Log{}).Marshal(Var{}), 0xff), // trailing byte
 	}
 	for i, c := range cases {

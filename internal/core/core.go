@@ -220,15 +220,16 @@ func replayInput(prog *isa.Program, b *Bundle) (replay.Input, error) {
 	return in, nil
 }
 
-// TraceAccesses replays the bundle while logging every user-mode memory
-// access with its issuing thread, chunk and instruction — the exact
-// ground truth the race detector confirms Bloom candidates against.
-func TraceAccesses(prog *isa.Program, b *Bundle) (*replay.Result, []replay.AccessEvent, error) {
+// TraceAccesses replays the bundle while passing every user-mode memory
+// access, with its issuing thread, chunk and instruction, to sink in
+// replay order — the exact ground truth the race detector confirms
+// Bloom candidates against.
+func TraceAccesses(prog *isa.Program, b *Bundle, sink func(replay.AccessEvent)) (*replay.Result, error) {
 	in, err := replayInput(prog, b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return replay.TraceAccesses(in)
+	return replay.TraceAccesses(in, sink)
 }
 
 // ReplayUntil replays the bundle up to "thread tid, retired-instruction

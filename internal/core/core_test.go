@@ -239,7 +239,8 @@ func TestTraceAccessesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, events, err := TraceAccesses(prog, b)
+	var events []replay.AccessEvent
+	rr, err := TraceAccesses(prog, b, func(ev replay.AccessEvent) { events = append(events, ev) })
 	if err != nil {
 		t.Fatal(err)
 	}

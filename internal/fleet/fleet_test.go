@@ -2,11 +2,14 @@ package fleet_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/fleet"
 	"repro/internal/ingest"
 	"repro/internal/isa"
@@ -194,5 +197,55 @@ func TestFleetMatchesLocal(t *testing.T) {
 	}
 	if len(wantRep.Races) == 0 {
 		t.Errorf("racy workload confirmed no races — test is vacuous")
+	}
+}
+
+// TestBoundaryMemoryMismatchSameEverywhere corrupts one word of an
+// interior checkpoint image. Boundary validation compares images word
+// for word, but the error must still name both checksums, and serial,
+// local-parallel and fleet replay must report the identical boundary
+// error (the fleet's as the rendered message of a remote failure).
+func TestBoundaryMemoryMismatchSameEverywhere(t *testing.T) {
+	srv := startServer(t)
+	go (&fleet.Worker{Addr: srv.Addr(), Slots: 2}).Run()
+	rec, prog := recordRacy(t)
+	if len(rec.IntervalCheckpoints) < 2 {
+		t.Fatalf("%d interval checkpoints, want an interior one", len(rec.IntervalCheckpoints))
+	}
+	img := rec.IntervalCheckpoints[0].State.Mem
+	want := img.Checksum()
+	addr := img.Size() - 8
+	img.Store(addr, img.Load(addr)^0x5a5a)
+	reason := fmt.Sprintf("memory checksum %#x does not match checkpoint %#x", want, img.Checksum())
+
+	var msgs []string
+	for _, exec := range []dispatch.Executor{dispatch.Serial{}, dispatch.Local{Workers: 2}} {
+		_, err := core.ReplayDistributed(prog, rec, exec, "")
+		var be *replay.BoundaryError
+		if !errors.As(err, &be) {
+			t.Fatalf("%s: got %v, want a boundary error", exec.Name(), err)
+		}
+		if be.Interval != 0 || be.Thread != -1 || be.Chunk != -1 || be.Reason != reason {
+			t.Errorf("%s: boundary error %+v, want interval 0, thread -1, chunk -1, reason %q",
+				exec.Name(), be, reason)
+		}
+		msgs = append(msgs, be.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("serial error %q != local error %q", msgs[0], msgs[1])
+	}
+
+	client, err := fleet.Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer client.Close()
+	_, err = client.Replay(prog, rec)
+	var re *dispatch.RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("fleet: got %v, want a remote boundary error", err)
+	}
+	if re.Msg != msgs[0] {
+		t.Errorf("fleet error %q, want %q", re.Msg, msgs[0])
 	}
 }

@@ -32,7 +32,8 @@ type Worker struct {
 
 // bundleEntry caches one digest's materialized bundle, program and
 // interval-job runner. The once gate means concurrent jobs naming the
-// same digest fetch and partition it exactly once.
+// same digest fetch and partition it exactly once; a failed load is
+// evicted, so the next job for the digest fetches again.
 type bundleEntry struct {
 	once   sync.Once
 	b      *core.Bundle
@@ -102,6 +103,9 @@ func (w *Worker) exec(body []byte) ([]byte, error) {
 // load materializes a digest: fetch from the server's store, decode the
 // bundle (a marshaled bundle first, then stream salvage for raw
 // recorded streams), and rebuild the program from the manifest name.
+// Jobs already waiting on a failing load share its error; the entry is
+// then dropped from the cache, so one transient fetch fault does not
+// fail every later job for the digest.
 func (w *Worker) load(digest string) *bundleEntry {
 	w.mu.Lock()
 	if w.cache == nil {
@@ -140,5 +144,12 @@ func (w *Worker) load(digest string) *bundleEntry {
 		}
 		e.b, e.prog, e.jobber = b, prog, jobber
 	})
+	if e.err != nil {
+		w.mu.Lock()
+		if w.cache[digest] == e {
+			delete(w.cache, digest)
+		}
+		w.mu.Unlock()
+	}
 	return e
 }

@@ -192,8 +192,8 @@ func TestAtomics(t *testing.T) {
 	b.Li(R3, 100)
 	b.Xchg(R4, R1, 0, R3) // r4 = 7, mem = 100
 
-	b.Li(R5, 100) // expected
-	b.Li(R6, 200) // new
+	b.Li(R5, 100)            // expected
+	b.Li(R6, 200)            // new
 	b.Cas(R7, R1, 0, R5, R6) // r7 = 100 (success), mem = 200
 
 	b.Li(R8, 999)
@@ -301,8 +301,8 @@ func TestRepStos(t *testing.T) {
 
 func TestSyscallTrap(t *testing.T) {
 	b := NewBuilder("sys")
-	b.Li(RRet, 7)  // sysno
-	b.Li(R11, 11)  // arg1
+	b.Li(RRet, 7) // sysno
+	b.Li(R11, 11) // arg1
 	b.Syscall()
 	b.Mov(R2, RRet) // capture result
 	b.Halt()
@@ -479,7 +479,7 @@ func TestInstrStrings(t *testing.T) {
 
 func TestOpClassPredicates(t *testing.T) {
 	cases := []struct {
-		op                          Op
+		op                               Op
 		read, write, atomic, rep, branch bool
 	}{
 		{OpLd, true, false, false, false, false},

@@ -7,6 +7,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 )
@@ -54,33 +55,57 @@ func (m *Memory) Load(addr uint64) uint64 { return m.words[m.index(addr)] }
 // Store writes the aligned 64-bit word at addr.
 func (m *Memory) Store(addr uint64, v uint64) { m.words[m.index(addr)] = v }
 
+// span returns the words n > 0 bytes at addr cover, panicking exactly as
+// a word-by-word Load or Store would at the first word that is
+// unaligned or beyond the memory.
+func (m *Memory) span(addr, n uint64) []uint64 {
+	idx := m.index(addr)
+	need := n / WordSize
+	if n%WordSize != 0 {
+		need++
+	}
+	if need > uint64(len(m.words))-idx {
+		panic(fmt.Sprintf("mem: access at %#x beyond size %#x", m.Size(), m.Size()))
+	}
+	return m.words[idx : idx+need]
+}
+
 // LoadBytes copies n bytes starting at the aligned address addr into a new
 // slice. n need not be word-aligned; the tail of the final word is
-// truncated. Used by the kernel model for write(2)-style syscalls.
+// truncated. Used by the kernel model for write(2)-style syscalls and to
+// serialize memory images.
 func (m *Memory) LoadBytes(addr, n uint64) []byte {
-	out := make([]byte, 0, n)
-	for off := uint64(0); off < n; off += WordSize {
-		w := m.Load(addr + off)
-		for b := uint64(0); b < WordSize && off+b < n; b++ {
-			out = append(out, byte(w>>(8*b)))
-		}
+	if n == 0 {
+		return []byte{}
+	}
+	ws := m.span(addr, n)
+	out := make([]byte, n)
+	full := n / WordSize
+	for i, w := range ws[:full] {
+		binary.LittleEndian.PutUint64(out[i*WordSize:], w)
+	}
+	for b := full * WordSize; b < n; b++ {
+		out[b] = byte(ws[full] >> (8 * (b % WordSize)))
 	}
 	return out
 }
 
-// StoreBytes writes p starting at the aligned address addr. Partial final
-// words are read-modify-written so neighbouring bytes are preserved.
-// Used by the kernel model for read(2)-style copy_to_user.
+// StoreBytes writes p starting at the aligned address addr. A partial
+// final word is read-modify-written so neighbouring bytes are preserved.
+// Used by the kernel model for read(2)-style copy_to_user and to restore
+// memory images.
 func (m *Memory) StoreBytes(addr uint64, p []byte) {
-	for off := 0; off < len(p); off += WordSize {
-		wordAddr := addr + uint64(off)
-		w := m.Load(wordAddr)
-		for b := 0; b < WordSize && off+b < len(p); b++ {
-			shift := uint(8 * b)
-			w &^= uint64(0xff) << shift
-			w |= uint64(p[off+b]) << shift
-		}
-		m.Store(wordAddr, w)
+	if len(p) == 0 {
+		return
+	}
+	ws := m.span(addr, uint64(len(p)))
+	full := len(p) / WordSize
+	for i := range ws[:full] {
+		ws[i] = binary.LittleEndian.Uint64(p[i*WordSize:])
+	}
+	for b := full * WordSize; b < len(p); b++ {
+		shift := uint(8 * (b % WordSize))
+		ws[full] = ws[full]&^(uint64(0xff)<<shift) | uint64(p[b])<<shift
 	}
 }
 
@@ -91,7 +116,7 @@ func (m *Memory) StoreBytes(addr uint64, p []byte) {
 func (m *Memory) Alloc(n uint64) uint64 {
 	const lineSize = 64
 	base := (m.brk + lineSize - 1) &^ (lineSize - 1)
-	end := base + ((n+lineSize-1)&^(lineSize - 1))
+	end := base + ((n + lineSize - 1) &^ (lineSize - 1))
 	if end > m.Size() {
 		panic(fmt.Sprintf("mem: out of memory allocating %d bytes (brk %#x, size %#x)", n, m.brk, m.Size()))
 	}
@@ -129,7 +154,7 @@ type Layout struct {
 func (l *Layout) Alloc(n uint64) uint64 {
 	const lineSize = 64
 	base := (l.brk + lineSize - 1) &^ (lineSize - 1)
-	l.brk = base + ((n+lineSize-1)&^(lineSize - 1))
+	l.brk = base + ((n + lineSize - 1) &^ (lineSize - 1))
 	return base
 }
 

@@ -171,3 +171,113 @@ func TestSnapshotAndEqual(t *testing.T) {
 		t.Error("memories of different sizes reported equal")
 	}
 }
+
+// refLoadBytes and refStoreBytes are the byte-at-a-time reference
+// implementations the word-at-a-time copies must match.
+func refLoadBytes(m *Memory, addr, n uint64) []byte {
+	out := make([]byte, 0, n)
+	for off := uint64(0); off < n; off += WordSize {
+		w := m.Load(addr + off)
+		for b := uint64(0); b < WordSize && off+b < n; b++ {
+			out = append(out, byte(w>>(8*b)))
+		}
+	}
+	return out
+}
+
+func refStoreBytes(m *Memory, addr uint64, p []byte) {
+	for off := 0; off < len(p); off += WordSize {
+		wordAddr := addr + uint64(off)
+		w := m.Load(wordAddr)
+		for b := 0; b < WordSize && off+b < len(p); b++ {
+			shift := uint(8 * b)
+			w &^= uint64(0xff) << shift
+			w |= uint64(p[off+b]) << shift
+		}
+		m.Store(wordAddr, w)
+	}
+}
+
+// patterned returns a memory whose every byte is distinct from its
+// neighbours, so a copy that clobbers or misplaces a byte shows.
+func patterned(size uint64) *Memory {
+	m := New(size)
+	for a := uint64(0); a < size; a += WordSize {
+		m.Store(a, 0x0101010101010101*(a/WordSize+1)+0x0706050403020100)
+	}
+	return m
+}
+
+func TestBytesMatchByteLoop(t *testing.T) {
+	const size = 256
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(0xa0 + i)
+	}
+	for _, addr := range []uint64{0, 8, 24, 128, size - 72} {
+		for n := 0; n <= 64; n++ {
+			got, want := patterned(size), patterned(size)
+			if g, w := got.LoadBytes(addr, uint64(n)), refLoadBytes(want, addr, uint64(n)); !bytes.Equal(g, w) {
+				t.Fatalf("LoadBytes(%d, %d) = %x, want %x", addr, n, g, w)
+			}
+			got.StoreBytes(addr, data[:n])
+			refStoreBytes(want, addr, data[:n])
+			if !got.Equal(want) {
+				t.Fatalf("StoreBytes(%d, %d bytes) image differs from the byte loop", addr, n)
+			}
+		}
+	}
+}
+
+// panicMsg runs f and returns what it panicked with, or nil.
+func panicMsg(f func()) (msg any) {
+	defer func() { msg = recover() }()
+	f()
+	return nil
+}
+
+func TestBytesPanicLikeByteLoop(t *testing.T) {
+	cases := []struct {
+		name string
+		addr uint64
+		n    int
+	}{
+		{"unaligned", 3, 5},
+		{"start beyond size", 64, 1},
+		{"far beyond size", 1 << 40, 8},
+		{"runs past end", 56, 9},
+		{"ends in last word", 56, 8},
+		{"empty at bad address", 3, 0},
+	}
+	for _, c := range cases {
+		m := New(64)
+		p := make([]byte, c.n)
+		load, refLoad := panicMsg(func() { m.LoadBytes(c.addr, uint64(c.n)) }), panicMsg(func() { refLoadBytes(m, c.addr, uint64(c.n)) })
+		if load != refLoad {
+			t.Errorf("%s: LoadBytes panics %v, byte loop %v", c.name, load, refLoad)
+		}
+		store, refStore := panicMsg(func() { m.StoreBytes(c.addr, p) }), panicMsg(func() { refStoreBytes(m, c.addr, p) })
+		if store != refStore {
+			t.Errorf("%s: StoreBytes panics %v, byte loop %v", c.name, store, refStore)
+		}
+	}
+	if panicMsg(func() { New(64).LoadBytes(3, 5) }) == nil {
+		t.Error("unaligned LoadBytes did not panic")
+	}
+	if panicMsg(func() { New(64).StoreBytes(56, make([]byte, 9)) }) == nil {
+		t.Error("StoreBytes past the end did not panic")
+	}
+}
+
+// BenchmarkMemoryImage round-trips a 1 MiB image through LoadBytes and
+// StoreBytes, the path checkpoint images and remote replay results take.
+func BenchmarkMemoryImage(b *testing.B) {
+	const size = 1 << 20
+	m := patterned(size)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.StoreBytes(0, m.LoadBytes(0, size))
+	}
+}

@@ -35,11 +35,11 @@ type Params struct {
 	SignalDeliver uint64 // signal frame setup
 
 	// Recording software stack (Capo3) costs, added when a session is on.
-	RecSyscallExtra  uint64 // RSM driver interception per kernel crossing
-	RecInputPerWord  uint64 // logging copy of input data per 64-bit word
-	RecCbufFlush     uint64 // flushing one CBUF to the logging daemon
-	RecSwitchExtra   uint64 // RSM bookkeeping per context switch
-	RecSignalExtra   uint64 // RSM bookkeeping per signal delivery
+	RecSyscallExtra uint64 // RSM driver interception per kernel crossing
+	RecInputPerWord uint64 // logging copy of input data per 64-bit word
+	RecCbufFlush    uint64 // flushing one CBUF to the logging daemon
+	RecSwitchExtra  uint64 // RSM bookkeeping per context switch
+	RecSignalExtra  uint64 // RSM bookkeeping per signal delivery
 	// Flight-recorder checkpoint costs (extension).
 	CheckpointCost     uint64 // copy-on-snapshot of the memory image
 	RecCheckpointExtra uint64 // RSM bookkeeping per checkpoint
@@ -79,14 +79,14 @@ type Component int
 
 // Cycle components.
 const (
-	CompInstr Component = iota // instruction execution
-	CompMem                    // cache/coherence stalls
-	CompKernel                 // native kernel work (syscalls, switches, signals)
-	CompRecDriver              // RSM driver entry/exit on kernel crossings
-	CompRecInputCopy           // input-log data copying
-	CompRecCbufFlush           // CBUF flushes to the logging daemon
-	CompRecSched               // RSM context-switch/signal bookkeeping
-	CompRecHardware            // chunk log writes
+	CompInstr        Component = iota // instruction execution
+	CompMem                           // cache/coherence stalls
+	CompKernel                        // native kernel work (syscalls, switches, signals)
+	CompRecDriver                     // RSM driver entry/exit on kernel crossings
+	CompRecInputCopy                  // input-log data copying
+	CompRecCbufFlush                  // CBUF flushes to the logging daemon
+	CompRecSched                      // RSM context-switch/signal bookkeeping
+	CompRecHardware                   // chunk log writes
 
 	NumComponents
 )

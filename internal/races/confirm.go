@@ -102,18 +102,19 @@ func detectExec(prog *isa.Program, b *core.Bundle, workers int, exec dispatch.Ex
 }
 
 // sample is one plain access inside a candidate chunk, stamped with its
-// thread's vector clock at issue time.
+// thread's vector clock at issue time. vc is shared, read-only, by every
+// sample a thread issues between two of its synchronization events — the
+// clock cannot change in between.
 type sample struct {
 	thread, chunk, pc int
 	write             bool
-	clock             uint64   // own component of vc at issue
 	vc                []uint64 // snapshot of the issuing thread's clock
 }
 
 // happensBefore reports a ≺ b: everything thread a had done up to a's
 // issue was visible to b's thread when b issued.
 func happensBefore(a, b *sample) bool {
-	return a.clock <= b.vc[a.thread]
+	return a.vc[a.thread] <= b.vc[a.thread]
 }
 
 // pairKey identifies a candidate chunk pair, threads ordered.
@@ -153,14 +154,7 @@ func confirmExec(prog *isa.Program, b *core.Bundle, cands []Candidate, exec disp
 	err := exec.Execute(dispatch.Spec{
 		Tasks: confirmSlices,
 		Run: func(k int) error {
-			once.Do(func() {
-				_, events, err := core.TraceAccesses(prog, b)
-				if err != nil {
-					prep = err
-					return
-				}
-				st = buildConfirmState(b.Threads, cands, events)
-			})
+			once.Do(func() { st, prep = traceConfirmState(prog, b, cands) })
 			if prep != nil {
 				return prep
 			}
@@ -244,17 +238,30 @@ func sortRaces(races []Race) {
 
 // confirmState is the happens-before analysis shared by every
 // confirmation slice: candidate indices, vector-clocked samples of
-// candidate-chunk plain accesses grouped by address, and the sorted
-// address list the slices tile.
+// candidate-chunk plain accesses grouped by address (each group in trace
+// order), and the sorted address list the slices tile.
 type confirmState struct {
 	candPairs map[pairKey]bool
-	byAddr    map[uint64][]*sample
+	byAddr    map[uint64][]sample
 	addrs     []uint64
 }
 
-// buildConfirmState rebuilds the happens-before order from the traced
+// traceConfirmState runs the access-traced replay of the recording,
+// streaming every event into a confirmBuilder, and returns the finished
+// analysis. The local path and the fleet's ExecConfirmJob both build
+// their state here, so they agree on it by construction.
+func traceConfirmState(prog *isa.Program, b *core.Bundle, cands []Candidate) (*confirmState, error) {
+	cb := newConfirmBuilder(b.Threads, cands)
+	if _, err := core.TraceAccesses(prog, b, cb.add); err != nil {
+		return nil, err
+	}
+	return cb.finish(), nil
+}
+
+// confirmBuilder rebuilds the happens-before order from the traced
 // synchronization accesses and samples the plain accesses inside
-// candidate chunks.
+// candidate chunks, one event at a time as the traced replay emits
+// them; the trace itself is never materialised.
 //
 // Vector-clock rules (events arrive in deterministic replay order):
 //
@@ -263,87 +270,138 @@ type confirmState struct {
 //	futex-wake t@a: L[a] ⊔= VC[t]; VC[t][t]++   (release)
 //
 // where L[a] is the last-release clock of sync address a. Plain accesses
-// snapshot their thread's clock. Addresses that carry synchronization
-// are excluded from race reporting — the program is ordering itself
-// through them on purpose.
-func buildConfirmState(threads int, cands []Candidate, events []replay.AccessEvent) *confirmState {
-	candChunks := map[[2]int]bool{}
-	candPairs := map[pairKey]bool{}
+// snapshot their thread's clock; only t's own sync events change VC[t],
+// so one snapshot serves all of t's plain accesses until its next sync
+// event. Addresses that carry synchronization anywhere in the trace are
+// excluded from race reporting — the program is ordering itself through
+// them on purpose — which finish applies once the whole trace is in.
+//
+// A sample identical to an earlier one of its address (same thread,
+// chunk, PC, kind and clock snapshot) adds nothing: every pair it would
+// form repeats one the earlier sample forms first, which confirmation
+// skips as already seen. add drops such repeats when they fall in the
+// address's newest run of samples from one thread, chunk and snapshot —
+// where a loop's repeated accesses land.
+type confirmBuilder struct {
+	threads   int
+	candChunk [][]bool // [thread][chunk]: the chunk is in some candidate pair
+	candPairs map[pairKey]bool
+	vc        [][]uint64
+	snap      [][]uint64 // [thread]: shared snapshot of vc, nil after a sync event
+	lock      map[uint64][]uint64
+	syncAddr  map[uint64]bool
+	byAddr    map[uint64][]sample
+}
+
+func newConfirmBuilder(threads int, cands []Candidate) *confirmBuilder {
+	cb := &confirmBuilder{
+		threads:   threads,
+		candChunk: make([][]bool, threads),
+		candPairs: make(map[pairKey]bool, len(cands)),
+		vc:        make([][]uint64, threads),
+		snap:      make([][]uint64, threads),
+		lock:      map[uint64][]uint64{},
+		syncAddr:  map[uint64]bool{},
+		byAddr:    map[uint64][]sample{},
+	}
+	for t := range cb.vc {
+		cb.vc[t] = make([]uint64, threads)
+		cb.vc[t][t] = 1 // threads start mutually unordered
+	}
+	mark := func(t, c int) {
+		if c >= len(cb.candChunk[t]) {
+			cb.candChunk[t] = append(cb.candChunk[t], make([]bool, c+1-len(cb.candChunk[t]))...)
+		}
+		cb.candChunk[t][c] = true
+	}
 	for _, c := range cands {
 		p := c.Pair
-		candChunks[[2]int{p.ThreadA, p.ChunkA}] = true
-		candChunks[[2]int{p.ThreadB, p.ChunkB}] = true
-		candPairs[pairKey{p.ThreadA, p.ChunkA, p.ThreadB, p.ChunkB}] = true
+		mark(p.ThreadA, p.ChunkA)
+		mark(p.ThreadB, p.ChunkB)
+		cb.candPairs[pairKey{p.ThreadA, p.ChunkA, p.ThreadB, p.ChunkB}] = true
 	}
+	return cb
+}
 
-	// Pass 1: the synchronization address set.
-	syncAddr := map[uint64]bool{}
-	for _, ev := range events {
-		if ev.Kind.IsSync() {
-			syncAddr[ev.Addr] = true
+// join raises dst to the pointwise maximum of dst and src.
+func join(dst, src []uint64) {
+	for i, v := range src {
+		if v > dst[i] {
+			dst[i] = v
 		}
 	}
+}
 
-	// Pass 2: vector clocks + samples of candidate-chunk plain accesses.
-	vc := make([][]uint64, threads)
-	for t := range vc {
-		vc[t] = make([]uint64, threads)
-		vc[t][t] = 1 // threads start mutually unordered
+// lockClock returns sync address addr's last-release clock, creating a
+// zero clock on first use.
+func (cb *confirmBuilder) lockClock(addr uint64) []uint64 {
+	la := cb.lock[addr]
+	if la == nil {
+		la = make([]uint64, cb.threads)
+		cb.lock[addr] = la
 	}
-	join := func(dst, src []uint64) {
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	}
-	lock := map[uint64][]uint64{}
-	byAddr := map[uint64][]*sample{}
-	for _, ev := range events {
-		t := ev.Thread
+	return la
+}
+
+// add consumes one traced access.
+func (cb *confirmBuilder) add(ev replay.AccessEvent) {
+	t := ev.Thread
+	if ev.Kind.IsSync() {
+		cb.syncAddr[ev.Addr] = true
+		cb.snap[t] = nil
+		vc := cb.vc[t]
 		switch ev.Kind {
 		case replay.AccessAtomic:
-			la := lock[ev.Addr]
-			if la == nil {
-				la = make([]uint64, threads)
-				lock[ev.Addr] = la
-			}
-			join(vc[t], la)
-			join(la, vc[t])
-			vc[t][t]++
+			la := cb.lockClock(ev.Addr)
+			join(vc, la)
+			join(la, vc)
 		case replay.AccessFutexWait:
-			if la := lock[ev.Addr]; la != nil {
-				join(vc[t], la)
+			if la := cb.lock[ev.Addr]; la != nil {
+				join(vc, la)
 			}
-			vc[t][t]++
 		case replay.AccessFutexWake:
-			la := lock[ev.Addr]
-			if la == nil {
-				la = make([]uint64, threads)
-				lock[ev.Addr] = la
-			}
-			join(la, vc[t])
-			vc[t][t]++
-		default:
-			if syncAddr[ev.Addr] || !candChunks[[2]int{t, ev.Chunk}] {
-				continue
-			}
-			byAddr[ev.Addr] = append(byAddr[ev.Addr], &sample{
-				thread: t, chunk: ev.Chunk, pc: ev.PC,
-				write: ev.Kind == replay.AccessWrite,
-				clock: vc[t][t], vc: append([]uint64(nil), vc[t]...),
-			})
+			join(cb.lockClock(ev.Addr), vc)
+		}
+		vc[t]++
+		return
+	}
+	if cc := cb.candChunk[t]; ev.Chunk >= len(cc) || !cc[ev.Chunk] {
+		return
+	}
+	snap := cb.snap[t]
+	if snap == nil {
+		snap = append([]uint64(nil), cb.vc[t]...)
+		cb.snap[t] = snap
+	}
+	write := ev.Kind == replay.AccessWrite
+	samples := cb.byAddr[ev.Addr]
+	for i := len(samples) - 1; i >= 0; i-- {
+		s := &samples[i]
+		if s.thread != t || s.chunk != ev.Chunk || &s.vc[0] != &snap[0] {
+			break
+		}
+		if s.pc == ev.PC && s.write == write {
+			return
 		}
 	}
+	cb.byAddr[ev.Addr] = append(samples, sample{
+		thread: t, chunk: ev.Chunk, pc: ev.PC, write: write, vc: snap,
+	})
+}
 
-	// Sort the conflict addresses so every executor tiles the same list:
-	// slice k of n owns addresses k, k+n, ... of this order.
-	addrs := make([]uint64, 0, len(byAddr))
-	for addr := range byAddr {
+// finish drops the synchronization addresses and sorts the conflict
+// addresses so every executor tiles the same list: slice k of n owns
+// addresses k, k+n, ... of this order.
+func (cb *confirmBuilder) finish() *confirmState {
+	for addr := range cb.syncAddr {
+		delete(cb.byAddr, addr)
+	}
+	addrs := make([]uint64, 0, len(cb.byAddr))
+	for addr := range cb.byAddr {
 		addrs = append(addrs, addr)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return &confirmState{candPairs: candPairs, byAddr: byAddr, addrs: addrs}
+	return &confirmState{candPairs: cb.candPairs, byAddr: cb.byAddr, addrs: addrs}
 }
 
 // confirmSlice pairs up unordered conflicting samples within candidate
@@ -353,13 +411,18 @@ func buildConfirmState(threads int, cands []Candidate, events []replay.AccessEve
 // slice preserves the per-address dedup maps.
 func (st *confirmState) confirmSlice(k, n int) sliceRaces {
 	var out sliceRaces
+	// Consecutive sample pairs mostly fall in the same chunk pair, so the
+	// last candPairs lookup is remembered until the pair changes.
+	lastPK, lastCand := pairKey{-1, -1, -1, -1}, false
 	for ai := k; ai < len(st.addrs); ai += n {
 		addr := st.addrs[ai]
 		samples := st.byAddr[addr]
 		seen := map[raceKey]bool{}
 		addrConfirmed := map[pairKey]bool{}
-		for i, a := range samples {
-			for _, bs := range samples[i+1:] {
+		for i := range samples {
+			a := &samples[i]
+			for j := i + 1; j < len(samples); j++ {
+				bs := &samples[j]
 				if a.thread == bs.thread || (!a.write && !bs.write) {
 					continue
 				}
@@ -368,7 +431,10 @@ func (st *confirmState) confirmSlice(k, n int) sliceRaces {
 					lo, hi = hi, lo
 				}
 				pk := pairKey{lo.thread, lo.chunk, hi.thread, hi.chunk}
-				if !st.candPairs[pk] {
+				if pk != lastPK {
+					lastPK, lastCand = pk, st.candPairs[pk]
+				}
+				if !lastCand {
 					continue
 				}
 				rk := raceKey{addr, lo.thread, lo.pc, lo.write, hi.thread, hi.pc, hi.write}

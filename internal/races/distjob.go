@@ -277,10 +277,9 @@ func ExecConfirmJob(prog *isa.Program, b *core.Bundle, payload []byte) ([]byte, 
 		return nil, fmt.Errorf("races: job expects %d candidates, bundle screens to %d (bundle mismatch?)",
 			ncands, len(cands))
 	}
-	_, events, err := core.TraceAccesses(prog, b)
+	st, err := traceConfirmState(prog, b, cands)
 	if err != nil {
 		return nil, err
 	}
-	st := buildConfirmState(b.Threads, cands, events)
 	return encodeSliceRaces(st.confirmSlice(slice, slices)), nil
 }

@@ -131,18 +131,20 @@ func (r *replayer) noteFutex(t *threadState, sysno, addr uint64) {
 	r.accessSink(AccessEvent{Thread: t.id, Chunk: t.chunksDone, PC: t.core.PC(), Addr: addr, Kind: kind})
 }
 
-// TraceAccesses replays the recording to completion while logging every
-// user-mode memory access with its thread, chunk index, PC and
-// classification — the exact-address ground truth the race detector's
-// confirmation phase compares Bloom candidates against. Kernel-side
-// copies (syscall result injection, output reads) go through the
-// untraced port and are excluded: they are recorded input, not
-// shared-memory communication. Futex waits and wakes are logged as
-// synchronization events on the futex word.
-func TraceAccesses(in Input) (res *Result, events []AccessEvent, err error) {
+// TraceAccesses replays the recording to completion while passing every
+// user-mode memory access to sink, in replay order, with its thread,
+// chunk index, PC and classification — the exact-address ground truth
+// the race detector's confirmation phase compares Bloom candidates
+// against. The trace is streamed, never materialised: sink sees each
+// event once, as the issuing step retires. Kernel-side copies (syscall
+// result injection, output reads) go through the untraced port and are
+// excluded: they are recorded input, not shared-memory communication.
+// Futex waits and wakes are logged as synchronization events on the
+// futex word.
+func TraceAccesses(in Input, sink func(AccessEvent)) (res *Result, err error) {
 	defer recoverFault(&err)
 	if in.Threads <= 0 || len(in.ChunkLogs) != in.Threads {
-		return nil, nil, fmt.Errorf("replay: inconsistent input: %d threads, %d chunk logs",
+		return nil, fmt.Errorf("replay: inconsistent input: %d threads, %d chunk logs",
 			in.Threads, len(in.ChunkLogs))
 	}
 	if in.StackWordsPerThread == 0 {
@@ -150,22 +152,18 @@ func TraceAccesses(in Input) (res *Result, events []AccessEvent, err error) {
 	}
 	if s := in.Start; s != nil {
 		if s.Mem == nil || len(s.Contexts) != in.Threads || len(s.Exited) != in.Threads {
-			return nil, nil, fmt.Errorf("replay: inconsistent checkpoint: %d contexts, %d exit flags for %d threads",
+			return nil, fmt.Errorf("replay: inconsistent checkpoint: %d contexts, %d exit flags for %d threads",
 				len(s.Contexts), len(s.Exited), in.Threads)
 		}
 	}
 	r := &replayer{in: in}
-	r.accessSink = func(ev AccessEvent) { events = append(events, ev) }
+	r.accessSink = sink
 	r.stepHook = func(t *threadState, pcBefore int, kind isa.StepKind) {
 		r.drainAccesses(t, pcBefore)
 	}
 	r.setup()
 	if err := r.loop(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err = r.finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, events, nil
+	return r.finish()
 }

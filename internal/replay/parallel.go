@@ -15,7 +15,7 @@ package replay
 // Validation replaces continuity: instead of flowing state from interval
 // k into interval k+1, the engine checks that interval k's final state
 // (contexts, exit flags, signal frames, handler registration, fd-1
-// output, memory checksum) equals checkpoint k's recorded state. A
+// output, memory image) equals checkpoint k's recorded state. A
 // mismatch is reported as a *BoundaryError naming the interval and — for
 // per-thread state — the thread and absolute chunk index.
 
@@ -63,11 +63,10 @@ func effectiveWorkers(n int) int {
 
 // intervalBoundary is the expected machine state at the end of an
 // interior interval, extracted from the next checkpoint. The memory
-// image is checksummed lazily by the one interval that validates
-// against it — partitioning must stay cheap because remote workers
-// re-derive the partition per job, and eager checksums would make that
-// O(checkpoints) full-memory scans per job. Concurrent lazy reads are
-// safe: Checksum is a pure read and interval replays snapshot their
+// image is compared lazily, word for word, by the one interval that
+// validates against it — partitioning must stay cheap because remote
+// workers re-derive the partition per job. Concurrent reads are safe:
+// Equal and Checksum are pure reads and interval replays snapshot their
 // start state instead of mutating the checkpoint's image.
 type intervalBoundary struct {
 	interval  int
@@ -325,11 +324,14 @@ func (r *replayer) finishAtBoundary() (*Result, error) {
 		return nil, whole("fd-1 output (%d bytes) does not match checkpoint prefix (%d bytes)",
 			len(r.output), len(b.output))
 	}
-	sum := r.memory.Checksum()
-	if want := b.endMem.Checksum(); sum != want {
-		return nil, whole("memory checksum %#x does not match checkpoint %#x", sum, want)
+	// Word-for-word comparison decides; the checksums are computed only
+	// to name the mismatch. An interior interval's MemChecksum is never
+	// read (stitch takes the last interval's, and remote results ship it
+	// for the final interval alone), so it stays zero.
+	if !r.memory.Equal(b.endMem) {
+		return nil, whole("memory checksum %#x does not match checkpoint %#x",
+			r.memory.Checksum(), b.endMem.Checksum())
 	}
-	r.res.MemChecksum = sum
 	r.res.Output = r.output
 	r.res.FinalMem = r.memory
 	return &r.res, nil

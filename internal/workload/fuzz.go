@@ -83,7 +83,7 @@ func RandomProgram(seed uint64, threads int) *isa.Program {
 
 // progGen drives generation with an xorshift stream.
 type progGen struct {
-	rng     uint64
+	rng uint64
 }
 
 func (g *progGen) next() uint64 {

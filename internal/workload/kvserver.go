@@ -21,8 +21,8 @@ func KVServer(requestsPerThread int64, buckets uint64, threads int) *isa.Program
 	b := isa.NewBuilder("kvserver")
 	b.Liu(isa.R3, table)
 	b.Liu(isa.R30, buckets)
-	b.Li(isa.R4, 0)  // request index
-	b.Li(isa.R17, 0) // GET accumulator
+	b.Li(isa.R4, 0)              // request index
+	b.Li(isa.R17, 0)             // GET accumulator
 	b.Addi(isa.R5, RegStack, 64) // private request buffer
 
 	b.Label("serve")
