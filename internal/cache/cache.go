@@ -169,9 +169,10 @@ func New(cfg Config, bus *Bus, l Listener) *Cache {
 		l = NopListener{}
 	}
 	c := &Cache{cfg: cfg, listener: l}
+	lines := make([]lineEntry, cfg.Sets*cfg.Ways)
 	c.sets = make([][]lineEntry, cfg.Sets)
 	for i := range c.sets {
-		c.sets[i] = make([]lineEntry, cfg.Ways)
+		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	bus.attach(c)
 	c.bus = bus

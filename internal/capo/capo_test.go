@@ -24,7 +24,7 @@ func TestByteHelpersRoundTrip(t *testing.T) {
 		m := mem.New(1024)
 		p := memPort{m}
 		StoreBytes(p, 64, data)
-		return bytes.Equal(LoadBytes(p, 64, uint64(len(data))), data)
+		return bytes.Equal(AppendBytes(nil, p, 64, uint64(len(data))), data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -113,6 +113,47 @@ func TestFutexWaitWake(t *testing.T) {
 	res = k.Handle(2, 0, SysFutexWake, 256, 1, 0, p)
 	if res.Ret != 0 {
 		t.Fatalf("empty wake ret = %d, want 0", res.Ret)
+	}
+}
+
+// TestFutexWakeAllCount pins the uint64 clamp: a count of -1 (any count
+// at or above 2^63) wakes every waiter instead of going negative.
+func TestFutexWakeAllCount(t *testing.T) {
+	k := NewKernel(1)
+	m := mem.New(1024)
+	m.Store(256, 1)
+	p := memPort{m}
+	if res := k.Handle(2, 0, SysFutexWake, 256, ^uint64(0), 0, p); res.Ret != 0 || len(res.Woken) != 0 {
+		t.Fatalf("wake-all with no waiters = %+v, want none woken", res)
+	}
+	for tid := 0; tid < 2; tid++ {
+		if res := k.Handle(tid, 0, SysFutexWait, 256, 1, 0, p); !res.Block {
+			t.Fatalf("waiter %d did not block", tid)
+		}
+	}
+	res := k.Handle(2, 0, SysFutexWake, 256, ^uint64(0), 0, p)
+	if res.Ret != 2 || len(res.Woken) != 2 || res.Woken[0] != 0 || res.Woken[1] != 1 {
+		t.Fatalf("wake-all = %+v, want woken=[0 1]", res)
+	}
+	if k.Waiters() != 0 {
+		t.Errorf("Waiters = %d, want 0", k.Waiters())
+	}
+}
+
+// TestReadPayloadsDoNotAlias checks the read arena's capacity limit:
+// appending to one SysRead payload leaves the next one's bytes intact.
+func TestReadPayloadsDoNotAlias(t *testing.T) {
+	k := NewKernel(3)
+	p := memPort{mem.New(1024)}
+	first := k.Handle(0, 0, SysRead, 0, 64, 24, p).CopyData
+	second := k.Handle(0, 0, SysRead, 0, 128, 24, p).CopyData
+	if cap(first) != len(first) || cap(second) != len(second) {
+		t.Fatalf("payload capacities %d/%d exceed lengths %d/%d", cap(first), cap(second), len(first), len(second))
+	}
+	want := append([]byte(nil), second...)
+	_ = append(first, bytes.Repeat([]byte{0xee}, 24)...)
+	if !bytes.Equal(second, want) {
+		t.Errorf("appending to the first payload changed the second: %x, want %x", second, want)
 	}
 }
 
@@ -267,8 +308,10 @@ func TestSessionInputRecording(t *testing.T) {
 		t.Errorf("seqs = %d,%d,%d, want 0,1,0",
 			in.Records[0].Seq, in.Records[1].Seq, in.Records[2].Seq)
 	}
-	if s.InputBytes() == 0 {
-		t.Error("InputBytes not accounted")
+	// Each record is charged its encoded size: the bare record stream
+	// minus its one-byte count.
+	if want := uint64(len(MarshalRecords(in.Records)) - 1); s.InputBytes() != want {
+		t.Errorf("InputBytes = %d, want %d", s.InputBytes(), want)
 	}
 	if s.Flushes(FlushInput) == 0 {
 		t.Error("tiny CBUF should have flushed")

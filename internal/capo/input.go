@@ -77,14 +77,6 @@ func (r Record) Clone() Record {
 	return r
 }
 
-// EncodedSize returns the record's serialized size in bytes, used for
-// log-volume accounting (F4).
-func (r Record) EncodedSize() int {
-	var a wire.Appender
-	appendRecord(&a, r)
-	return a.Len()
-}
-
 // InputLog is a recording session's complete input log. Records appear in
 // global append order; the per-thread subsequences are ordered by Seq and
 // by TS.

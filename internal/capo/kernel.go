@@ -1,6 +1,9 @@
 package capo
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Syscall numbers.
 const (
@@ -50,17 +53,21 @@ type CopyPort interface {
 	Store(addr uint64, val uint64)
 }
 
-// LoadBytes reads n bytes from user memory through the port (aligned base
-// address; the tail of the final word is truncated).
-func LoadBytes(port CopyPort, addr, n uint64) []byte {
-	out := make([]byte, 0, n)
+// AppendBytes appends n bytes of user memory, read through the port from
+// the aligned address addr, to dst and returns the extended slice (the
+// tail of the final word is truncated).
+func AppendBytes(dst []byte, port CopyPort, addr, n uint64) []byte {
 	for off := uint64(0); off < n; off += 8 {
 		w := port.Load(addr + off)
-		for b := uint64(0); b < 8 && off+b < n; b++ {
-			out = append(out, byte(w>>(8*b)))
+		if n-off >= 8 {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+			continue
+		}
+		for b := uint64(0); off+b < n; b++ {
+			dst = append(dst, byte(w>>(8*b)))
 		}
 	}
-	return out
+	return dst
 }
 
 // StoreBytes writes p into user memory through the port, preserving
@@ -85,14 +92,17 @@ type Result struct {
 	// Block indicates the thread must sleep (futex wait); the syscall
 	// completes when the thread is woken.
 	Block bool
-	// Woken lists thread IDs made runnable by this call.
+	// Woken lists thread IDs made runnable by this call. It aliases a
+	// kernel-owned buffer and is valid until the next Handle.
 	Woken []int
 	// Exit indicates the calling thread terminated.
 	Exit bool
 	// Reschedule hints that the caller yielded the core.
 	Reschedule bool
 	// CopyAddr/CopyData describe bytes the kernel copied into user
-	// memory (input nondeterminism the RSM must log).
+	// memory (input nondeterminism the RSM must log). CopyData is a
+	// slice of the kernel's read arena whose capacity equals its length,
+	// so appending to it never overwrites another call's payload.
 	CopyAddr uint64
 	CopyData []byte
 	// WordsTouched counts the 64-bit words the kernel moved across the
@@ -110,7 +120,17 @@ type Kernel struct {
 	output     map[int][]byte
 	handlerPC  int
 	handlerSet bool
+	// readArena is the current block SysRead payloads are carved from;
+	// its length is the part already handed out.
+	readArena []byte
+	// woken backs Result.Woken.
+	woken []int
 }
+
+// readArenaBlock is the size of the blocks SysRead payloads are carved
+// from: one allocation serves many reads, and a payload larger than a
+// block gets a block of its own.
+const readArenaBlock = 64 << 10
 
 // NewKernel returns a kernel whose external inputs (read data, time
 // jitter, entropy) derive from seed.
@@ -141,12 +161,11 @@ func (k *Kernel) Handle(tid int, now uint64, sysno, a1, a2, a3 uint64, port Copy
 		return Result{Exit: true}
 	case SysWrite:
 		fd, addr, n := int(a1), a2, a3
-		data := LoadBytes(port, addr, n)
-		k.output[fd] = append(k.output[fd], data...)
+		k.output[fd] = AppendBytes(k.output[fd], port, addr, n)
 		return Result{Ret: n, WordsTouched: int((n + 7) / 8)}
 	case SysRead:
 		_, addr, n := a1, a2, a3
-		data := make([]byte, n)
+		data := k.readPayload(n)
 		for i := range data {
 			data[i] = byte(k.rand())
 		}
@@ -167,19 +186,20 @@ func (k *Kernel) Handle(tid int, now uint64, sysno, a1, a2, a3 uint64, port Copy
 		k.futex[addr] = append(k.futex[addr], tid)
 		return Result{Block: true, WordsTouched: 1}
 	case SysFutexWake:
-		addr, n := a1, int(a2)
+		// Clamp in uint64 space: a count of -1 (or any count at or
+		// above 2^63) wakes every waiter.
+		addr, n := a1, a2
 		q := k.futex[addr]
-		woken := n
-		if woken > len(q) {
-			woken = len(q)
+		woken := uint64(len(q))
+		if n < woken {
+			woken = n
 		}
-		res := Result{Ret: uint64(woken), Woken: append([]int(nil), q[:woken]...)}
-		if woken == len(q) {
-			delete(k.futex, addr)
-		} else {
-			k.futex[addr] = q[woken:]
+		k.woken = append(k.woken[:0], q[:woken]...)
+		if woken > 0 {
+			// Compact in place so the queue keeps its capacity.
+			k.futex[addr] = q[:copy(q, q[woken:])]
 		}
-		return res
+		return Result{Ret: woken, Woken: k.woken}
 	case SysGetTID:
 		return Result{Ret: uint64(tid)}
 	case SysSigHandler:
@@ -191,6 +211,18 @@ func (k *Kernel) Handle(tid int, now uint64, sysno, a1, a2, a3 uint64, port Copy
 	default:
 		panic(fmt.Sprintf("capo: unknown syscall %d from thread %d", sysno, tid))
 	}
+}
+
+// readPayload carves an n-byte SysRead payload from the read arena. The
+// payload's capacity equals its length, so no record can grow into its
+// neighbour.
+func (k *Kernel) readPayload(n uint64) []byte {
+	if n > uint64(cap(k.readArena)-len(k.readArena)) {
+		k.readArena = make([]byte, 0, max(n, readArenaBlock))
+	}
+	start := len(k.readArena)
+	k.readArena = k.readArena[:start+int(n)]
+	return k.readArena[start:len(k.readArena):len(k.readArena)]
 }
 
 // Output returns the bytes written to fd so far.

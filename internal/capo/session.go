@@ -1,6 +1,9 @@
 package capo
 
-import "repro/internal/chunk"
+import (
+	"repro/internal/chunk"
+	"repro/internal/wire"
+)
 
 // FlushKind says which per-thread buffer filled up.
 type FlushKind int
@@ -49,6 +52,9 @@ type Session struct {
 	numFlushes [2]uint64
 	chunkBytes uint64
 	inputBytes uint64
+	// scratch holds the encoding of the entry or record being sized, so
+	// byte accounting reuses one buffer instead of allocating per event.
+	scratch wire.Appender
 }
 
 // NewSession creates a session. onFlush (may be nil) fires whenever a
@@ -109,7 +115,8 @@ func (s *Session) SigLogs() [][]SigPair { return s.sigLogs }
 func (s *Session) ChunkSink(tid int) func(chunk.Entry) {
 	return func(e chunk.Entry) {
 		log := s.chunkLogs[tid]
-		n := len(s.cfg.Encoding.Append(make([]byte, 0, 32), e, s.chunkPrev[tid]))
+		s.scratch.Buf = s.cfg.Encoding.Append(s.scratch.Buf[:0], e, s.chunkPrev[tid])
+		n := s.scratch.Len()
 		log.Append(e)
 		s.chunkPrev[tid] = &log.Entries[len(log.Entries)-1]
 		s.chunkBytes += uint64(n)
@@ -137,26 +144,29 @@ func (s *Session) NextSeq(tid int) int {
 
 // RecordSyscall logs a completed system call.
 func (s *Session) RecordSyscall(tid int, ts, sysno, ret, addr uint64, data []byte) {
-	r := Record{
+	s.record(Record{
 		Kind: KindSyscall, Thread: tid, Seq: s.NextSeq(tid), TS: ts,
 		Sysno: sysno, Ret: ret, Addr: addr, Data: data,
-	}
-	s.input.Append(r)
-	n := r.EncodedSize()
-	s.inputBytes += uint64(n)
-	s.fill(&s.inputFill[tid], n, FlushInput)
+	})
 }
 
 // RecordSignal logs an asynchronous signal delivery.
 func (s *Session) RecordSignal(tid int, ts, signo, retired, repDone uint64) {
-	r := Record{
+	s.record(Record{
 		Kind: KindSignal, Thread: tid, Seq: s.NextSeq(tid), TS: ts,
 		Signo: signo, Retired: retired, RepDone: repDone,
-	}
+	})
+}
+
+// record appends r to the input log and charges its encoded size to the
+// thread's input CBUF.
+func (s *Session) record(r Record) {
 	s.input.Append(r)
-	n := r.EncodedSize()
+	s.scratch.Reset()
+	appendRecord(&s.scratch, r)
+	n := s.scratch.Len()
 	s.inputBytes += uint64(n)
-	s.fill(&s.inputFill[tid], n, FlushInput)
+	s.fill(&s.inputFill[r.Thread], n, FlushInput)
 }
 
 // ChunkLog returns thread tid's chunk log.

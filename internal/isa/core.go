@@ -10,10 +10,42 @@ type MemPort interface {
 	Load(addr uint64) uint64
 	// Store writes the aligned 64-bit word at addr.
 	Store(addr uint64, val uint64)
-	// RMW atomically applies f to the word at addr and returns the old
+	// RMW atomically applies op to the word at addr and returns the old
 	// value. The implementation must acquire the line exclusively before
 	// reading so the read-modify-write is indivisible.
-	RMW(addr uint64, f func(old uint64) uint64) uint64
+	RMW(addr uint64, op RMWOp) uint64
+}
+
+// RMWOp is the update a read-modify-write applies to a word: the opcode
+// that issued it plus its operands. It is a plain value rather than a
+// closure so handing it to a MemPort allocates nothing.
+//
+//   - OpSb: A is the byte value, B the byte offset within the word (0-7).
+//   - OpXchg: A is the new value.
+//   - OpCas: A is the expected value, B the replacement.
+//   - OpFadd: A is the addend.
+type RMWOp struct {
+	Op   Op
+	A, B uint64
+}
+
+// Apply returns the word that replaces old.
+func (op RMWOp) Apply(old uint64) uint64 {
+	switch op.Op {
+	case OpSb:
+		shift := (op.B & 7) * 8
+		return (old &^ (uint64(0xff) << shift)) | (op.A&0xff)<<shift
+	case OpXchg:
+		return op.A
+	case OpCas:
+		if old == op.A {
+			return op.B
+		}
+		return old
+	case OpFadd:
+		return old + op.A
+	}
+	panic(fmt.Sprintf("isa: %v is not a read-modify-write", op.Op))
 }
 
 // StepKind classifies the outcome of one Step.
@@ -273,11 +305,7 @@ func (c *Core) Step() StepKind {
 		// enables, so concurrent stores to sibling bytes never lose each
 		// other.
 		addr := c.Reg(in.Rs1) + uint64(in.Imm)
-		byteVal := c.Reg(in.Rs2) & 0xff
-		shift := (addr & 7) * 8
-		c.port.RMW(addr&^7, func(old uint64) uint64 {
-			return (old &^ (uint64(0xff) << shift)) | byteVal<<shift
-		})
+		c.port.RMW(addr&^7, RMWOp{Op: OpSb, A: c.Reg(in.Rs2), B: addr & 7})
 	case OpBeq:
 		return c.condBranch(in, c.Reg(in.Rs1) == c.Reg(in.Rs2))
 	case OpBne:
@@ -305,24 +333,13 @@ func (c *Core) Step() StepKind {
 		return StepRetired
 	case OpXchg:
 		addr := c.Reg(in.Rs1) + uint64(in.Imm)
-		newVal := c.Reg(in.Rs2)
-		old := c.port.RMW(addr, func(uint64) uint64 { return newVal })
-		c.SetReg(in.Rd, old)
+		c.SetReg(in.Rd, c.port.RMW(addr, RMWOp{Op: OpXchg, A: c.Reg(in.Rs2)}))
 	case OpCas:
 		addr := c.Reg(in.Rs1) + uint64(in.Imm)
-		expect, repl := c.Reg(in.Rs2), c.Reg(in.Rs3)
-		old := c.port.RMW(addr, func(cur uint64) uint64 {
-			if cur == expect {
-				return repl
-			}
-			return cur
-		})
-		c.SetReg(in.Rd, old)
+		c.SetReg(in.Rd, c.port.RMW(addr, RMWOp{Op: OpCas, A: c.Reg(in.Rs2), B: c.Reg(in.Rs3)}))
 	case OpFadd:
 		addr := c.Reg(in.Rs1) + uint64(in.Imm)
-		delta := c.Reg(in.Rs2)
-		old := c.port.RMW(addr, func(cur uint64) uint64 { return cur + delta })
-		c.SetReg(in.Rd, old)
+		c.SetReg(in.Rd, c.port.RMW(addr, RMWOp{Op: OpFadd, A: c.Reg(in.Rs2)}))
 	case OpRepMovs, OpRepStos:
 		return c.stepRep(in)
 	case OpSyscall:

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -12,9 +13,9 @@ type flatPort struct{ m *mem.Memory }
 
 func (p flatPort) Load(addr uint64) uint64       { return p.m.Load(addr) }
 func (p flatPort) Store(addr uint64, val uint64) { p.m.Store(addr, val) }
-func (p flatPort) RMW(addr uint64, f func(uint64) uint64) uint64 {
+func (p flatPort) RMW(addr uint64, op RMWOp) uint64 {
 	old := p.m.Load(addr)
-	p.m.Store(addr, f(old))
+	p.m.Store(addr, op.Apply(old))
 	return old
 }
 
@@ -577,5 +578,72 @@ func TestByteOpsUnaligned(t *testing.T) {
 	}
 	if got := m.Load(64); got != 0xAB0000000000 {
 		t.Errorf("word = %#x", got)
+	}
+}
+
+// TestRMWOpApply pins RMWOp.Apply to the update closures Step used to
+// hand the port, which stay here as the reference formulas.
+func TestRMWOpApply(t *testing.T) {
+	sbRef := func(byteVal, shift uint64) func(uint64) uint64 {
+		return func(old uint64) uint64 { return (old &^ (uint64(0xff) << shift)) | byteVal<<shift }
+	}
+	xchgRef := func(newVal uint64) func(uint64) uint64 { return func(uint64) uint64 { return newVal } }
+	casRef := func(expect, repl uint64) func(uint64) uint64 {
+		return func(cur uint64) uint64 {
+			if cur == expect {
+				return repl
+			}
+			return cur
+		}
+	}
+	faddRef := func(delta uint64) func(uint64) uint64 { return func(cur uint64) uint64 { return cur + delta } }
+
+	type tc struct {
+		name string
+		op   RMWOp
+		ref  func(uint64) uint64
+		old  uint64
+		want uint64
+	}
+	const word = 0x0123456789abcdef
+	cases := []tc{
+		{"xchg", RMWOp{Op: OpXchg, A: 42}, xchgRef(42), word, 42},
+		{"cas-hit", RMWOp{Op: OpCas, A: word, B: 99}, casRef(word, 99), word, 99},
+		{"cas-miss", RMWOp{Op: OpCas, A: word + 1, B: 99}, casRef(word+1, 99), word, word},
+		{"fadd", RMWOp{Op: OpFadd, A: 5}, faddRef(5), 200, 205},
+		{"fadd-wraparound", RMWOp{Op: OpFadd, A: 3}, faddRef(3), ^uint64(0) - 1, 1},
+		{"fadd-minus-one", RMWOp{Op: OpFadd, A: ^uint64(0)}, faddRef(^uint64(0)), 0, ^uint64(0)},
+	}
+	for off := uint64(0); off < 8; off++ {
+		shift := off * 8
+		want := word&^(uint64(0xff)<<shift) | uint64(0x5a)<<shift
+		cases = append(cases, tc{fmt.Sprintf("sb-offset-%d", off),
+			RMWOp{Op: OpSb, A: 0x5a, B: off}, sbRef(0x5a, shift), word, want})
+	}
+	for _, c := range cases {
+		got, ref := c.op.Apply(c.old), c.ref(c.old)
+		if got != ref || got != c.want {
+			t.Errorf("%s: Apply(%#x) = %#x, closure %#x, want %#x", c.name, c.old, got, ref, c.want)
+		}
+	}
+}
+
+// TestStepAllocatesNothing pins the interpreter's steady state: a loop
+// of byte stores and atomics through a flat port allocates nothing.
+func TestStepAllocatesNothing(t *testing.T) {
+	b := NewBuilder("rmw-loop")
+	b.Li(R3, 64)
+	b.Li(R4, 0x5a)
+	b.Label("loop")
+	b.Sb(R3, 5, R4)
+	b.Xchg(R5, R3, 8, R4)
+	b.Cas(R6, R3, 8, R4, R5)
+	b.Fadd(R7, R3, 16, R4)
+	b.Addi(R4, R4, 1)
+	b.Jmp("loop")
+	prog := b.Build(128, 1, nil)
+	c := NewCore(0, prog, flatPort{mem.New(128)})
+	if n := testing.AllocsPerRun(1000, func() { c.Step() }); n != 0 {
+		t.Errorf("Step allocates %v times per call, want 0", n)
 	}
 }

@@ -263,6 +263,14 @@ type Machine struct {
 	checkpoints    uint64
 	ran            bool
 
+	// coreBuf backs the core lists activeCores and maybeDeliverSignal
+	// build; neither list is used after its caller picks a core.
+	coreBuf []int
+	// chunkSinks and sigSinks hold each thread's recorder sinks, built
+	// once so a context switch only installs them.
+	chunkSinks []func(chunk.Entry)
+	sigSinks   []func(read, write []byte)
+
 	// Streaming state (nil/zero unless Config.StreamTo is set).
 	stream           segment.Sink
 	streamEpoch      uint64
@@ -309,8 +317,8 @@ func (p *corePort) Store(addr uint64, val uint64) {
 }
 
 // RMW implements isa.MemPort.
-func (p *corePort) RMW(addr uint64, f func(uint64) uint64) uint64 {
-	v, cost := p.c.RMW(addr, f)
+func (p *corePort) RMW(addr uint64, op isa.RMWOp) uint64 {
+	v, cost := p.c.RMW(addr, op.Apply)
 	p.charge(cost)
 	return v
 }
@@ -379,6 +387,21 @@ func New(prog *isa.Program, cfg Config) *Machine {
 		m.session = capo.NewSession(
 			capo.SessionConfig{Threads: cfg.Threads, CbufBytes: cfg.CbufBytes, Encoding: cfg.Encoding},
 			m.onCbufFlush)
+		m.chunkSinks = make([]func(chunk.Entry), cfg.Threads)
+		for t := range m.chunkSinks {
+			sink := m.session.ChunkSink(t)
+			m.chunkSinks[t] = func(e chunk.Entry) {
+				m.acct.Add(perf.CompRecHardware, m.cfg.Perf.RecChunkWrite)
+				sink(e)
+				m.noteStreamedChunk()
+			}
+		}
+		if cfg.CaptureSignatures {
+			m.sigSinks = make([]func(read, write []byte), cfg.Threads)
+			for t := range m.sigSinks {
+				m.sigSinks[t] = m.session.SigSink(t)
+			}
+		}
 	}
 
 	// Lay out the program image, then per-thread stacks beyond it.

@@ -621,3 +621,28 @@ func TestCheckpointDisabledByDefault(t *testing.T) {
 		t.Error("checkpoints taken without being configured")
 	}
 }
+
+// BenchmarkRecord measures the recording hot loop: one full-stack
+// recording per iteration of a simulator-bound kernel and of a
+// syscall-heavy server, on the default 4-core machine with 4 threads.
+func BenchmarkRecord(b *testing.B) {
+	for _, name := range []string{"barnes", "kvserver"} {
+		spec, _ := workload.ByName(name)
+		prog := spec.Build(4)
+		cfg := DefaultConfig()
+		cfg.Mode = ModeFull
+		cfg.Threads = 4
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var retired uint64
+			for i := 0; i < b.N; i++ {
+				res, err := New(prog, cfg).Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				retired = res.Retired
+			}
+			b.ReportMetric(float64(retired)/1000, "kinstr/op")
+		})
+	}
+}

@@ -50,14 +50,16 @@ func (m *Machine) Run() (*Result, error) {
 	return res, nil
 }
 
-// activeCores returns cores with a running thread, ascending.
+// activeCores returns cores with a running thread, ascending. The slice
+// is overwritten by the next call.
 func (m *Machine) activeCores() []int {
-	out := make([]int, 0, len(m.running))
+	out := m.coreBuf[:0]
 	for i, tid := range m.running {
 		if tid >= 0 {
 			out = append(out, i)
 		}
 	}
+	m.coreBuf = out
 	return out
 }
 
@@ -69,7 +71,7 @@ func (m *Machine) scheduleIdle() {
 			continue
 		}
 		next := m.runq[0]
-		m.runq = m.runq[1:]
+		m.runq = m.runq[:copy(m.runq, m.runq[1:])]
 		m.assign(next, coreID)
 	}
 }
@@ -80,14 +82,9 @@ func (m *Machine) assign(tid, coreID int) {
 	m.cores[coreID].RestoreContext(th.ctx)
 	if rec := m.mrrs[coreID]; rec != nil {
 		rec.RaiseClock(th.savedClock)
-		sink := m.session.ChunkSink(tid)
-		rec.SetSink(func(e chunk.Entry) {
-			m.acct.Add(perf.CompRecHardware, m.cfg.Perf.RecChunkWrite)
-			sink(e)
-			m.noteStreamedChunk()
-		})
+		rec.SetSink(m.chunkSinks[tid])
 		if m.cfg.CaptureSignatures {
-			rec.SetSigSink(m.session.SigSink(tid))
+			rec.SetSigSink(m.sigSinks[tid])
 		}
 		rec.SetEnabled(true)
 	}
@@ -318,12 +315,13 @@ func (m *Machine) maybeDeliverSignal() bool {
 	}
 	// Candidates: running, unmasked threads at instruction boundaries
 	// (all running threads are, between machine steps).
-	var cands []int
+	cands := m.coreBuf[:0]
 	for coreID, tid := range m.running {
 		if tid >= 0 && !m.threads[tid].sigMasked && !m.cores[coreID].InSyscall() {
 			cands = append(cands, coreID)
 		}
 	}
+	m.coreBuf = cands
 	if len(cands) == 0 {
 		return false
 	}

@@ -263,3 +263,37 @@ e7:
 		t.Fatal(err)
 	}
 }
+
+// TestFutexWakeAllRoundTrip records, replays and verifies a program
+// whose futex_wake passes a count of -1, which must mean "wake every
+// waiter" rather than crash the recorder.
+func TestFutexWakeAllRoundTrip(t *testing.T) {
+	prog, err := qasm.Parse(`
+.name wakeall
+.threads 2
+.alloc word 1
+        li   r3, @word
+        li   r10, 8       ; SysFutexWake
+        mov  r11, r3
+        li   r12, -1      ; wake everyone
+        syscall
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.ModeFull
+	b, _, err := core.RecordAndVerify(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := b.InputLog.Len(); n != 2 {
+		t.Fatalf("input log has %d records, want one wake per thread", n)
+	}
+	for _, r := range b.InputLog.Records {
+		if r.Ret != 0 {
+			t.Errorf("%v: woke %d threads, want 0 (no waiters)", r, r.Ret)
+		}
+	}
+}

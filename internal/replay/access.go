@@ -83,12 +83,12 @@ func (p tracingPort) Store(addr uint64, val uint64) {
 	p.inner.Store(addr, val)
 }
 
-func (p tracingPort) RMW(addr uint64, f func(uint64) uint64) uint64 {
+func (p tracingPort) RMW(addr uint64, op isa.RMWOp) uint64 {
 	// Port-level RMW backs both atomic instructions and sub-word stores;
 	// classification by opcode happens at drain time, so just note a
 	// write here.
 	*p.buf = append(*p.buf, rawAccess{addr, true})
-	return p.inner.RMW(addr, f)
+	return p.inner.RMW(addr, op)
 }
 
 // drainAccesses attributes the in-flight step's buffered accesses to the

@@ -201,9 +201,9 @@ type flatPort struct{ m *mem.Memory }
 
 func (p flatPort) Load(addr uint64) uint64       { return p.m.Load(addr) }
 func (p flatPort) Store(addr uint64, val uint64) { p.m.Store(addr, val) }
-func (p flatPort) RMW(addr uint64, f func(uint64) uint64) uint64 {
+func (p flatPort) RMW(addr uint64, op isa.RMWOp) uint64 {
 	old := p.m.Load(addr)
-	p.m.Store(addr, f(old))
+	p.m.Store(addr, op.Apply(old))
 	return old
 }
 
@@ -354,16 +354,65 @@ func (r *replayer) setup() {
 }
 
 // buildItems merges thread t's chunk entries and input records into one
-// timestamp-ordered stream. Both sequences are already sorted (the
+// timestamp-ordered stream, a chunk before an input record of equal TS.
+// Both sequences are already sorted in any log this machine writes (the
 // recorder's per-thread clock is strictly monotonic across emissions), so
-// this is a two-way merge; sort.SliceStable guards against malformed logs.
+// this is a two-way merge. A stream out of order, as in a damaged log,
+// falls back to sortItems, the reference order the merge reproduces.
 func buildItems(in Input, t int) []item {
-	var items []item
-	for _, e := range in.ChunkLogs[t].Entries {
+	entries := in.ChunkLogs[t].Entries
+	recs := in.InputLog.Records
+	n, sorted := len(entries), true
+	for i := 1; i < len(entries); i++ {
+		if entries[i].TS < entries[i-1].TS {
+			sorted = false
+		}
+	}
+	var last uint64
+	for i := range recs {
+		if recs[i].Thread != t {
+			continue
+		}
+		if n > len(entries) && recs[i].TS < last {
+			sorted = false
+		}
+		last = recs[i].TS
+		n++
+	}
+	items := make([]item, 0, n)
+	if !sorted {
+		return sortItems(items, entries, recs, t)
+	}
+	ri := 0
+	for _, e := range entries {
+		for ; ri < len(recs); ri++ {
+			if rec := &recs[ri]; rec.Thread == t {
+				if rec.TS >= e.TS {
+					break
+				}
+				items = append(items, item{kind: itemInput, ts: rec.TS, rec: *rec})
+			}
+		}
 		items = append(items, item{kind: itemChunk, ts: e.TS, entry: e})
 	}
-	for _, rec := range in.InputLog.PerThread(t) {
-		items = append(items, item{kind: itemInput, ts: rec.TS, rec: rec})
+	for ; ri < len(recs); ri++ {
+		if recs[ri].Thread == t {
+			items = append(items, item{kind: itemInput, ts: recs[ri].TS, rec: recs[ri]})
+		}
+	}
+	return items
+}
+
+// sortItems appends thread t's chunk entries, then its input records, to
+// items and stable-sorts the result by TS.
+func sortItems(items []item, entries []chunk.Entry, recs []capo.Record, t int) []item {
+	for _, e := range entries {
+		items = append(items, item{kind: itemChunk, ts: e.TS, entry: e})
+	}
+	for _, rec := range recs {
+		if rec.Thread == t {
+			items = append(items, item{kind: itemInput, ts: rec.TS, rec: rec})
+		}
 	}
 	sort.SliceStable(items, func(i, j int) bool { return items[i].ts < items[j].ts })
 	return items
@@ -598,7 +647,7 @@ func (r *replayer) applySyscall(t *threadState, rec capo.Record) error {
 		// check, since any divergence in the buffer shows up against the
 		// recorded output.
 		if int(a1) == 1 {
-			r.output = append(r.output, capo.LoadBytes(port, a2, a3)...)
+			r.output = capo.AppendBytes(r.output, port, a2, a3)
 		}
 	case capo.SysSigHandler:
 		r.handlerPC = int(a1)
