@@ -129,7 +129,7 @@ func Replay(prog *isa.Program, b *Bundle) (*replay.Result, error) {
 // wires a bundle's checkpoint start state, so it works on windowed
 // (flight-recorder ring) salvages too.
 func ReplayBounded(prog *isa.Program, b *Bundle, maxSteps uint64) (*replay.Result, error) {
-	in, err := replayInput(prog, b)
+	in, err := ReplayInput(prog, b)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func ReplayBounded(prog *isa.Program, b *Bundle, maxSteps uint64) (*replay.Resul
 // selects runtime.GOMAXPROCS(0). The Result is bit-identical to serial
 // replay in every mode.
 func ReplayWorkers(prog *isa.Program, b *Bundle, workers int) (*replay.Result, error) {
-	in, err := replayInput(prog, b)
+	in, err := ReplayInput(prog, b)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func ReplayWorkers(prog *isa.Program, b *Bundle, workers int) (*replay.Result, e
 // The Result is bit-identical to Replay: the interval partition is a
 // pure function of the bundle, and the stitcher is index-ordered.
 func ReplayDistributed(prog *isa.Program, b *Bundle, exec dispatch.Executor, digest string) (*replay.Result, error) {
-	in, err := replayInput(prog, b)
+	in, err := ReplayInput(prog, b)
 	if err != nil {
 		return nil, err
 	}
@@ -167,20 +167,12 @@ func ReplayDistributed(prog *isa.Program, b *Bundle, exec dispatch.Executor, dig
 	return replay.Run(in)
 }
 
-// ReplayJobber builds a cached-partition runner for this bundle's
-// interval jobs: a fleet worker serving many jobs against one bundle
-// partitions once instead of per job. Safe for concurrent Exec calls.
-func ReplayJobber(prog *isa.Program, b *Bundle) (*replay.IntervalRunner, error) {
-	in, err := replayInput(prog, b)
-	if err != nil {
-		return nil, err
-	}
-	return replay.NewIntervalRunner(in), nil
-}
-
-// replayInput builds the replayer's input from a bundle, wiring the
-// checkpoint start state and counting convention.
-func replayInput(prog *isa.Program, b *Bundle) (replay.Input, error) {
+// ReplayInput builds the replayer's input from a bundle, wiring the
+// checkpoint start state, the interval checkpoints and the counting
+// convention — for callers that drive the replay package directly, such
+// as the race detector's traced interval replays and a fleet worker's
+// interval jobs.
+func ReplayInput(prog *isa.Program, b *Bundle) (replay.Input, error) {
 	in := replay.Input{
 		Prog:                prog,
 		Threads:             b.Threads,
@@ -209,24 +201,12 @@ func replayInput(prog *isa.Program, b *Bundle) (replay.Input, error) {
 	return in, nil
 }
 
-// TraceAccesses replays the bundle while passing every user-mode memory
-// access, with its issuing thread, chunk and instruction, to sink in
-// replay order — the exact ground truth the race detector confirms
-// Bloom candidates against.
-func TraceAccesses(prog *isa.Program, b *Bundle, sink func(replay.AccessEvent)) (*replay.Result, error) {
-	in, err := replayInput(prog, b)
-	if err != nil {
-		return nil, err
-	}
-	return replay.TraceAccesses(in, sink)
-}
-
 // ReplayUntil replays the bundle up to "thread tid, retired-instruction
 // count n" and returns the paused machine state — the primitive behind
 // record-and-replay debugging. Works on full and flight-recorder tail
 // bundles (the breakpoint must not predate a tail's checkpoint).
 func ReplayUntil(prog *isa.Program, b *Bundle, tid int, n uint64) (*replay.PauseState, error) {
-	in, err := replayInput(prog, b)
+	in, err := ReplayInput(prog, b)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +216,7 @@ func ReplayUntil(prog *isa.Program, b *Bundle, tid int, n uint64) (*replay.Pause
 // Trace replays the bundle and captures thread tid's executed
 // instruction stream over the retired-count window (from, to].
 func Trace(prog *isa.Program, b *Bundle, tid int, from, to uint64) ([]replay.TraceEntry, error) {
-	in, err := replayInput(prog, b)
+	in, err := ReplayInput(prog, b)
 	if err != nil {
 		return nil, err
 	}

@@ -239,8 +239,16 @@ func TestTraceAccessesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []replay.AccessEvent
-	rr, err := TraceAccesses(prog, b, func(ev replay.AccessEvent) { events = append(events, ev) })
+	in, err := ReplayInput(prog, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := replay.Partition(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr replay.AccessTrace
+	rr, err := ir.TraceInterval(0, nil, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,13 +257,23 @@ func TestTraceAccessesGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reads, writes, atomics, syncs int
-	for _, ev := range events {
-		if ev.Thread < 0 || ev.Thread >= b.Threads {
-			t.Fatalf("event thread %d out of range", ev.Thread)
+	events := tr.Events
+	for _, it := range tr.Items {
+		if it.Thread < 0 || int(it.Thread) >= b.Threads {
+			t.Fatalf("item thread %d out of range", it.Thread)
 		}
-		if ev.Chunk < 0 || ev.Chunk > b.ChunkLogs[ev.Thread].Len() {
-			t.Fatalf("event chunk %d out of range for thread %d", ev.Chunk, ev.Thread)
+		if it.Chunk < 0 || int(it.Chunk) > b.ChunkLogs[it.Thread].Len() {
+			t.Fatalf("item chunk %d out of range for thread %d", it.Chunk, it.Thread)
 		}
+		if it.Events <= 0 || int(it.Events) > len(events) {
+			t.Fatalf("item claims %d of %d remaining events", it.Events, len(events))
+		}
+		events = events[it.Events:]
+	}
+	if len(events) != 0 {
+		t.Fatalf("%d events belong to no item", len(events))
+	}
+	for _, ev := range tr.Events {
 		switch ev.Kind {
 		case replay.AccessRead:
 			reads++

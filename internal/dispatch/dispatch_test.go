@@ -115,7 +115,7 @@ func TestJobRoundTrip(t *testing.T) {
 	jobs := []Job{
 		{Kind: JobReplayInterval, Digest: "ab12", Payload: []byte{1, 2, 3}},
 		{Kind: JobScreenBlock, Digest: "ff", Payload: nil},
-		{Kind: JobConfirmSlice, Digest: "0123456789abcdef", Payload: []byte("params")},
+		{Kind: JobTraceInterval, Digest: "0123456789abcdef", Payload: []byte("params")},
 	}
 	for _, j := range jobs {
 		a := wire.GetAppender()

@@ -7,8 +7,8 @@ import (
 )
 
 // Job kinds. The dispatch layer does not interpret them — they select
-// which domain codec (replay interval, race screening, race
-// confirmation) a fleet worker routes the payload through.
+// which domain codec (replay interval, race screening, traced race
+// interval) a fleet worker routes the payload through.
 const (
 	// JobReplayInterval replays one checkpoint-partitioned interval of a
 	// recording (payload: interval index + expected interval count).
@@ -16,9 +16,11 @@ const (
 	// JobScreenBlock screens one fixed-size block of Lamport-concurrent
 	// chunk pairs against their Bloom signatures.
 	JobScreenBlock uint8 = 2
-	// JobConfirmSlice confirms races for one slice of the conflict
-	// address space over an access-traced replay.
-	JobConfirmSlice uint8 = 3
+	// JobTraceInterval replays one checkpoint interval with access
+	// tracing, filtered to the race candidates' chunks (payload: interval
+	// index, interval count and candidate count; result: the interval's
+	// compact access trace).
+	JobTraceInterval uint8 = 3
 )
 
 // Job is the typed, wire-encoded envelope a remote worker executes: a
@@ -50,7 +52,7 @@ func DecodeJob(data []byte) (Job, error) {
 	if err != nil {
 		return j, fmt.Errorf("dispatch: job kind: %w", err)
 	}
-	if kind < JobReplayInterval || kind > JobConfirmSlice {
+	if kind < JobReplayInterval || kind > JobTraceInterval {
 		return j, fmt.Errorf("dispatch: unknown job kind %d", kind)
 	}
 	j.Kind = kind

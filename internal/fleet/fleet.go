@@ -136,9 +136,9 @@ func (c *Client) Replay(prog *isa.Program, b *core.Bundle) (*replay.Result, erro
 }
 
 // Races runs the two-phase race detector across the fleet: screening
-// blocks and confirmation slices ship as jobs; workers re-derive the
-// traced replay themselves. The Report is bit-identical to
-// races.Detect.
+// blocks and checkpoint intervals ship as jobs, each interval traced
+// once by one worker, and the client confirms races over the merged
+// traces. The Report is bit-identical to races.Detect.
 func (c *Client) Races(prog *isa.Program, b *core.Bundle) (*races.Report, error) {
 	digest, err := c.Upload(b)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/ingest"
-	"repro/internal/isa"
 	"repro/internal/races"
 	"repro/internal/replay"
 	"repro/internal/wire"
@@ -30,15 +29,16 @@ type Worker struct {
 	cache map[string]*bundleEntry
 }
 
-// bundleEntry caches one digest's materialized bundle, program and
-// interval-job runner. The once gate means concurrent jobs naming the
-// same digest fetch and partition it exactly once; a failed load is
-// evicted, so the next job for the digest fetches again.
+// bundleEntry caches one digest's materialized bundle, its interval
+// partition, and the trace-job server that screens it once beside that
+// partition. The once gate means concurrent jobs naming the same digest
+// fetch and partition it exactly once; a failed load is evicted, so the
+// next job for the digest fetches again.
 type bundleEntry struct {
 	once   sync.Once
 	b      *core.Bundle
-	prog   *isa.Program
 	jobber *replay.IntervalRunner
+	tracer *races.TraceJobs
 	err    error
 }
 
@@ -94,8 +94,8 @@ func (w *Worker) exec(body []byte) ([]byte, error) {
 		return e.jobber.Exec(job.Payload)
 	case dispatch.JobScreenBlock:
 		return races.ExecScreenJob(e.b, job.Payload)
-	case dispatch.JobConfirmSlice:
-		return races.ExecConfirmJob(e.prog, e.b, job.Payload)
+	case dispatch.JobTraceInterval:
+		return e.tracer.Exec(job.Payload)
 	}
 	return nil, fmt.Errorf("fleet: unroutable job kind %d", job.Kind)
 }
@@ -137,12 +137,17 @@ func (w *Worker) load(digest string) *bundleEntry {
 			e.err = err
 			return
 		}
-		jobber, err := core.ReplayJobber(prog, b)
+		in, err := core.ReplayInput(prog, b)
 		if err != nil {
 			e.err = err
 			return
 		}
-		e.b, e.prog, e.jobber = b, prog, jobber
+		jobber, err := replay.NewIntervalRunner(in)
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.b, e.jobber, e.tracer = b, jobber, races.NewTraceJobs(b, jobber)
 	})
 	if e.err != nil {
 		w.mu.Lock()

@@ -114,7 +114,7 @@ func screenExec(b *core.Bundle, workers int, exec dispatch.Executor, digest stri
 			}, nil
 		},
 		Absorb: func(bi int, data []byte) error {
-			cands, err := decodeCandidates(data)
+			cands, err := decodeCandidates(data, blockPairs(pairs, bi))
 			if err != nil {
 				return err
 			}
@@ -136,14 +136,8 @@ func screenExec(b *core.Bundle, workers int, exec dispatch.Executor, digest stri
 // order. Shared by the local Run path and the worker side of
 // JobScreenBlock, which is what makes the two bit-identical.
 func screenBlock(decoded [][]chunkSigs, pairs []analysis.ChunkPair, bi int) []Candidate {
-	lo := bi * screenBlockSize
-	hi := lo + screenBlockSize
-	if hi > len(pairs) {
-		hi = len(pairs)
-	}
 	var out []Candidate
-	for i := lo; i < hi; i++ {
-		pair := pairs[i]
+	for _, pair := range blockPairs(pairs, bi) {
 		sa := decoded[pair.ThreadA][pair.ChunkA]
 		sb := decoded[pair.ThreadB][pair.ChunkB]
 		c := Candidate{

@@ -15,7 +15,15 @@ import (
 
 func record(t *testing.T, prog *isa.Program, cores, threads int, seed uint64) *core.Bundle {
 	t.Helper()
+	return recordEvery(t, prog, cores, threads, seed, 0)
+}
+
+// recordEvery is record with a flight-recorder checkpoint every `every`
+// instructions (0: none), which the traced replay partitions at.
+func recordEvery(t *testing.T, prog *isa.Program, cores, threads int, seed, every uint64) *core.Bundle {
+	t.Helper()
 	cfg := machine.DefaultConfig()
+	cfg.CheckpointEveryInstrs = every
 	cfg.Mode = machine.ModeFull
 	cfg.Cores = cores
 	cfg.Threads = threads

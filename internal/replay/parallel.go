@@ -228,7 +228,7 @@ func runParallel(in Input, ivs []*interval) (*Result, error) {
 	err := exec.Execute(dispatch.Spec{
 		Tasks: len(ivs),
 		Run: func(i int) error {
-			r, err := runInterval(in, ivs[i])
+			r, err := runInterval(in, ivs[i], nil, nil)
 			if err != nil {
 				return err
 			}
@@ -243,7 +243,7 @@ func runParallel(in Input, ivs []*interval) (*Result, error) {
 			}, nil
 		},
 		Absorb: func(i int, data []byte) error {
-			r, err := decodeIntervalResult(data, i == len(ivs)-1)
+			r, err := decodeIntervalResult(data, i == len(ivs)-1, in.memBytes(ivs[i]))
 			if err != nil {
 				return err
 			}
@@ -257,8 +257,29 @@ func runParallel(in Input, ivs []*interval) (*Result, error) {
 	return stitch(ivs, results), nil
 }
 
+// wholeInterval is the recording as a single interval: the partition
+// when no checkpoint cuts it.
+func wholeInterval(in Input) *interval {
+	return &interval{
+		start:     in.Start,
+		chunkLogs: in.ChunkLogs,
+		inputLog:  in.InputLog,
+		chunkBase: make([]int, in.Threads),
+	}
+}
+
+// memBytes is the size of the memory interval iv replays against.
+func (in *Input) memBytes(iv *interval) uint64 {
+	if iv.start != nil {
+		return iv.start.Mem.Size()
+	}
+	return (in.initialMemBytes() + mem.WordSize - 1) / mem.WordSize * mem.WordSize
+}
+
 // runInterval replays one interval serially on the calling goroutine.
-func runInterval(in Input, iv *interval) (res *Result, err error) {
+// A non-nil sink receives the interval's access trace, filtered by
+// filter.
+func runInterval(in Input, iv *interval, filter ChunkFilter, sink AccessSink) (res *Result, err error) {
 	defer recoverFault(&err)
 	sub := in
 	sub.ChunkLogs = iv.chunkLogs
@@ -272,7 +293,10 @@ func runInterval(in Input, iv *interval) (res *Result, err error) {
 		// per-interval budget here.
 		sub.AllowTruncated = false
 	}
-	r := &replayer{in: sub, chunkBase: iv.chunkBase, boundary: iv.end}
+	r := &replayer{in: sub, chunkBase: iv.chunkBase, boundary: iv.end, sink: sink, filter: filter}
+	if sink != nil {
+		r.stepHook = func(_ *threadState, pcBefore int, _ isa.StepKind) { r.drainAccesses(pcBefore) }
+	}
 	r.setup()
 	if err := r.loop(); err != nil {
 		return nil, err

@@ -249,18 +249,21 @@ type replayer struct {
 	bp *Breakpoint
 	// stepHook, when set, observes every execution step (see Trace).
 	stepHook func(t *threadState, pcBefore int, kind isa.StepKind)
-	// accessSink and accessBuf implement access tracing (see
-	// TraceAccesses): cores run against a tracingPort that buffers each
-	// step's raw accesses in accessBuf, and the step hook drains them to
-	// the sink with the issuing instruction attached.
-	accessSink func(AccessEvent)
-	accessBuf  []rawAccess
+	// sink, filter, item and accessBuf implement access tracing (see
+	// IntervalRunner.TraceInterval): cores run against a tracingPort
+	// that buffers each step's raw accesses in accessBuf, and the step
+	// hook drains the ones filter keeps to the sink, under the header of
+	// the open work item.
+	sink      AccessSink
+	filter    ChunkFilter
+	item      openItem
+	accessBuf []rawAccess
 }
 
 // corePort returns the memory port replayed cores execute against:
 // traced when access tracing is on, the bare memory otherwise.
 func (r *replayer) corePort() isa.MemPort {
-	if r.accessSink != nil {
+	if r.sink != nil {
 		return tracingPort{inner: flatPort{r.memory}, buf: &r.accessBuf}
 	}
 	return flatPort{r.memory}
@@ -285,18 +288,8 @@ func recoverFault(err *error) {
 }
 
 func runChecked(in Input) (*Result, error) {
-	if in.Threads <= 0 || len(in.ChunkLogs) != in.Threads {
-		return nil, fmt.Errorf("replay: inconsistent input: %d threads, %d chunk logs",
-			in.Threads, len(in.ChunkLogs))
-	}
-	if in.StackWordsPerThread == 0 {
-		in.StackWordsPerThread = 1024
-	}
-	if s := in.Start; s != nil {
-		if s.Mem == nil || len(s.Contexts) != in.Threads || len(s.Exited) != in.Threads {
-			return nil, fmt.Errorf("replay: inconsistent checkpoint: %d contexts, %d exit flags for %d threads",
-				len(s.Contexts), len(s.Exited), in.Threads)
-		}
+	if err := validate(&in); err != nil {
+		return nil, err
 	}
 	if ivs := partition(in); len(ivs) > 1 {
 		return runParallel(in, ivs)
@@ -307,6 +300,31 @@ func runChecked(in Input) (*Result, error) {
 		return nil, err
 	}
 	return r.finish()
+}
+
+// validate rejects an input whose thread count, logs and start state
+// disagree, and applies the stack-size default.
+func validate(in *Input) error {
+	if in.Threads <= 0 || len(in.ChunkLogs) != in.Threads {
+		return fmt.Errorf("replay: inconsistent input: %d threads, %d chunk logs",
+			in.Threads, len(in.ChunkLogs))
+	}
+	if in.StackWordsPerThread == 0 {
+		in.StackWordsPerThread = 1024
+	}
+	if s := in.Start; s != nil {
+		if s.Mem == nil || len(s.Contexts) != in.Threads || len(s.Exited) != in.Threads {
+			return fmt.Errorf("replay: inconsistent checkpoint: %d contexts, %d exit flags for %d threads",
+				len(s.Contexts), len(s.Exited), in.Threads)
+		}
+	}
+	return nil
+}
+
+// initialMemBytes is the size of the memory setup lays out for a replay
+// from the program's initial state.
+func (in *Input) initialMemBytes() uint64 {
+	return in.Prog.MemBytes + in.StackWordsPerThread*8*uint64(in.Threads) + 4096
 }
 
 // setup reproduces the recording machine's address-space layout exactly,
@@ -335,8 +353,7 @@ func (r *replayer) setup() {
 		}
 		return
 	}
-	stackBytes := r.in.StackWordsPerThread * 8 * uint64(r.in.Threads)
-	r.memory = mem.New(r.in.Prog.MemBytes + stackBytes + 4096)
+	r.memory = mem.New(r.in.initialMemBytes())
 	r.in.Prog.Init(r.memory)
 	r.memory.Reserve(r.in.Prog.MemBytes)
 	stackBase := make([]uint64, r.in.Threads)
@@ -490,6 +507,9 @@ func (r *replayer) loop() error {
 		}
 		it := pick.items[pick.next]
 		pick.next++
+		if r.sink != nil {
+			r.beginItem(pick, it.ts)
+		}
 		var err error
 		switch it.kind {
 		case itemChunk:

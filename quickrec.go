@@ -366,10 +366,11 @@ func Races(prog *Program, rec *Recording) (*RaceReport, error) {
 	return races.Detect(prog, rec)
 }
 
-// RacesParallel is Races with the screening and confirmation phases
-// fanned out over a bounded worker pool (workers 0 or 1: serial,
-// negative: runtime.GOMAXPROCS(0)). The report is identical to the
-// serial detector's for every worker count.
+// RacesParallel is Races with the screening, the traced replay (one
+// checkpoint interval per task) and confirmation fanned out over a
+// bounded worker pool (workers 0 or 1: serial, negative:
+// runtime.GOMAXPROCS(0)). The report is identical to the serial
+// detector's for every worker count.
 func RacesParallel(prog *Program, rec *Recording, workers int) (*RaceReport, error) {
 	return races.DetectWorkers(prog, rec, workers)
 }
@@ -377,8 +378,8 @@ func RacesParallel(prog *Program, rec *Recording, workers int) (*RaceReport, err
 // FleetClient distributes replay and race detection across remote
 // worker processes (quickrecd worker) attached to an ingest server's
 // job broker. Client.Replay and Client.Races upload the recording to
-// the server's content-addressed store once, then ship per-interval,
-// per-block and per-slice job envelopes naming it by digest; results
+// the server's content-addressed store once, then ship per-interval
+// and per-block job envelopes naming it by digest; results
 // are bit-identical to the serial Replay and Races for any worker
 // count, and a worker that dies or stalls mid-job only costs latency —
 // its jobs are re-dispatched to surviving peers. See
