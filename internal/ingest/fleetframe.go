@@ -40,13 +40,7 @@ func decodeDataZ(data []byte, limit int) ([]byte, error) {
 	if got := crc32.Checksum(data[c.Pos():], castagnoli); got != want {
 		return nil, fmt.Errorf("%w: dataz crc %#x, want %#x", ErrFrame, got, want)
 	}
-	hdr := c // peek the block header: method u8 | rawLen uvarint
-	if _, err := hdr.Byte(); err == nil {
-		if n, err := hdr.Uvarint(); err == nil && n > uint64(limit) {
-			return nil, fmt.Errorf("%w: dataz block declares %d bytes, limit %d", ErrFrame, n, limit)
-		}
-	}
-	raw, _, err := wire.DecodeBlock(&c, nil)
+	raw, _, err := wire.DecodeBlockMax(&c, nil, uint64(limit))
 	if err != nil {
 		return nil, fmt.Errorf("%w: dataz block: %v", ErrFrame, err)
 	}

@@ -68,6 +68,13 @@ func appendBlockFrame(a *Appender, orig, payload []byte, method byte) {
 // buffer across decodes pays no steady-state allocation). Errors wrap
 // the cursor's flavored sentinels.
 func DecodeBlock(c *Cursor, dst []byte) (data []byte, method byte, err error) {
+	return DecodeBlockMax(c, dst, maxBlockRaw)
+}
+
+// DecodeBlockMax is DecodeBlock for a caller that knows how large the
+// block may be: a block declaring more than limit raw bytes is refused
+// as corrupt before its payload is expanded.
+func DecodeBlockMax(c *Cursor, dst []byte, limit uint64) (data []byte, method byte, err error) {
 	method, err = c.Byte()
 	if err != nil {
 		return nil, 0, err
@@ -82,8 +89,8 @@ func DecodeBlock(c *Cursor, dst []byte) (data []byte, method byte, err error) {
 	// token stream fails long before the declared size), but a valid
 	// token stream can legitimately expand enormously — this cap is
 	// the only bound on that work.
-	if rawLen > maxBlockRaw {
-		return nil, 0, c.corruptf("block declares %d bytes (cap %d)", rawLen, uint64(maxBlockRaw))
+	if limit = min(limit, maxBlockRaw); rawLen > limit {
+		return nil, 0, c.corruptf("block declares %d bytes (limit %d)", rawLen, limit)
 	}
 	payload, err := c.View()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -155,6 +156,32 @@ func TestBlockCorruption(t *testing.T) {
 		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("byte %d: untyped error %v", i, err)
 		}
+	}
+}
+
+// TestBlockDecodeMaxRefusesBeforeExpanding checks DecodeBlockMax's
+// limit: a block at the limit decodes, and a valid block one byte over
+// it is refused as corrupt without being expanded.
+func TestBlockDecodeMaxRefusesBeforeExpanding(t *testing.T) {
+	data := make([]byte, 1<<20)
+	var a Appender
+	if AppendBlock(&a, data) != BlockLZ {
+		t.Fatal("expected compressible input to take the LZ path")
+	}
+	c := CursorOf(a.Buf)
+	if out, _, err := DecodeBlockMax(&c, nil, uint64(len(data))); err != nil || len(out) != len(data) {
+		t.Fatalf("block at its limit: %d bytes, %v", len(out), err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c = CursorOf(a.Buf)
+	_, _, err := DecodeBlockMax(&c, nil, uint64(len(data)-1))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("block over its limit: %v, want a corruption error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
+		t.Errorf("refusing an oversized block allocated %d bytes", n)
 	}
 }
 
