@@ -164,6 +164,14 @@ loop:   fadd r7, [r3+0], r6
 	badFile := filepath.Join(dir, "bad.qasm")
 	writeFile(t, badFile, []byte("frobnicate r1\n"))
 	runCLI(t, bin, false, "record", "-prog", badFile, "-o", recFile)
+	// A program that faults (here it runs off its end) fails with one
+	// line naming the fault, not a Go stack trace.
+	faultFile := filepath.Join(dir, "fault.qasm")
+	writeFile(t, faultFile, []byte(".threads 1\nli r1, 5\n"))
+	out = runCLI(t, bin, false, "record", "-prog", faultFile, "-threads", "1", "-o", recFile)
+	if strings.Count(out, "\n") != 1 || !strings.Contains(out, "execution fault") {
+		t.Errorf("faulting record output:\n%s", out)
+	}
 }
 
 func TestCLIAnalyze(t *testing.T) {

@@ -32,7 +32,7 @@ func TestByteHelpersRoundTrip(t *testing.T) {
 }
 
 func TestKernelWriteCapturesOutput(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel(1, 1024)
 	m := mem.New(1024)
 	m.StoreBytes(128, []byte("hello"))
 	res := k.Handle(0, 0, SysWrite, 1, 128, 5, memPort{m})
@@ -51,7 +51,7 @@ func TestKernelWriteCapturesOutput(t *testing.T) {
 
 func TestKernelReadDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) []byte {
-		k := NewKernel(seed)
+		k := NewKernel(seed, 1024)
 		m := mem.New(1024)
 		res := k.Handle(0, 0, SysRead, 0, 64, 32, memPort{m})
 		if res.Ret != 32 || res.CopyAddr != 64 || len(res.CopyData) != 32 {
@@ -72,7 +72,7 @@ func TestKernelReadDeterministicPerSeed(t *testing.T) {
 }
 
 func TestFutexWaitWake(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel(1, 1024)
 	m := mem.New(1024)
 	m.Store(256, 1)
 	p := memPort{m}
@@ -119,7 +119,7 @@ func TestFutexWaitWake(t *testing.T) {
 // TestFutexWakeAllCount pins the uint64 clamp: a count of -1 (any count
 // at or above 2^63) wakes every waiter instead of going negative.
 func TestFutexWakeAllCount(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel(1, 1024)
 	m := mem.New(1024)
 	m.Store(256, 1)
 	p := memPort{m}
@@ -143,7 +143,7 @@ func TestFutexWakeAllCount(t *testing.T) {
 // TestReadPayloadsDoNotAlias checks the read arena's capacity limit:
 // appending to one SysRead payload leaves the next one's bytes intact.
 func TestReadPayloadsDoNotAlias(t *testing.T) {
-	k := NewKernel(3)
+	k := NewKernel(3, 1024)
 	p := memPort{mem.New(1024)}
 	first := k.Handle(0, 0, SysRead, 0, 64, 24, p).CopyData
 	second := k.Handle(0, 0, SysRead, 0, 128, 24, p).CopyData
@@ -158,7 +158,7 @@ func TestReadPayloadsDoNotAlias(t *testing.T) {
 }
 
 func TestMiscSyscalls(t *testing.T) {
-	k := NewKernel(5)
+	k := NewKernel(5, 64)
 	p := memPort{mem.New(64)}
 	if res := k.Handle(3, 0, SysGetTID, 0, 0, 0, p); res.Ret != 3 {
 		t.Errorf("gettid = %d, want 3", res.Ret)
@@ -187,13 +187,60 @@ func TestMiscSyscalls(t *testing.T) {
 }
 
 func TestUnknownSyscallPanics(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel(1, 64)
 	defer func() {
-		if recover() == nil {
-			t.Error("unknown syscall did not panic")
+		if _, ok := recover().(mem.Fault); !ok {
+			t.Error("unknown syscall did not fault")
 		}
 	}()
 	k.Handle(0, 0, 999, 0, 0, 0, memPort{mem.New(64)})
+}
+
+// TestKernelCopyFaults pins the kernel's copy contract: a read or write
+// of n > 0 bytes faults when its buffer is unaligned or does not fit in
+// user memory, before any payload is allocated; zero bytes never fault.
+func TestKernelCopyFaults(t *testing.T) {
+	const size = 1024
+	faults := func(sysno, addr, n uint64) (faulted bool) {
+		k := NewKernel(1, size)
+		defer func() {
+			r := recover()
+			if r != nil {
+				if _, ok := r.(mem.Fault); !ok {
+					panic(r)
+				}
+			}
+			faulted = r != nil
+			if faulted && len(k.readArena) != 0 {
+				t.Errorf("sysno %d: faulting call allocated a %d-byte payload", sysno, len(k.readArena))
+			}
+		}()
+		k.Handle(0, 0, sysno, 1, addr, n, memPort{mem.New(size)})
+		return false
+	}
+	for _, sysno := range []uint64{SysRead, SysWrite} {
+		for _, c := range []struct {
+			addr, n uint64
+			want    bool
+		}{
+			{64, 8, false},
+			{size - 8, 8, false},
+			{0, size, false},
+			{3, 0, false},
+			{size + 64, 0, false},
+			{3, 8, true},
+			{68, 2, true},
+			{size - 8, 9, true},
+			{0, size + 1, true},
+			{8, 1 << 62, true},
+			{size, 8, true},
+			{^uint64(0) &^ 7, 16, true},
+		} {
+			if got := faults(sysno, c.addr, c.n); got != c.want {
+				t.Errorf("sysno %d at %#x, %d bytes: faulted %v, want %v", sysno, c.addr, c.n, got, c.want)
+			}
+		}
+	}
 }
 
 func TestInputLogRoundTrip(t *testing.T) {

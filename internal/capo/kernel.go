@@ -2,7 +2,8 @@ package capo
 
 import (
 	"encoding/binary"
-	"fmt"
+
+	"repro/internal/mem"
 )
 
 // Syscall numbers.
@@ -116,6 +117,7 @@ type Result struct {
 // machine's single-threaded run loop.
 type Kernel struct {
 	entropy    uint64 // xorshift64 state: external-world nondeterminism
+	memBytes   uint64 // size of user memory, which bounds every copy
 	futex      map[uint64][]int
 	output     map[int][]byte
 	handlerPC  int
@@ -133,15 +135,17 @@ type Kernel struct {
 const readArenaBlock = 64 << 10
 
 // NewKernel returns a kernel whose external inputs (read data, time
-// jitter, entropy) derive from seed.
-func NewKernel(seed uint64) *Kernel {
+// jitter, entropy) derive from seed, serving a user memory of memBytes
+// bytes.
+func NewKernel(seed, memBytes uint64) *Kernel {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
 	return &Kernel{
-		entropy: seed,
-		futex:   make(map[uint64][]int),
-		output:  make(map[int][]byte),
+		entropy:  seed,
+		memBytes: memBytes,
+		futex:    make(map[uint64][]int),
+		output:   make(map[int][]byte),
 	}
 }
 
@@ -154,17 +158,21 @@ func (k *Kernel) rand() uint64 {
 
 // Handle executes one syscall for thread tid at cycle time now, touching
 // user memory through port. It does not schedule: blocking/waking is
-// reported in the Result for the machine to act on.
+// reported in the Result for the machine to act on. A call the kernel
+// cannot serve (an unknown number, or a read or write buffer that is
+// unaligned or outside user memory) panics with a mem.Fault.
 func (k *Kernel) Handle(tid int, now uint64, sysno, a1, a2, a3 uint64, port CopyPort) Result {
 	switch sysno {
 	case SysExit:
 		return Result{Exit: true}
 	case SysWrite:
 		fd, addr, n := int(a1), a2, a3
+		k.checkCopy(tid, "write", addr, n)
 		k.output[fd] = AppendBytes(k.output[fd], port, addr, n)
 		return Result{Ret: n, WordsTouched: int((n + 7) / 8)}
 	case SysRead:
 		_, addr, n := a1, a2, a3
+		k.checkCopy(tid, "read", addr, n)
 		data := k.readPayload(n)
 		for i := range data {
 			data[i] = byte(k.rand())
@@ -209,7 +217,22 @@ func (k *Kernel) Handle(tid int, now uint64, sysno, a1, a2, a3 uint64, port Copy
 	case SysSigReturn:
 		return Result{}
 	default:
-		panic(fmt.Sprintf("capo: unknown syscall %d from thread %d", sysno, tid))
+		panic(mem.Faultf("capo: unknown syscall %d from thread %d", sysno, tid))
+	}
+}
+
+// checkCopy faults a read or write of n > 0 bytes whose buffer at addr
+// is not word-aligned or does not fit in user memory. It runs before the
+// kernel allocates or copies anything, so a huge length costs nothing;
+// a copy of zero bytes touches no word and never faults.
+func (k *Kernel) checkCopy(tid int, call string, addr, n uint64) {
+	switch {
+	case n == 0:
+	case addr%mem.WordSize != 0:
+		panic(mem.Faultf("capo: %s from thread %d: unaligned buffer at %#x", call, tid, addr))
+	case n > k.memBytes || addr > k.memBytes-n:
+		panic(mem.Faultf("capo: %s from thread %d: %d bytes at %#x overrun memory of %d bytes",
+			call, tid, n, addr, k.memBytes))
 	}
 }
 

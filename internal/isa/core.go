@@ -1,6 +1,10 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
 
 // MemPort is the core's window onto data memory. The machine model wires
 // each core's port through its private cache so that every access
@@ -208,12 +212,41 @@ func (c *Core) RestoreContext(ctx Context) {
 	c.inSyscall = false
 }
 
-func (c *Core) fetch() Instr {
-	if c.pc < 0 || c.pc >= len(c.prog.Code) {
-		panic(fmt.Sprintf("isa: core %d PC %d out of range (program %s, %d instrs)",
-			c.ID, c.pc, c.prog.Name, len(c.prog.Code)))
+// fetch returns the instruction at the PC in place, without copying it.
+// The fault's message is built out of line in pcFault, so fetch inlines
+// into Step, and the panic in place tells the compiler that the index
+// below is in range.
+func (c *Core) fetch() *Instr {
+	if uint(c.pc) >= uint(len(c.prog.Code)) {
+		panic(c.pcFault())
 	}
-	return c.prog.Code[c.pc]
+	return &c.prog.Code[c.pc]
+}
+
+// pcFault returns the fault of a fetch from a PC outside the program.
+//
+//go:noinline
+func (c *Core) pcFault() error {
+	return mem.Faultf("isa: core %d PC %d out of range (program %s, %d instrs)",
+		c.ID, c.pc, c.prog.Name, len(c.prog.Code))
+}
+
+// aligned returns addr, the address of a word access by op, faulting
+// unless it is word-aligned. Word operands (ld, st, the atomics and the
+// REP string instructions) must be aligned in record and replay alike;
+// byte accesses take any address.
+func (c *Core) aligned(op Op, addr uint64) uint64 {
+	if addr%mem.WordSize != 0 {
+		panic(c.alignFault(op, addr))
+	}
+	return addr
+}
+
+// alignFault returns the fault of a word access at an unaligned address.
+//
+//go:noinline
+func (c *Core) alignFault(op Op, addr uint64) error {
+	return mem.Faultf("isa: core %d: unaligned %v at %#x (PC %d)", c.ID, op, addr, c.pc)
 }
 
 // Step executes one unit of work: one whole instruction, or one iteration
@@ -288,9 +321,11 @@ func (c *Core) Step() StepKind {
 	case OpShri:
 		c.SetReg(in.Rd, c.Reg(in.Rs1)>>(uint64(in.Imm)&63))
 	case OpLd:
-		c.SetReg(in.Rd, c.port.Load(c.Reg(in.Rs1)+uint64(in.Imm)))
+		addr := c.aligned(in.Op, c.Reg(in.Rs1)+uint64(in.Imm))
+		c.SetReg(in.Rd, c.port.Load(addr))
 	case OpSt:
-		c.port.Store(c.Reg(in.Rs1)+uint64(in.Imm), c.Reg(in.Rs2))
+		addr := c.aligned(in.Op, c.Reg(in.Rs1)+uint64(in.Imm))
+		c.port.Store(addr, c.Reg(in.Rs2))
 	case OpLb, OpLbu:
 		addr := c.Reg(in.Rs1) + uint64(in.Imm)
 		w := c.port.Load(addr &^ 7)
@@ -332,13 +367,13 @@ func (c *Core) Step() StepKind {
 		c.retired++
 		return StepRetired
 	case OpXchg:
-		addr := c.Reg(in.Rs1) + uint64(in.Imm)
+		addr := c.aligned(in.Op, c.Reg(in.Rs1)+uint64(in.Imm))
 		c.SetReg(in.Rd, c.port.RMW(addr, RMWOp{Op: OpXchg, A: c.Reg(in.Rs2)}))
 	case OpCas:
-		addr := c.Reg(in.Rs1) + uint64(in.Imm)
+		addr := c.aligned(in.Op, c.Reg(in.Rs1)+uint64(in.Imm))
 		c.SetReg(in.Rd, c.port.RMW(addr, RMWOp{Op: OpCas, A: c.Reg(in.Rs2), B: c.Reg(in.Rs3)}))
 	case OpFadd:
-		addr := c.Reg(in.Rs1) + uint64(in.Imm)
+		addr := c.aligned(in.Op, c.Reg(in.Rs1)+uint64(in.Imm))
 		c.SetReg(in.Rd, c.port.RMW(addr, RMWOp{Op: OpFadd, A: c.Reg(in.Rs2)}))
 	case OpRepMovs, OpRepStos:
 		return c.stepRep(in)
@@ -346,14 +381,14 @@ func (c *Core) Step() StepKind {
 		c.inSyscall = true
 		return StepSyscall
 	default:
-		panic(fmt.Sprintf("isa: core %d: unknown opcode %v at PC %d", c.ID, in.Op, c.pc))
+		panic(mem.Faultf("isa: core %d: unknown opcode %v at PC %d", c.ID, in.Op, c.pc))
 	}
 	c.pc++
 	c.retired++
 	return StepRetired
 }
 
-func (c *Core) condBranch(in Instr, taken bool) StepKind {
+func (c *Core) condBranch(in *Instr, taken bool) StepKind {
 	if taken {
 		c.pc = in.Target
 	} else {
@@ -367,7 +402,7 @@ func (c *Core) condBranch(in Instr, taken bool) StepKind {
 // count lives in Rs3 and the pointers in Rs1/Rs2 advance architecturally,
 // so the instruction can be suspended between any two iterations (for a
 // chunk boundary, context switch or signal) and resumed later.
-func (c *Core) stepRep(in Instr) StepKind {
+func (c *Core) stepRep(in *Instr) StepKind {
 	cnt := c.Reg(in.Rs3)
 	if cnt == 0 {
 		// Degenerate REP with zero count retires immediately.
@@ -381,14 +416,14 @@ func (c *Core) stepRep(in Instr) StepKind {
 		c.repActive = true
 		c.repDone = 0
 	}
+	dst := c.aligned(in.Op, c.Reg(in.Rs1))
 	switch in.Op {
 	case OpRepMovs:
-		dst, src := c.Reg(in.Rs1), c.Reg(in.Rs2)
+		src := c.aligned(in.Op, c.Reg(in.Rs2))
 		c.port.Store(dst, c.port.Load(src))
 		c.SetReg(in.Rs1, dst+8)
 		c.SetReg(in.Rs2, src+8)
 	case OpRepStos:
-		dst := c.Reg(in.Rs1)
 		c.port.Store(dst, c.Reg(in.Rs2))
 		c.SetReg(in.Rs1, dst+8)
 	}

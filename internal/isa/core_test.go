@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -645,5 +646,102 @@ func TestStepAllocatesNothing(t *testing.T) {
 	c := NewCore(0, prog, flatPort{mem.New(128)})
 	if n := testing.AllocsPerRun(1000, func() { c.Step() }); n != 0 {
 		t.Errorf("Step allocates %v times per call, want 0", n)
+	}
+}
+
+// stepFault steps c until it halts and returns the execution fault that
+// stopped it, or "" if none did. Any other panic propagates.
+func stepFault(c *Core) (fault string) {
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(mem.Fault)
+			if !ok {
+				panic(r)
+			}
+			fault = f.Error()
+		}
+	}()
+	for c.Step() != StepHalted {
+	}
+	return ""
+}
+
+// TestWordAccessesFaultWhenUnaligned pins the alignment rule record and
+// replay share: every word operand (ld, st, the atomics, both REP string
+// pointers) faults on an unaligned address before touching memory, and
+// the faulting instruction does not retire.
+func TestWordAccessesFaultWhenUnaligned(t *testing.T) {
+	cases := []struct {
+		name string
+		emit func(b *Builder) // R3 holds the address under test, R4 an aligned one
+		op   Op
+	}{
+		{"ld", func(b *Builder) { b.Ld(R5, R3, 0) }, OpLd},
+		{"ld-imm", func(b *Builder) { b.Ld(R5, R4, 3) }, OpLd},
+		{"st", func(b *Builder) { b.St(R3, 0, R5) }, OpSt},
+		{"xchg", func(b *Builder) { b.Xchg(R5, R3, 0, R6) }, OpXchg},
+		{"cas", func(b *Builder) { b.Cas(R5, R3, 0, R6, R7) }, OpCas},
+		{"fadd", func(b *Builder) { b.Fadd(R5, R3, 0, R6) }, OpFadd},
+		{"repmovs-dst", func(b *Builder) { b.RepMovs(R3, R4, R8) }, OpRepMovs},
+		{"repmovs-src", func(b *Builder) { b.RepMovs(R4, R3, R8) }, OpRepMovs},
+		{"repstos", func(b *Builder) { b.RepStos(R3, R6, R8) }, OpRepStos},
+	}
+	for _, tc := range cases {
+		for _, addr := range []uint64{64, 67} {
+			b := NewBuilder(tc.name)
+			b.Li(R3, int64(addr))
+			b.Li(R4, 128)
+			b.Li(R6, 9)
+			b.Li(R8, 2)
+			tc.emit(b)
+			b.Halt()
+			prog := b.Build(256, 1, nil)
+			m := mem.New(256)
+			c := NewCore(0, prog, flatPort{m})
+			fault := stepFault(c)
+			misaligned := addr%8 != 0 || tc.name == "ld-imm"
+			if !misaligned {
+				if fault != "" {
+					t.Errorf("%s at %#x: unexpected fault %q", tc.name, addr, fault)
+				}
+				continue
+			}
+			if !strings.Contains(fault, "unaligned "+tc.op.String()) {
+				t.Errorf("%s at %#x: fault %q, want an unaligned %v", tc.name, addr, fault, tc.op)
+			}
+			if c.Retired() != 4 || c.PC() != 4 {
+				t.Errorf("%s: retired %d at PC %d after the fault, want 4 at PC 4", tc.name, c.Retired(), c.PC())
+			}
+			if m.Checksum() != mem.New(256).Checksum() {
+				t.Errorf("%s: faulting access wrote memory", tc.name)
+			}
+		}
+	}
+	// A REP with a zero count touches no word, so its pointers may be
+	// unaligned.
+	b := NewBuilder("rep-zero")
+	b.Li(R3, 67)
+	b.RepStos(R3, R6, R8)
+	b.Halt()
+	if fault := stepFault(NewCore(0, b.Build(256, 1, nil), flatPort{mem.New(256)})); fault != "" {
+		t.Errorf("zero-count REP faulted: %q", fault)
+	}
+}
+
+// TestPCOutOfRangeFaults pins the fetch fault's text: running off the end
+// of the program, or jumping outside it, faults instead of executing.
+func TestPCOutOfRangeFaults(t *testing.T) {
+	b := NewBuilder("nohalt")
+	b.Li(R1, 5)
+	c := NewCore(0, b.Build(64, 1, nil), flatPort{mem.New(64)})
+	if got, want := stepFault(c), "isa: core 0 PC 1 out of range (program nohalt, 1 instrs)"; got != want {
+		t.Errorf("fault = %q, want %q", got, want)
+	}
+	b = NewBuilder("jr")
+	b.Li(R1, -1)
+	b.Jr(R1)
+	c = NewCore(3, b.Build(64, 1, nil), flatPort{mem.New(64)})
+	if got, want := stepFault(c), "isa: core 3 PC -1 out of range (program jr, 2 instrs)"; got != want {
+		t.Errorf("fault = %q, want %q", got, want)
 	}
 }

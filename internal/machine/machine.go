@@ -263,7 +263,7 @@ type Machine struct {
 	checkpoints    uint64
 	ran            bool
 
-	// coreBuf backs the core lists activeCores and maybeDeliverSignal
+	// coreBuf backs the core lists activeCores and deliverSignal
 	// build; neither list is used after its caller picks a core.
 	coreBuf []int
 	// chunkSinks and sigSinks hold each thread's recorder sinks, built
@@ -352,11 +352,12 @@ func New(prog *isa.Program, cfg Config) *Machine {
 
 	memBytes := prog.MemBytes
 	stackBytes := cfg.StackWordsPerThread * 8 * uint64(cfg.Threads)
+	memory := mem.New(memBytes + stackBytes + 4096)
 	m := &Machine{
 		cfg:    cfg,
 		prog:   prog,
-		memory: mem.New(memBytes + stackBytes + 4096),
-		kernel: capo.NewKernel(cfg.KernelSeed),
+		memory: memory,
+		kernel: capo.NewKernel(cfg.KernelSeed, memory.Size()),
 		rng:    cfg.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 	}
 	m.bus = cache.NewBus(m.memory)

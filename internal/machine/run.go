@@ -19,13 +19,29 @@ var ErrDeadlock = errors.New("machine: deadlock: all live threads blocked")
 // ErrStepLimit reports that the run exceeded Config.MaxSteps.
 var ErrStepLimit = errors.New("machine: step limit exceeded")
 
+// ErrFault reports that the program did something the machine cannot
+// execute: a PC outside the program, a word access that is unaligned or
+// beyond memory, or a syscall the kernel cannot serve (see mem.Fault).
+// The error text carries the fault's description.
+var ErrFault = errors.New("machine: execution fault")
+
 // Run executes the program to completion and returns the result. A
-// machine can run only once.
-func (m *Machine) Run() (*Result, error) {
+// machine can run only once. An execution fault ends the run with an
+// error wrapping ErrFault.
+func (m *Machine) Run() (res *Result, err error) {
 	if m.ran {
 		panic("machine: Run called twice")
 	}
 	m.ran = true
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(mem.Fault)
+			if !ok {
+				panic(r)
+			}
+			res, err = nil, fmt.Errorf("%w: %v", ErrFault, f)
+		}
+	}()
 
 	for m.liveCnt > 0 {
 		m.scheduleIdle()
@@ -43,7 +59,7 @@ func (m *Machine) Run() (*Result, error) {
 			return nil, fmt.Errorf("%w (%d steps)", ErrStepLimit, m.steps)
 		}
 	}
-	res := m.finalize()
+	res = m.finalize()
 	if m.stream != nil && m.stream.Err() != nil {
 		return nil, m.stream.Err()
 	}
@@ -112,23 +128,28 @@ func (m *Machine) park(coreID int) *thread {
 }
 
 // runBurst steps coreID up to burst units of work, stopping early when
-// the thread blocks, exits, yields or is preempted.
+// the thread blocks, exits, yields or is preempted. The thread on the
+// core changes only on the paths that return, so its core, recorder and
+// state are read once; whether a signal or a preemption is due is one
+// comparison each, made here in front of the slow paths.
 func (m *Machine) runBurst(coreID, burst int) {
+	tid := m.running[coreID]
+	if tid < 0 {
+		return
+	}
+	core := m.cores[coreID]
+	rec := m.mrrs[coreID]
+	th := m.threads[tid]
+	cpi := m.cfg.Perf.BaseCPI
 	for i := 0; i < burst; i++ {
-		if m.running[coreID] < 0 {
-			return
-		}
-		tid := m.running[coreID]
-		core := m.cores[coreID]
-		rec := m.mrrs[coreID]
 		kind := core.Step()
 		m.steps++
 		switch kind {
 		case isa.StepRetired, isa.StepRepRetired:
-			m.acct.Add(perf.CompInstr, m.cfg.Perf.BaseCPI)
-			m.noteRetire(tid, rec)
+			m.acct.Add(perf.CompInstr, cpi)
+			m.noteRetire(th, rec)
 		case isa.StepRepTick:
-			m.acct.Add(perf.CompInstr, m.cfg.Perf.BaseCPI)
+			m.acct.Add(perf.CompInstr, cpi)
 			if rec != nil {
 				rec.OnRepTick()
 			}
@@ -140,21 +161,22 @@ func (m *Machine) runBurst(coreID, burst int) {
 			m.retireHaltedThread(coreID)
 			return
 		}
-		if m.maybeDeliverSignal() {
+		if m.cfg.SignalPeriodInstrs != 0 && m.retired >= m.nextSig && m.deliverSignal() {
 			// A signal may have landed on this core's thread; its PC
 			// changed but it remains runnable. Keep going.
 			continue
 		}
-		if m.maybePreempt(coreID) {
+		if len(m.runq) != 0 && m.cfg.TimeSliceInstrs != 0 && th.sliceInstrs >= m.cfg.TimeSliceInstrs {
+			m.preempt(coreID)
 			return
 		}
 	}
 }
 
 // noteRetire performs the per-retired-instruction bookkeeping.
-func (m *Machine) noteRetire(tid int, rec *mrr.Recorder) {
+func (m *Machine) noteRetire(th *thread, rec *mrr.Recorder) {
 	m.retired++
-	m.threads[tid].sliceInstrs++
+	th.sliceInstrs++
 	if rec != nil {
 		rec.OnRetire()
 	}
@@ -247,7 +269,7 @@ func (m *Machine) handleSyscall(coreID int) bool {
 		}
 		core.CompleteSyscall(res.Ret)
 		m.acct.Add(perf.CompInstr, pp.BaseCPI)
-		m.noteRetire(tid, rec)
+		m.noteRetire(th, rec)
 		if sysno == capo.SysSigReturn {
 			// Atomically restore the signal frame and unmask.
 			th.sigMasked = false
@@ -279,16 +301,10 @@ func (m *Machine) wake(tid int) {
 	m.runq = append(m.runq, tid)
 }
 
-// maybePreempt deschedules coreID's thread when its instruction slice
-// expired and another thread is waiting. Returns true when preempted.
-func (m *Machine) maybePreempt(coreID int) bool {
-	if m.cfg.TimeSliceInstrs == 0 || len(m.runq) == 0 {
-		return false
-	}
+// preempt deschedules coreID's running thread, whose instruction slice
+// expired while another thread waits (runBurst checks both).
+func (m *Machine) preempt(coreID int) {
 	tid := m.running[coreID]
-	if tid < 0 || m.threads[tid].sliceInstrs < m.cfg.TimeSliceInstrs {
-		return false
-	}
 	if rec := m.mrrs[coreID]; rec != nil {
 		rec.Terminate(chunk.ReasonSwitch)
 	}
@@ -298,16 +314,13 @@ func (m *Machine) maybePreempt(coreID int) bool {
 	m.switches++
 	m.acct.Add(perf.CompKernel, m.cfg.Perf.CtxSwitch)
 	m.chargeFull(perf.CompRecSched, m.cfg.Perf.RecSwitchExtra)
-	return true
 }
 
-// maybeDeliverSignal delivers an asynchronous signal when the global
-// retired-instruction counter crosses the next delivery point and the
-// program registered a handler. Returns true if a signal was delivered.
-func (m *Machine) maybeDeliverSignal() bool {
-	if m.cfg.SignalPeriodInstrs == 0 || m.retired < m.nextSig {
-		return false
-	}
+// deliverSignal runs once the global retired-instruction counter has
+// crossed the next delivery point (runBurst checks it). It draws the
+// next point and, if the program registered a handler, delivers an
+// asynchronous signal. Returns true if a signal was delivered.
+func (m *Machine) deliverSignal() bool {
 	m.nextSig = m.retired + m.cfg.SignalPeriodInstrs + m.rand64()%(m.cfg.SignalPeriodInstrs/2+1)
 	handlerPC, ok := m.kernel.HandlerPC()
 	if !ok {

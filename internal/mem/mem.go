@@ -15,6 +15,23 @@ import (
 // WordSize is the access granularity in bytes.
 const WordSize = 8
 
+// Fault is the panic value of an execution fault: an operation the
+// simulated machine cannot perform on behalf of the program. The memory
+// raises it for a word access that is unaligned or beyond its size, the
+// cores (package isa) for a PC outside the program or an unaligned word
+// operand, and the kernel (package capo) for a syscall it cannot serve.
+// The recorder and the replayer recover it and return it as an error;
+// any other panic is a bug in the simulator.
+type Fault string
+
+// Error implements error.
+func (f Fault) Error() string { return string(f) }
+
+// Faultf returns a Fault carrying the formatted message, for a panic.
+func Faultf(format string, args ...any) Fault {
+	return Fault(fmt.Sprintf(format, args...))
+}
+
 // Memory is a flat, word-aligned physical memory image.
 // It is not safe for concurrent use; the simulated machine serializes
 // all accesses through the bus model.
@@ -35,11 +52,11 @@ func (m *Memory) Size() uint64 { return uint64(len(m.words)) * WordSize }
 
 func (m *Memory) index(addr uint64) uint64 {
 	if addr%WordSize != 0 {
-		panic(fmt.Sprintf("mem: unaligned access at %#x", addr))
+		panic(Faultf("mem: unaligned access at %#x", addr))
 	}
 	idx := addr / WordSize
 	if idx >= uint64(len(m.words)) {
-		panic(fmt.Sprintf("mem: access at %#x beyond size %#x", addr, m.Size()))
+		panic(Faultf("mem: access at %#x beyond size %#x", addr, m.Size()))
 	}
 	return idx
 }
@@ -65,7 +82,7 @@ func (m *Memory) span(addr, n uint64) []uint64 {
 		need++
 	}
 	if need > uint64(len(m.words))-idx {
-		panic(fmt.Sprintf("mem: access at %#x beyond size %#x", m.Size(), m.Size()))
+		panic(Faultf("mem: access at %#x beyond size %#x", m.Size(), m.Size()))
 	}
 	return m.words[idx : idx+need]
 }

@@ -26,7 +26,8 @@
 //   - one statement per line; ';' starts a comment; labels end with ':'
 //     and may share a line with an instruction;
 //   - directives: .name NAME, .threads N, .alloc SYMBOL WORDS,
-//     .init SYMBOL WORDOFF VALUE (repeatable);
+//     .init SYMBOL WORDOFF VALUE (repeatable; WORDOFF lies inside the
+//     symbol's allocation);
 //   - operands: registers r0..r31, integer immediates (decimal or 0x...),
 //     @SYMBOL (the symbol's address), memory refs [rN+OFF] / [rN-OFF];
 //     byte-granular accesses via lb/lbu/sb take unaligned addresses;
@@ -201,12 +202,18 @@ func (p *parser) build() (prog *isa.Program, err error) {
 
 func (p *parser) buildChecked() (*isa.Program, error) {
 	var lay mem.Layout
+	words := make(map[string]uint64, len(p.allocs))
 	for _, a := range p.allocs {
 		p.symbols[a.symbol] = lay.AllocWords(a.words)
+		words[a.symbol] = a.words
 	}
 	for _, in := range p.inits {
-		if _, ok := p.symbols[in.symbol]; !ok {
+		n, ok := words[in.symbol]
+		if !ok {
 			return nil, fmt.Errorf("qasm: .init of unknown symbol %q", in.symbol)
+		}
+		if in.wordOff >= n {
+			return nil, fmt.Errorf("qasm: .init offset %d outside symbol %q of %d words", in.wordOff, in.symbol, n)
 		}
 	}
 

@@ -166,6 +166,7 @@ func TestParseErrors(t *testing.T) {
 		{".alloc x 0", "bad word count"},
 		{".alloc x 1\n.alloc x 1", "duplicate symbol"},
 		{".init y 0 1\nhalt", "unknown symbol"},
+		{".alloc x 2\n.init x 2 1\nhalt", "outside symbol"},
 		{".bogus", "unknown directive"},
 		{"frobnicate r1", "unknown mnemonic"},
 		{"li r99, 1", "bad register"},

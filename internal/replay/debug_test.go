@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
@@ -41,6 +42,54 @@ func TestRunUntilPausesExactly(t *testing.T) {
 	for tid := range ps.Contexts {
 		if ps.Contexts[tid] != ps2.Contexts[tid] {
 			t.Errorf("thread %d context differs across pauses", tid)
+		}
+	}
+}
+
+// TestRunUntilPausesAtEveryPosition pauses replays of repcopy, whose REP
+// runs the recorder splits across chunks, at every 17th position of each
+// thread and just before and after each REP instruction, with the
+// recorder counting REP iterations and without. Each pause must land
+// exactly on its position.
+func TestRunUntilPausesAtEveryPosition(t *testing.T) {
+	spec, _ := workload.ByName("repcopy")
+	prog := spec.Build(4)
+	for _, countRep := range []bool{false, true} {
+		cfg := machine.DefaultConfig()
+		cfg.Mode = machine.ModeFull
+		cfg.Threads = 4
+		cfg.MRR.CountRepIterations = countRep
+		b, err := core.Record(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tid, retired := range b.RetiredPerThread {
+			var positions []uint64
+			for n := uint64(0); n <= retired; n += 17 {
+				positions = append(positions, n)
+			}
+			trace, err := core.Trace(prog, b, tid, 0, retired)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range trace {
+				if e.Kind == isa.StepRepRetired {
+					positions = append(positions, e.Retired-1, e.Retired)
+				}
+			}
+			if tid%2 == 0 && len(positions) < 3 {
+				t.Fatalf("thread %d executed no REP instruction", tid)
+			}
+			for _, n := range positions {
+				ps, err := core.ReplayUntil(prog, b, tid, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ps.Hit || ps.Contexts[tid].Retired != n {
+					t.Errorf("count REP iterations %v: thread %d paused at %d (hit %v), want %d",
+						countRep, tid, ps.Contexts[tid].Retired, ps.Hit, n)
+				}
+			}
 		}
 	}
 }

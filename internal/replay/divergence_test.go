@@ -2,6 +2,7 @@ package replay
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -31,6 +32,38 @@ func progRep() *isa.Program {
 	return b.Build(256, 1, nil)
 }
 
+// repcopyBudgetInput records repcopy, whose REP runs the recorder splits
+// across chunks, and returns it as a replay input whose step budget is
+// exactly the steps a full replay takes. It first checks that the split
+// happened and that one more step of budget suffices: replay checks the
+// budget before each boundary check, so after its last step a full
+// replay needs one step to spare.
+func repcopyBudgetInput(t *testing.T, countRepIterations bool) Input {
+	t.Helper()
+	cfg := recordConfig(1)
+	cfg.MRR.CountRepIterations = countRepIterations
+	in := recordedInput(t, "repcopy", cfg)
+	split := false
+	for _, l := range in.ChunkLogs {
+		for _, e := range l.Entries {
+			split = split || e.RepResidue != 0
+		}
+	}
+	if !split {
+		t.Fatal("no chunk of the repcopy recording ends inside a REP run")
+	}
+	full, err := Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.MaxSteps = full.Steps + 1
+	if _, err := Run(in); err != nil {
+		t.Fatalf("a budget of %d steps, one more than a full replay takes, fails: %v", in.MaxSteps, err)
+	}
+	in.MaxSteps = full.Steps
+	return in
+}
+
 func chunkLog(entries ...chunk.Entry) []*chunk.Log {
 	l := &chunk.Log{Thread: 0}
 	for _, e := range entries {
@@ -48,11 +81,19 @@ func TestDivergencePathsReturnDivergenceError(t *testing.T) {
 	sysRec := func(ts uint64, sysno uint64) capo.Record {
 		return capo.Record{Kind: capo.KindSyscall, Thread: 0, TS: ts, Sysno: sysno}
 	}
+	exact, exactHW := repcopyBudgetInput(t, false), repcopyBudgetInput(t, true)
+	short, shortHW := exact, exactHW
+	short.MaxSteps--
+	shortHW.MaxSteps--
+	budgetReason := func(in Input) string {
+		return fmt.Sprintf("step budget exhausted after %d steps", in.MaxSteps)
+	}
 	cases := []struct {
 		name       string
 		in         Input
 		wantReason string
 		wantChunk  int
+		wantThread int
 	}{
 		{
 			name: "syscall-inside-chunk",
@@ -167,6 +208,34 @@ func TestDivergencePathsReturnDivergenceError(t *testing.T) {
 			wantReason: "step budget exhausted",
 			wantChunk:  0,
 		},
+		{
+			name:       "step-budget-exact-repcopy",
+			in:         exact,
+			wantReason: budgetReason(exact),
+			wantChunk:  34,
+			wantThread: 2,
+		},
+		{
+			name:       "step-budget-one-short-repcopy",
+			in:         short,
+			wantReason: budgetReason(short),
+			wantChunk:  34,
+			wantThread: 2,
+		},
+		{
+			name:       "step-budget-exact-repcopy-hw-counting",
+			in:         exactHW,
+			wantReason: budgetReason(exactHW),
+			wantChunk:  34,
+			wantThread: 2,
+		},
+		{
+			name:       "step-budget-one-short-repcopy-hw-counting",
+			in:         shortHW,
+			wantReason: budgetReason(shortHW),
+			wantChunk:  34,
+			wantThread: 2,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,8 +247,8 @@ func TestDivergencePathsReturnDivergenceError(t *testing.T) {
 			if !errors.As(err, &de) {
 				t.Fatalf("error %v (%T) is not a *DivergenceError", err, err)
 			}
-			if de.Thread != 0 {
-				t.Errorf("Thread = %d, want 0", de.Thread)
+			if de.Thread != tc.wantThread {
+				t.Errorf("Thread = %d, want %d", de.Thread, tc.wantThread)
 			}
 			if de.Chunk != tc.wantChunk {
 				t.Errorf("Chunk = %d, want %d", de.Chunk, tc.wantChunk)

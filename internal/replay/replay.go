@@ -18,6 +18,7 @@ package replay
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/capo"
@@ -533,14 +534,6 @@ func (r *replayer) diverge(t *threadState, format string, args ...any) error {
 	return &DivergenceError{Thread: t.id, Chunk: ck, Reason: fmt.Sprintf(format, args...)}
 }
 
-// checkBudget enforces Input.MaxSteps.
-func (r *replayer) checkBudget(t *threadState) error {
-	if r.in.MaxSteps > 0 && r.res.Steps >= r.in.MaxSteps {
-		return r.diverge(t, "step budget exhausted after %d steps (corrupt chunk sizes?)", r.res.Steps)
-	}
-	return nil
-}
-
 // units returns thread t's position in the recorder's counting
 // convention: retired instructions, plus REP iterations when the
 // hardware counted them.
@@ -553,21 +546,33 @@ func (r *replayer) units(t *threadState) uint64 {
 
 // runChunk executes exactly entry.Size counting units (plus REP
 // iterations up to the recorded residue) on thread t.
+//
+// The chunk target, the step budget and the breakpoint position stay
+// fixed for the whole chunk, so they are computed once and each step
+// compares against them in the order breakpoint, budget, boundary. The
+// boundary logic runs only once the position reaches the target.
 func (r *replayer) runChunk(t *threadState, e chunk.Entry) error {
 	target := t.execBase + e.Size
+	maxSteps := r.in.MaxSteps
+	if maxSteps == 0 { // no budget
+		maxSteps = math.MaxUint64
+	}
+	pauseAt := uint64(math.MaxUint64)
+	if r.bp != nil && r.bp.Thread == t.id {
+		pauseAt = r.bp.Retired
+	}
 	for {
-		if err := r.checkBreakpoint(t); err != nil {
-			return err
+		if t.core.Retired() >= pauseAt {
+			return errPaused
 		}
-		if err := r.checkBudget(t); err != nil {
-			return err
+		if r.res.Steps >= maxSteps {
+			return r.diverge(t, "step budget exhausted after %d steps (corrupt chunk sizes?)", r.res.Steps)
 		}
-		pos := r.units(t)
-		_, repDone := t.core.RepInFlight()
-		if pos > target {
-			return r.diverge(t, "overshot chunk boundary: at %d, target %d", pos, target)
-		}
-		if pos == target {
+		if pos := r.units(t); pos >= target {
+			_, repDone := t.core.RepInFlight()
+			if pos > target {
+				return r.diverge(t, "overshot chunk boundary: at %d, target %d", pos, target)
+			}
 			if repDone == e.RepResidue {
 				break
 			}
