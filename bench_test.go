@@ -299,8 +299,9 @@ func BenchmarkRecordEndToEnd(b *testing.B) {
 
 // BenchmarkBundleRoundTrip: recording serialization round trip
 // (encode + decode) on a conflict-heavy and an input-heavy recording —
-// the codec hot path the wire layer exists for. Run with -benchmem; the
-// allocs/op numbers are tracked in BENCH_baseline.json.
+// the codec hot path the wire layer exists for. Run with -benchmem for
+// allocs/op; TestBundleDecoderSteadyStateAllocs (internal/core) pins
+// steady-state decode at zero.
 func BenchmarkBundleRoundTrip(b *testing.B) {
 	for _, name := range []string{"radix", "ioheavy"} {
 		name := name

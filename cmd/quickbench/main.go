@@ -5,18 +5,12 @@
 // Usage:
 //
 //	quickbench                 # run everything
-//	quickbench -exp F1         # one experiment (T1 T2 F1..F8 A1..A9)
+//	quickbench -exp F1         # one experiment (T1 T2 F1..F8 A1..A11)
 //	quickbench -exp A8 -workers 8
 //	                           # parallel-replay speedup on 8 workers
 //	quickbench -threads 1,2,4  # thread sweep
 //	quickbench -seed 7         # scheduler seed
 //	quickbench -list           # list experiments
-//	quickbench -baseline internal/harness/BENCH_baseline.json
-//	                           # rewrite the regression-guard baseline
-//	quickbench -shootout ioheavy
-//	                           # serialization shootout on one workload
-//	quickbench -shootout ioheavy -format v2
-//	                           # only the v2 codecs' rows
 package main
 
 import (
@@ -27,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/harness"
 )
 
 func main() {
@@ -38,39 +31,12 @@ func main() {
 	seeds := flag.Int("seeds", 1, "average overhead experiments over this many schedules")
 	workers := flag.Int("workers", 0, "worker pool for the parallel-replay experiment (0 = 4, negative = all CPUs)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	baseline := flag.String("baseline", "", "measure the guard workloads and write a BENCH_baseline.json to this path, then exit")
-	runs := flag.Int("runs", 5, "runs per workload for -baseline and -shootout")
-	shootout := flag.String("shootout", "", "run the serialization shootout on this workload and exit")
-	format := flag.String("format", "", "restrict -shootout to one wire format family: v1 or v2")
 	flag.Parse()
 
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
-		return
-	}
-
-	if *shootout != "" {
-		if err := runShootout(*shootout, *format, *runs); err != nil {
-			fmt.Fprintln(os.Stderr, "quickbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *baseline != "" {
-		b, err := harness.WriteBaseline(*baseline, harness.BaselineWorkloads, 4, 4, *runs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "quickbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-13s %12s %12s %12s\n", "workload", "M instrs/s", "allocs/op", "B/op")
-		for _, r := range b.Results {
-			fmt.Printf("%-13s %12.2f %12d %12d\n",
-				r.Workload, r.InstrsPerSec/1e6, r.AllocsPerOp, r.BytesPerOp)
-		}
-		fmt.Println("wrote", *baseline)
 		return
 	}
 
@@ -101,32 +67,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "quickbench:", err)
 		os.Exit(1)
 	}
-}
-
-// runShootout measures the serialization shootout on one workload and
-// prints the table, optionally restricted to one wire-format family
-// ("v1" keeps the v1 row, "v2" the v2-raw/v2-lz rows; the strawmen
-// only appear unrestricted).
-func runShootout(workload, format string, runs int) error {
-	keep := func(codec string) bool { return true }
-	switch format {
-	case "":
-	case "v1", "v2":
-		keep = func(codec string) bool { return codec == format || strings.HasPrefix(codec, format+"-") }
-	default:
-		return fmt.Errorf("unknown -format %q (want v1 or v2)", format)
-	}
-	rows, err := harness.MeasureShootout(workload, 4, 4, runs)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-7s %10s %12s %10s %10s %8s\n", "codec", "bytes", "B/kinstr", "enc MB/s", "dec MB/s", "vs v1")
-	for _, r := range rows {
-		if !keep(r.Codec) {
-			continue
-		}
-		fmt.Printf("%-7s %10d %12.1f %10.1f %10.1f %7.2fx\n",
-			r.Codec, r.Bytes, r.BytesPerKinstr, r.EncodeMBps, r.DecodeMBps, r.RatioVsV1)
-	}
-	return nil
 }

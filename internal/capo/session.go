@@ -28,12 +28,6 @@ type SessionConfig struct {
 	Encoding chunk.Encoding
 }
 
-// DefaultSessionConfig mirrors Capo3's smallish per-thread kernel
-// buffers.
-func DefaultSessionConfig(threads int) SessionConfig {
-	return SessionConfig{Threads: threads, CbufBytes: 16 << 10, Encoding: chunk.Delta{}}
-}
-
 // Session is one recording session: the RSM state for a replay sphere.
 // It owns the per-thread chunk logs, the input log, and the CBUF
 // occupancy accounting that drives flush costs.

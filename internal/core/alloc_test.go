@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/allocpin"
+	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
@@ -41,5 +44,73 @@ func TestRecordReplayAllocsPerKinstr(t *testing.T) {
 		smallAllocs, smallInstrs, bigAllocs, bigInstrs, perKinstr)
 	if perKinstr > 1 {
 		t.Errorf("%.2f allocations per extra kinstr, want <= 1", perKinstr)
+	}
+}
+
+// TestStageAllocs pins the allocations and allocated bytes of the
+// record, replay and windowed-stream stages: 4 threads on 4 cores,
+// seed 1. Each ceiling is 25% above the largest of five plain runs on
+// go1.24.0. flight:window's stream size is exact.
+func TestStageAllocs(t *testing.T) {
+	cfg := recordCfg(1, func(c *machine.Config) { c.Cores, c.Threads = 4, 4 })
+	record := func(name string) func(t *testing.T) func() {
+		return func(t *testing.T) func() {
+			spec, ok := workload.ByName(name)
+			if !ok {
+				t.Fatalf("no workload %q", name)
+			}
+			prog := spec.Build(4)
+			return func() {
+				if _, err := Record(prog, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	cases := []struct {
+		stage               string
+		maxAllocs, maxBytes uint64
+		setup               func(t *testing.T) func()
+	}{
+		{"counter", 224, 502_060, record("counter")},
+		{"ioheavy", 250, 1_850_210, record("ioheavy")},
+		{"repcopy", 197, 522_940, record("repcopy")},
+		// A dozen checkpoint intervals replayed on a 4-worker pool.
+		{"replay:par", 589, 6_050_100, func(t *testing.T) func() {
+			prog := workload.Counter(50000, 4)
+			rcfg := cfg
+			rcfg.CheckpointEveryInstrs = 50000
+			b, err := Record(prog, rcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				if _, err := ReplayWorkers(prog, b, 4); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		// reqserver through a 4-interval window. Its 36,540 instructions
+		// take one checkpoint, so nothing is evicted yet.
+		{"flight:window", 969, 3_544_640, func(t *testing.T) func() {
+			prog := workload.ReqServer(96, 4, 16, 4)
+			wcfg := cfg
+			wcfg.CheckpointEveryInstrs = 20000
+			wcfg.RetainCheckpoints = 4
+			return func() {
+				var buf bytes.Buffer
+				if _, err := StreamRecord(prog, wcfg, &buf); err != nil {
+					t.Fatal(err)
+				}
+				if buf.Len() != 80666 {
+					t.Errorf("windowed stream is %d bytes, want 80666", buf.Len())
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.stage, func(t *testing.T) {
+			allocpin.Check(t, c.maxAllocs, c.maxBytes, c.setup(t))
+		})
 	}
 }

@@ -178,7 +178,7 @@ func TestBundleVersionNegotiation(t *testing.T) {
 }
 
 // TestBundleDecoderSteadyStateAllocs pins the mmap-decode story: a
-// reused BundleDecoder in alias mode decodes a bundle with (almost) no
+// reused BundleDecoder in alias mode decodes a bundle with no
 // allocations once its storage is warm.
 func TestBundleDecoderSteadyStateAllocs(t *testing.T) {
 	b := recordNamed(t, "counter-4t2c")
@@ -194,8 +194,8 @@ func TestBundleDecoderSteadyStateAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%v: %.1f allocs/op steady-state", f, allocs)
-		if allocs > 2 {
-			t.Errorf("%v: %.1f allocs/op steady-state, want <= 2", f, allocs)
+		if allocs != 0 {
+			t.Errorf("%v: %.1f allocs/op steady-state, want 0", f, allocs)
 		}
 	}
 }

@@ -1,165 +1,12 @@
 package harness
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fleet"
-	"repro/internal/ingest"
-	"repro/internal/isa"
-	"repro/internal/races"
 	"repro/internal/workload"
 )
-
-// BenchResult is one workload's measured recording throughput —
-// simulated instructions retired per second of host wall time while
-// recording with full logging enabled — plus its allocation profile:
-// heap allocations and bytes per measured operation (one recording,
-// screening, replay or codec-round-trip run).
-type BenchResult struct {
-	Workload     string  `json:"workload"`
-	Threads      int     `json:"threads"`
-	Cores        int     `json:"cores"`
-	Instrs       uint64  `json:"instrs_per_run"`
-	InstrsPerSec float64 `json:"instrs_per_sec"`
-	AllocsPerOp  uint64  `json:"allocs_per_op"`
-	BytesPerOp   uint64  `json:"bytes_per_op"`
-	// StreamBytes is the recording's on-disk size, set only by stream
-	// benchmarks (flight:window). For a windowed recording it is the
-	// steady-state footprint the retention guard bounds.
-	StreamBytes uint64 `json:"stream_bytes,omitempty"`
-}
-
-// BaselineWorkloads is the committed baseline's workload set; the guard
-// measures exactly these. codec:counter times steady-state v1 bundle
-// decoding and codec:v2 the same recording through the v2 wire format,
-// so the baseline pins the wire layer's allocation profile for both
-// versions; ingest:fanin pushes a 64-uploader fleet through a loopback
-// ingest server, so it pins the service path end to end (framing,
-// sharding, store, verification).
-var BaselineWorkloads = []string{"counter", "ioheavy", "repcopy", "screen:racy", "replay:par", "screen:par", "replay:dist", "screen:dist", "codec:counter", "codec:v2", "flight:window", "ingest:fanin"}
-
-// allocMeter samples the runtime's allocation counters around a measured
-// loop. The harness is library code, so it cannot use testing.B's
-// ReportAllocs; ReadMemStats deltas give the same Mallocs/TotalAlloc
-// numbers.
-type allocMeter struct{ before runtime.MemStats }
-
-func (m *allocMeter) start() {
-	runtime.GC()
-	runtime.ReadMemStats(&m.before)
-}
-
-func (m *allocMeter) stop(res *BenchResult, ops int) {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	if ops < 1 {
-		ops = 1
-	}
-	res.AllocsPerOp = (after.Mallocs - m.before.Mallocs) / uint64(ops)
-	res.BytesPerOp = (after.TotalAlloc - m.before.TotalAlloc) / uint64(ops)
-}
-
-// Baseline is the committed reference point the regression guard
-// compares against (BENCH_baseline.json).
-type Baseline struct {
-	// Note records how the numbers were produced.
-	Note    string        `json:"note"`
-	Results []BenchResult `json:"results"`
-	// Shootout is the serialization shootout over the ioheavy workload:
-	// every bundle codec (v1, v2 raw/compressed, gob and JSON strawmen)
-	// measured on the same recording. Informational — the regression
-	// guard reads Results; the shootout documents why v2 exists.
-	Shootout []ShootoutResult `json:"shootout,omitempty"`
-}
-
-// MeasureRecordThroughput records the named workload runs times and
-// returns the best observed throughput. Best-of damps scheduler noise;
-// the guard's tolerance absorbs the rest.
-func MeasureRecordThroughput(name string, threads, cores, runs int) (*BenchResult, error) {
-	prog, err := buildProgram(name, threads)
-	if err != nil {
-		return nil, err
-	}
-	cfg := recordConfig(cores, threads, 1)
-	if runs < 1 {
-		runs = 1
-	}
-	res := &BenchResult{Workload: name, Threads: threads, Cores: cores}
-	var meter allocMeter
-	meter.start()
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		rec, err := core.Record(prog, cfg)
-		elapsed := time.Since(start)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bench recording of %s failed: %w", name, err)
-		}
-		var instrs uint64
-		for _, r := range rec.RetiredPerThread {
-			instrs += r
-		}
-		res.Instrs = instrs
-		if tput := float64(instrs) / elapsed.Seconds(); tput > res.InstrsPerSec {
-			res.InstrsPerSec = tput
-		}
-	}
-	meter.stop(res, runs)
-	return res, nil
-}
-
-// MeasureScreenThroughput records the named workload once with
-// signature capture, then times the race detector's screening phase over
-// that recording runs times, on the given worker count (0 or 1: serial).
-// Throughput is recorded instructions screened per second of host wall
-// time, so the number is comparable to the recording benchmarks: how
-// fast the offline pass chews through a recording relative to its
-// execution size.
-func MeasureScreenThroughput(name string, threads, cores, workers, runs int) (*BenchResult, error) {
-	prog, err := buildProgram(name, threads)
-	if err != nil {
-		return nil, err
-	}
-	cfg := recordConfig(cores, threads, 1)
-	cfg.CaptureSignatures = true
-	rec, err := core.Record(prog, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("harness: bench recording of %s failed: %w", name, err)
-	}
-	var instrs uint64
-	for _, r := range rec.RetiredPerThread {
-		instrs += r
-	}
-	if runs < 1 {
-		runs = 1
-	}
-	label := "screen:" + name
-	if workers > 1 {
-		label = "screen:par"
-	}
-	res := &BenchResult{Workload: label, Threads: threads, Cores: cores, Instrs: instrs}
-	var meter allocMeter
-	meter.start()
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		if _, err := races.ScreenWorkers(rec, workers); err != nil {
-			return nil, fmt.Errorf("harness: bench screening of %s failed: %w", name, err)
-		}
-		if tput := float64(instrs) / time.Since(start).Seconds(); tput > res.InstrsPerSec {
-			res.InstrsPerSec = tput
-		}
-	}
-	meter.stop(res, runs)
-	return res, nil
-}
 
 // benchReplayIters sizes the replay benchmark's counter workload, and
 // benchReplayCheckpointEvery its flight-recorder cadence — together they
@@ -173,477 +20,28 @@ const (
 // MeasureReplayThroughput records one large checkpointed counter run and
 // times core.ReplayWorkers over it runs times on the given worker count
 // (0 or 1: serial interval-free replay; >1: checkpoint-partitioned
-// parallel replay). Throughput is recorded instructions replayed per
-// second of host wall time.
-func MeasureReplayThroughput(threads, cores, workers, runs int) (*BenchResult, error) {
+// parallel replay). It returns the best throughput seen, in recorded
+// instructions replayed per second of host wall time; best-of damps
+// scheduler noise.
+func MeasureReplayThroughput(threads, cores, workers, runs int) (float64, error) {
 	prog := workload.Counter(benchReplayIters, threads)
 	cfg := recordConfig(cores, threads, 1)
 	cfg.CheckpointEveryInstrs = benchReplayCheckpointEvery
 	rec, err := core.Record(prog, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("harness: bench recording for replay failed: %w", err)
+		return 0, fmt.Errorf("harness: bench recording for replay failed: %w", err)
 	}
 	var instrs uint64
 	for _, r := range rec.RetiredPerThread {
 		instrs += r
 	}
-	if runs < 1 {
-		runs = 1
-	}
-	label := "replay:serial"
-	if workers > 1 {
-		label = "replay:par"
-	}
-	res := &BenchResult{Workload: label, Threads: threads, Cores: cores, Instrs: instrs}
-	var meter allocMeter
-	meter.start()
-	for i := 0; i < runs; i++ {
+	var best float64
+	for i := 0; i < max(runs, 1); i++ {
 		start := time.Now()
 		if _, err := core.ReplayWorkers(prog, rec, workers); err != nil {
-			return nil, fmt.Errorf("harness: bench replay failed: %w", err)
+			return 0, fmt.Errorf("harness: bench replay failed: %w", err)
 		}
-		if tput := float64(instrs) / time.Since(start).Seconds(); tput > res.InstrsPerSec {
-			res.InstrsPerSec = tput
-		}
+		best = max(best, float64(instrs)/time.Since(start).Seconds())
 	}
-	meter.stop(res, runs)
-	return res, nil
-}
-
-// benchDistWorkers is the loopback fleet size behind the replay:dist
-// and screen:dist baselines — two in-process workers, the smallest
-// fleet where distribution is real.
-const benchDistWorkers = 2
-
-// MeasureDistThroughput times the fleet dispatch path end to end: a
-// loopback broker server, benchDistWorkers in-process workers, and a
-// client shipping per-interval replay jobs (kind "replay") or
-// signature-screening blocks (kind "screen") through them — upload,
-// job framing, bundle fetch and result chunking included. Throughput is
-// recorded instructions processed per second of host wall time, so the
-// dispatch tax is directly readable against replay:par and screen:par.
-func MeasureDistThroughput(kind string, threads, cores, runs int) (*BenchResult, error) {
-	// Fleet workers re-derive the program from the bundle's manifest
-	// name, so this bench must record a catalogue workload as-is — a
-	// custom-sized variant sharing a catalogue name would silently
-	// rebuild differently on the worker (and be caught as divergence).
-	cfg := recordConfig(cores, threads, 1)
-	var prog *isa.Program
-	var err error
-	switch kind {
-	case "replay":
-		if prog, err = buildProgram("counter", threads); err != nil {
-			return nil, err
-		}
-		cfg.CheckpointEveryInstrs = 2000 // a dozen-plus intervals to ship
-	case "screen":
-		if prog, err = buildProgram("racy", threads); err != nil {
-			return nil, err
-		}
-		cfg.CaptureSignatures = true
-	default:
-		return nil, fmt.Errorf("harness: unknown dist bench kind %q", kind)
-	}
-	rec, err := core.Record(prog, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("harness: bench recording for %s:dist failed: %w", kind, err)
-	}
-	var instrs uint64
-	for _, r := range rec.RetiredPerThread {
-		instrs += r
-	}
-	dir, err := os.MkdirTemp("", "quickrec-dist-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	scfg := ingest.DefaultConfig()
-	scfg.StoreDir = dir
-	srv, err := ingest.NewServer(scfg)
-	if err != nil {
-		return nil, err
-	}
-	go srv.Serve()
-	defer srv.Close()
-	for i := 0; i < benchDistWorkers; i++ {
-		go (&fleet.Worker{Addr: srv.Addr(), Slots: 2}).Run()
-	}
-	client, err := fleet.Dial(srv.Addr())
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-
-	if runs < 1 {
-		runs = 1
-	}
-	res := &BenchResult{Workload: kind + ":dist", Threads: threads, Cores: cores, Instrs: instrs}
-	var meter allocMeter
-	meter.start()
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		switch kind {
-		case "replay":
-			_, err = client.Replay(prog, rec)
-		case "screen":
-			var digest string
-			if digest, err = client.Upload(rec); err == nil {
-				_, err = races.ScreenExec(rec, client, digest)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("harness: bench %s:dist failed: %w", kind, err)
-		}
-		if tput := float64(instrs) / time.Since(start).Seconds(); tput > res.InstrsPerSec {
-			res.InstrsPerSec = tput
-		}
-	}
-	meter.stop(res, runs)
-	return res, nil
-}
-
-// benchWindowRequests sizes the flight-recorder benchmark's server
-// workload, benchWindowCheckpointEvery its checkpoint cadence and
-// benchWindowRetain its retention window — together they yield a run
-// long enough to evict several intervals, so the measured stream is the
-// window's steady-state footprint rather than a growing prefix.
-const (
-	benchWindowRequests        = 96
-	benchWindowCheckpointEvery = 20000
-	benchWindowRetain          = 4
-)
-
-// MeasureWindowThroughput records the long-running request-server
-// workload through a K-interval flight-recorder window runs times.
-// Throughput is windowed-recording instructions per second of host wall
-// time (comparable to the plain recording benchmarks: the delta is the
-// ring's buffering overhead), and StreamBytes is the rendered window's
-// on-disk size — the fixed steady-state cost the retention guard keeps
-// from silently growing back into an unbounded log.
-func MeasureWindowThroughput(threads, cores, runs int) (*BenchResult, error) {
-	prog := workload.ReqServer(benchWindowRequests, 4, 16, threads)
-	cfg := recordConfig(cores, threads, 1)
-	cfg.CheckpointEveryInstrs = benchWindowCheckpointEvery
-	cfg.RetainCheckpoints = benchWindowRetain
-	if runs < 1 {
-		runs = 1
-	}
-	res := &BenchResult{Workload: "flight:window", Threads: threads, Cores: cores}
-	var meter allocMeter
-	meter.start()
-	for i := 0; i < runs; i++ {
-		var buf bytes.Buffer
-		start := time.Now()
-		rec, err := core.StreamRecord(prog, cfg, &buf)
-		elapsed := time.Since(start)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bench windowed recording failed: %w", err)
-		}
-		var instrs uint64
-		for _, r := range rec.RetiredPerThread {
-			instrs += r
-		}
-		res.Instrs = instrs
-		res.StreamBytes = uint64(buf.Len())
-		if tput := float64(instrs) / elapsed.Seconds(); tput > res.InstrsPerSec {
-			res.InstrsPerSec = tput
-		}
-	}
-	meter.stop(res, runs)
-	return res, nil
-}
-
-// benchFaninUploaders is the ingest benchmark's fleet size, and
-// benchFaninStreams how many distinct seed-variant recordings the fleet
-// uploads (content addressing deduplicates identical uploads, so
-// distinct streams keep the store and verifier pool honest).
-const (
-	benchFaninUploaders = 64
-	benchFaninStreams   = 4
-)
-
-// MeasureIngestFanin records benchFaninStreams seed-variant counter
-// workloads, then times a benchFaninUploaders-strong uploader fleet
-// pushing them through a loopback ingest server — framing, credit flow
-// control, tenant sharding, content-addressed store and background
-// verification included; a run only counts once every stored bundle's
-// verdict is published. Throughput is recorded instructions ingested
-// and verified per second of host wall time; StreamBytes is the bytes
-// the fleet pushed per run. The measurement doubles as a correctness
-// gate: any lost, failed or non-accepted upload fails the bench.
-func MeasureIngestFanin(threads, cores, runs int) (*BenchResult, error) {
-	var streams [][]byte
-	distinct := make(map[string]bool)
-	var instrsPerStream []uint64
-	for s := 0; s < benchFaninStreams; s++ {
-		data, err := ingest.RecordWorkloadStream("counter", threads, uint64(s+1))
-		if err != nil {
-			return nil, err
-		}
-		sv, err := core.SalvageStream(data)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bench ingest stream did not salvage: %w", err)
-		}
-		var instrs uint64
-		for _, r := range sv.Bundle.RetiredPerThread {
-			instrs += r
-		}
-		streams = append(streams, data)
-		instrsPerStream = append(instrsPerStream, instrs)
-		sum := sha256.Sum256(data)
-		distinct[hex.EncodeToString(sum[:])] = true
-	}
-	var instrs, pushedBytes uint64
-	for i := 0; i < benchFaninUploaders; i++ {
-		instrs += instrsPerStream[i%benchFaninStreams]
-		pushedBytes += uint64(len(streams[i%benchFaninStreams]))
-	}
-	if runs < 1 {
-		runs = 1
-	}
-	res := &BenchResult{Workload: "ingest:fanin", Threads: threads, Cores: cores,
-		Instrs: instrs, StreamBytes: pushedBytes}
-	var meter allocMeter
-	meter.start()
-	for i := 0; i < runs; i++ {
-		// A fresh store per run: re-running against a populated store would
-		// measure the dedupe fast path instead of ingest.
-		dir, err := os.MkdirTemp("", "quickrec-fanin-")
-		if err != nil {
-			return nil, err
-		}
-		cfg := ingest.DefaultConfig()
-		cfg.StoreDir = dir
-		srv, err := ingest.NewServer(cfg)
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		go srv.Serve()
-		start := time.Now()
-		lg, err := ingest.Loadgen(ingest.LoadgenConfig{
-			Addr:       srv.Addr(),
-			Uploaders:  benchFaninUploaders,
-			UploadsPer: 1,
-			Tenants:    []string{"bench-0", "bench-1", "bench-2", "bench-3"},
-			Streams:    streams,
-			Attempts:   5,
-			Backoff:    10 * time.Millisecond,
-		})
-		if err == nil {
-			srv.WaitIdle()
-		}
-		elapsed := time.Since(start)
-		var verr error
-		if err == nil {
-			verr = checkFaninRun(srv, lg, distinct)
-		}
-		srv.Close()
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, err
-		}
-		if verr != nil {
-			return nil, verr
-		}
-		if tput := float64(instrs) / elapsed.Seconds(); tput > res.InstrsPerSec {
-			res.InstrsPerSec = tput
-		}
-	}
-	meter.stop(res, runs)
-	return res, nil
-}
-
-// checkFaninRun asserts the ingest benchmark's correctness half: no
-// lost or failed uploads, exactly the distinct bundles stored, every
-// verdict accepted.
-func checkFaninRun(srv *ingest.Server, lg *ingest.LoadgenResult, distinct map[string]bool) error {
-	if lg.Failures > 0 {
-		return fmt.Errorf("harness: ingest bench lost %d uploads", lg.Failures)
-	}
-	if lg.Uploads != benchFaninUploaders {
-		return fmt.Errorf("harness: ingest bench acked %d of %d uploads", lg.Uploads, benchFaninUploaders)
-	}
-	stored, err := srv.Store().List()
-	if err != nil {
-		return err
-	}
-	if len(stored) != len(distinct) {
-		return fmt.Errorf("harness: ingest bench stored %d bundles, want %d distinct", len(stored), len(distinct))
-	}
-	for _, d := range stored {
-		if !distinct[d] {
-			return fmt.Errorf("harness: ingest bench stored unexpected bundle %s", d)
-		}
-	}
-	ctrs := srv.Counters()
-	for _, st := range []ingest.VerdictStatus{ingest.StatusTorn, ingest.StatusDiverged, ingest.StatusUnverifiable} {
-		if n := ctrs.VerdictsBy[st]; n != 0 {
-			return fmt.Errorf("harness: ingest bench published %d %s verdicts", n, st)
-		}
-	}
-	if ctrs.VerdictsBy[ingest.StatusAccepted] == 0 {
-		return fmt.Errorf("harness: ingest bench published no accepted verdicts")
-	}
-	return nil
-}
-
-// benchCodecDecodes is how many steady-state decodes one measured codec
-// op covers; amortizing keeps the per-op timer noise below the decode
-// cost being measured.
-const benchCodecDecodes = 64
-
-// MeasureCodecThroughput records the named workload once, encodes it in
-// the given wire format, then times runs batches of steady-state
-// decodes through one reused BundleDecoder — the same zero-copy path
-// replay uses over an mmapped bundle file. Instrs is the recorded
-// instruction count, so throughput reads as recorded instructions
-// decoded per second; the allocation columns are the wire layer's
-// scoreboard and should sit at ~0 once the decoder is warm.
-func MeasureCodecThroughput(name string, threads, cores, runs int, format core.Format) (*BenchResult, error) {
-	prog, err := buildProgram(name, threads)
-	if err != nil {
-		return nil, err
-	}
-	cfg := recordConfig(cores, threads, 1)
-	rec, err := core.Record(prog, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("harness: bench recording of %s failed: %w", name, err)
-	}
-	var instrs uint64
-	for _, r := range rec.RetiredPerThread {
-		instrs += r
-	}
-	if runs < 1 {
-		runs = 1
-	}
-	rec.Format = format
-	data := rec.Marshal()
-	dec := &core.BundleDecoder{}
-	// Warm decode: the first pass grows the decoder's reusable buffers;
-	// the measured passes are the steady state.
-	if _, err := dec.Decode(data); err != nil {
-		return nil, fmt.Errorf("harness: bench codec decode of %s (%s) failed: %w", name, format, err)
-	}
-	res := &BenchResult{Workload: "codec:" + name, Threads: threads, Cores: cores, Instrs: instrs}
-	var meter allocMeter
-	meter.start()
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		for j := 0; j < benchCodecDecodes; j++ {
-			if _, err := dec.Decode(data); err != nil {
-				return nil, fmt.Errorf("harness: bench codec decode of %s (%s) failed: %w", name, format, err)
-			}
-		}
-		perDecode := time.Since(start).Seconds() / benchCodecDecodes
-		if tput := float64(instrs) / perDecode; tput > res.InstrsPerSec {
-			res.InstrsPerSec = tput
-		}
-	}
-	meter.stop(res, runs*benchCodecDecodes)
-	return res, nil
-}
-
-// measureWorkload dispatches a baseline entry: plain names bench
-// recording throughput, "screen:<name>" benches the race detector's
-// screening phase over a recording of <name>, "screen:par" the same
-// phase for racy on a 4-worker pool, "replay:par" the
-// checkpoint-partitioned parallel replay engine on 4 workers,
-// "replay:dist"/"screen:dist" the same work shipped through a loopback
-// worker fleet, "codec:<name>" steady-state v1 bundle decoding of
-// <name>, and "codec:v2" the same counter recording through the v2 wire
-// format.
-func measureWorkload(name string, threads, cores, runs int) (*BenchResult, error) {
-	switch name {
-	case "replay:par":
-		return MeasureReplayThroughput(threads, cores, 4, runs)
-	case "screen:par":
-		return MeasureScreenThroughput("racy", threads, cores, 4, runs)
-	case "replay:dist":
-		return MeasureDistThroughput("replay", threads, cores, runs)
-	case "screen:dist":
-		return MeasureDistThroughput("screen", threads, cores, runs)
-	case "flight:window":
-		return MeasureWindowThroughput(threads, cores, runs)
-	case "ingest:fanin":
-		return MeasureIngestFanin(threads, cores, runs)
-	case "codec:v2":
-		res, err := MeasureCodecThroughput("counter", threads, cores, runs, core.FormatAuto)
-		if err == nil {
-			res.Workload = "codec:v2"
-		}
-		return res, err
-	}
-	if rest, ok := strings.CutPrefix(name, "screen:"); ok {
-		return MeasureScreenThroughput(rest, threads, cores, 0, runs)
-	}
-	if rest, ok := strings.CutPrefix(name, "codec:"); ok {
-		return MeasureCodecThroughput(rest, threads, cores, runs, core.FormatV1)
-	}
-	return MeasureRecordThroughput(name, threads, cores, runs)
-}
-
-// WriteBaseline measures every listed workload and writes the baseline
-// file the regression guard reads.
-func WriteBaseline(path string, workloads []string, threads, cores, runs int) (*Baseline, error) {
-	b := &Baseline{
-		Note: fmt.Sprintf("best of %d record runs per workload, %d threads on %d cores; regenerate with QUICKREC_WRITE_BASELINE=1 go test ./internal/harness/ -run TestWriteBenchBaseline, or quickbench -baseline", runs, threads, cores),
-	}
-	for _, w := range workloads {
-		r, err := measureWorkload(w, threads, cores, runs)
-		if err != nil {
-			return nil, err
-		}
-		b.Results = append(b.Results, *r)
-	}
-	shootout, err := MeasureShootout("ioheavy", threads, cores, runs)
-	if err != nil {
-		return nil, err
-	}
-	b.Shootout = shootout
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return b, os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadBaseline reads a baseline file.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("harness: corrupt baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// CheckRegression compares a fresh measurement against the baseline and
-// returns an error when throughput fell below (1 - tolerance) of it, or
-// when allocations per op more than doubled. The allocation guard is
-// deliberately loose: alloc counts are stable across machines and small
-// drifts are routine, but only a structural regression — a dropped
-// pooling or presizing path — doubles them.
-func CheckRegression(base BenchResult, got *BenchResult, tolerance float64) error {
-	floor := base.InstrsPerSec * (1 - tolerance)
-	if got.InstrsPerSec < floor {
-		return fmt.Errorf("harness: %s throughput regressed: %.0f instrs/s vs baseline %.0f (floor %.0f, tolerance %.0f%%)",
-			base.Workload, got.InstrsPerSec, base.InstrsPerSec, floor, tolerance*100)
-	}
-	if base.AllocsPerOp > 0 && got.AllocsPerOp > 2*base.AllocsPerOp {
-		return fmt.Errorf("harness: %s allocations regressed: %d allocs/op vs baseline %d (ceiling 2x)",
-			base.Workload, got.AllocsPerOp, base.AllocsPerOp)
-	}
-	if base.BytesPerOp > 0 && got.BytesPerOp > 2*base.BytesPerOp {
-		return fmt.Errorf("harness: %s allocated bytes regressed: %d B/op vs baseline %d (ceiling 2x)",
-			base.Workload, got.BytesPerOp, base.BytesPerOp)
-	}
-	if base.StreamBytes > 0 && got.StreamBytes > 2*base.StreamBytes {
-		return fmt.Errorf("harness: %s stream grew: %d bytes on disk vs baseline %d (ceiling 2x) — retention window leaking?",
-			base.Workload, got.StreamBytes, base.StreamBytes)
-	}
-	return nil
+	return best, nil
 }

@@ -1,81 +1,9 @@
 package harness
 
 import (
-	"os"
 	"runtime"
 	"testing"
 )
-
-const (
-	baselineFile   = "BENCH_baseline.json"
-	benchTolerance = 0.20
-)
-
-var benchWorkloads = BaselineWorkloads
-
-// BenchmarkRecordThroughput reports recording throughput per workload in
-// simulated instructions per second of host time.
-func BenchmarkRecordThroughput(b *testing.B) {
-	for _, w := range benchWorkloads {
-		b.Run(w, func(b *testing.B) {
-			var instrs float64
-			for i := 0; i < b.N; i++ {
-				r, err := measureWorkload(w, 4, 4, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				instrs += float64(r.Instrs)
-			}
-			b.ReportMetric(instrs/b.Elapsed().Seconds(), "instrs/s")
-		})
-	}
-}
-
-// TestWriteBenchBaseline regenerates the committed baseline. Gated on
-// QUICKREC_WRITE_BASELINE so routine test runs never move the goalposts.
-func TestWriteBenchBaseline(t *testing.T) {
-	if os.Getenv("QUICKREC_WRITE_BASELINE") == "" {
-		t.Skip("set QUICKREC_WRITE_BASELINE=1 to rewrite " + baselineFile)
-	}
-	b, err := WriteBaseline(baselineFile, benchWorkloads, 4, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range b.Results {
-		t.Logf("%-13s %8.2f M instrs/s  %8d allocs/op  %10d B/op",
-			r.Workload, r.InstrsPerSec/1e6, r.AllocsPerOp, r.BytesPerOp)
-	}
-}
-
-// TestRecordThroughputRegression is the tier-2 guard: recording must
-// stay within benchTolerance of the committed baseline. Gated on
-// QUICKREC_BENCH_GUARD because wall-clock throughput is machine-bound;
-// run it on the machine that wrote the baseline.
-func TestRecordThroughputRegression(t *testing.T) {
-	if os.Getenv("QUICKREC_BENCH_GUARD") == "" {
-		t.Skip("set QUICKREC_BENCH_GUARD=1 to compare against " + baselineFile)
-	}
-	base, err := LoadBaseline(baselineFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Results) == 0 {
-		t.Fatal("baseline holds no results")
-	}
-	for _, br := range base.Results {
-		got, err := measureWorkload(br.Workload, br.Threads, br.Cores, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := CheckRegression(br, got, benchTolerance); err != nil {
-			t.Error(err)
-		} else {
-			t.Logf("%-13s %8.2f M instrs/s (baseline %.2f M)  %d allocs/op (baseline %d)",
-				br.Workload, got.InstrsPerSec/1e6, br.InstrsPerSec/1e6,
-				got.AllocsPerOp, br.AllocsPerOp)
-		}
-	}
-}
 
 // TestParallelReplaySpeedup is the parallel engine's raison d'être:
 // replaying the benchmark recording on a 4-worker pool must be at least
@@ -97,9 +25,9 @@ func TestParallelReplaySpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := par.InstrsPerSec / serial.InstrsPerSec
+	speedup := par / serial
 	t.Logf("serial %.2f M instrs/s, 4 workers %.2f M instrs/s: %.2fx",
-		serial.InstrsPerSec/1e6, par.InstrsPerSec/1e6, speedup)
+		serial/1e6, par/1e6, speedup)
 	if speedup < 1.5 {
 		t.Errorf("4-worker replay speedup %.2fx, want >= 1.5x", speedup)
 	}

@@ -24,6 +24,7 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -119,6 +120,11 @@ const (
 	// maxFramePayload bounds one frame; longer plen fields are treated as
 	// protocol corruption rather than allocated.
 	maxFramePayload = 1 << 20
+	// frameReadStep is how far readFrame's buffer may run ahead of the
+	// payload bytes that have arrived. It covers the largest frame an
+	// honest upload sends, uploadChunk stream bytes as DATA or as DATAZ
+	// with its CRC and block header, so such a frame is one allocation.
+	frameReadStep = uploadChunk + 4 + 1 + 2*binary.MaxVarintLen32
 	// digestSize is the SHA-256 length carried by FINISH frames.
 	digestSize = 32
 	// maxTenantLen bounds tenant IDs (a replay-sphere name, not a blob).
@@ -137,31 +143,11 @@ func appendFrame(a *wire.Appender, kind FrameKind, payload []byte) {
 	a.Raw(payload)
 }
 
-// DecodeFrame parses the frame at the head of data and returns its kind,
-// payload (aliasing data) and the remainder. io.ErrUnexpectedEOF reports
-// a torn frame; ErrFrame a structurally invalid one.
-func DecodeFrame(data []byte) (kind FrameKind, payload, rest []byte, err error) {
-	if len(data) < frameHeaderSize {
-		return 0, nil, data, io.ErrUnexpectedEOF
-	}
-	plen := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
-	if plen > maxFramePayload {
-		return 0, nil, data, fmt.Errorf("%w: %d-byte payload exceeds %d", ErrFrame, plen, maxFramePayload)
-	}
-	kind = FrameKind(data[4])
-	if kind < FrameHello || kind > frameKindMax {
-		return 0, nil, data, fmt.Errorf("%w: unknown kind %d", ErrFrame, data[4])
-	}
-	end := frameHeaderSize + int(plen)
-	if len(data) < end {
-		return 0, nil, data, io.ErrUnexpectedEOF
-	}
-	return kind, data[frameHeaderSize:end], data[end:], nil
-}
-
 // readFrame reads one frame from r. The payload is freshly allocated —
 // frame readers hand payloads across goroutines (connection handler to
-// shard worker), so they must not share a scratch buffer.
+// shard worker), so they must not share a scratch buffer. The buffer
+// grows by frameReadStep as payload bytes arrive, so a header that
+// declares a large payload costs at most one step until its bytes come.
 func readFrame(r io.Reader) (FrameKind, []byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -175,14 +161,24 @@ func readFrame(r io.Reader) (FrameKind, []byte, error) {
 	if kind < FrameHello || kind > frameKindMax {
 		return 0, nil, fmt.Errorf("%w: unknown kind %d", ErrFrame, hdr[4])
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	size := int(plen)
+	payload := make([]byte, min(size, frameReadStep))
+	for n := 0; ; {
+		m, err := io.ReadFull(r, payload[n:])
+		n += m
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
 		}
-		return 0, nil, err
+		if n == size {
+			return kind, payload, nil
+		}
+		grown := make([]byte, min(size, n+frameReadStep))
+		copy(grown, payload)
+		payload = grown
 	}
-	return kind, payload, nil
 }
 
 // helloPayload opens a session.

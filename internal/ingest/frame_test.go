@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/allocpin"
 	"repro/internal/wire"
 )
 
@@ -75,49 +76,64 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind.String(), func(t *testing.T) {
-			raw := frameBytes(tc.kind, tc.build)
-			kind, payload, rest, err := DecodeFrame(raw)
-			if err != nil || kind != tc.kind || len(rest) != 0 {
-				t.Fatalf("DecodeFrame: kind %v rest %d err %v", kind, len(rest), err)
+			r := bytes.NewReader(frameBytes(tc.kind, tc.build))
+			kind, payload, err := readFrame(r)
+			if err != nil || kind != tc.kind || r.Len() != 0 {
+				t.Fatalf("readFrame: kind %v rest %d err %v", kind, r.Len(), err)
 			}
 			tc.check(t, payload)
-
-			// The stream reader must agree byte-for-byte with the slice
-			// decoder.
-			rk, rp, err := readFrame(bytes.NewReader(raw))
-			if err != nil || rk != tc.kind || !bytes.Equal(rp, payload) {
-				t.Fatalf("readFrame disagrees with DecodeFrame: %v %v", rk, err)
-			}
 		})
 	}
 }
 
 func TestDecodeFrameFaults(t *testing.T) {
 	valid := frameBytes(FrameGrant, func(a *wire.Appender) { appendGrant(a, grantPayload{Bytes: 9}) })
+	read := func(data []byte) error {
+		_, _, err := readFrame(bytes.NewReader(data))
+		return err
+	}
 
-	// Torn at every prefix: always io.ErrUnexpectedEOF, never a panic.
-	for cut := 0; cut < len(valid); cut++ {
-		if _, _, _, err := DecodeFrame(valid[:cut]); !errors.Is(err, io.ErrUnexpectedEOF) {
+	// An empty stream is a clean close.
+	if err := read(nil); !errors.Is(err, io.EOF) {
+		t.Fatalf("empty stream: %v, want EOF", err)
+	}
+	// Torn at every later prefix: always io.ErrUnexpectedEOF, never a panic.
+	for cut := 1; cut < len(valid); cut++ {
+		if err := read(valid[:cut]); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut %d: %v, want unexpected EOF", cut, err)
 		}
 	}
 	// Oversize plen is corruption, not an allocation request.
 	huge := append([]byte{0xff, 0xff, 0xff, 0xff}, valid[4:]...)
-	if _, _, _, err := DecodeFrame(huge); !errors.Is(err, ErrFrame) {
+	if err := read(huge); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversize plen: %v, want ErrFrame", err)
 	}
 	// Unknown frame kind.
 	bad := append([]byte(nil), valid...)
 	bad[4] = 0x7f
-	if _, _, _, err := DecodeFrame(bad); !errors.Is(err, ErrFrame) {
+	if err := read(bad); !errors.Is(err, ErrFrame) {
 		t.Fatalf("bad kind: %v, want ErrFrame", err)
 	}
-	// Same faults through the stream reader.
-	if _, _, err := readFrame(bytes.NewReader(valid[:3])); err == nil {
-		t.Fatal("torn header read succeeded")
-	}
-	if _, _, err := readFrame(bytes.NewReader(huge)); !errors.Is(err, ErrFrame) {
-		t.Fatalf("oversize plen via reader: %v", err)
+}
+
+// TestReadFrameGrowsAsBytesArrive holds readFrame's buffer to the bytes
+// a peer has sent: a lone header that declares the largest payload
+// costs one read step, not the megabyte it declares, and a payload
+// spanning several steps still arrives whole.
+func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
+	hdr := []byte{0, 0, 0x10, 0, byte(FrameData)} // plen = maxFramePayload
+	// One step rounded up to whole 8 KiB heap pages, plus the reader.
+	limit := uint64(frameReadStep+8<<10-1)&^(8<<10-1) + 1<<10
+	allocpin.Check(t, 3, limit, func() {
+		if _, _, err := readFrame(bytes.NewReader(hdr)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("header-only frame: %v, want unexpected EOF", err)
+		}
+	})
+
+	big := bytes.Repeat([]byte{0xa5}, 3*frameReadStep+7)
+	kind, payload, err := readFrame(bytes.NewReader(frameBytes(FrameResult, func(a *wire.Appender) { a.Raw(big) })))
+	if err != nil || kind != FrameResult || !bytes.Equal(payload, big) {
+		t.Fatalf("multi-step payload: kind %v, %d of %d bytes, err %v", kind, len(payload), len(big), err)
 	}
 }
 
@@ -144,7 +160,7 @@ func TestDecodePayloadFaults(t *testing.T) {
 }
 
 // FuzzIngestFrame throws arbitrary bytes at the frame layer the ingest
-// server reads off the network: DecodeFrame first, then every per-kind
+// server reads off the network: readFrame first, then every per-kind
 // payload decoder for frames that parse. Invariants: no panic, no
 // allocation driven by a hostile length field, and any frame that
 // decodes re-encodes byte-identically through appendFrame.
@@ -171,10 +187,12 @@ func FuzzIngestFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 99})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, payload, rest, err := DecodeFrame(data)
+		r := bytes.NewReader(data)
+		kind, payload, err := readFrame(r)
 		if err != nil {
-			if !errors.Is(err, ErrFrame) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("unexpected decode error class: %v", err)
+			cleanClose := len(data) == 0 && errors.Is(err, io.EOF)
+			if !cleanClose && !errors.Is(err, ErrFrame) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("unexpected read error class: %v", err)
 			}
 			return
 		}
@@ -183,7 +201,7 @@ func FuzzIngestFrame(f *testing.F) {
 		}
 		var re wire.Appender
 		appendFrame(&re, kind, payload)
-		if !bytes.Equal(re.Buf, data[:len(data)-len(rest)]) {
+		if !bytes.Equal(re.Buf, data[:len(data)-r.Len()]) {
 			t.Fatal("frame did not re-encode byte-identically")
 		}
 

@@ -3,11 +3,13 @@ package ingest
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/allocpin"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/segment"
@@ -378,4 +380,79 @@ func TestShardEnqueueShedsWhenFull(t *testing.T) {
 	if !slow.enqueue(sh, shardMsg{}) {
 		t.Fatal("enqueue shed although a slot opened within the timeout")
 	}
+}
+
+// TestFaninAllocs pins the allocations and allocated bytes of the
+// service path end to end: 64 uploaders push four seed-variant counter
+// streams (4 threads) through a loopback server, with framing, credit
+// flow, sharding, the store and verification, and the run ends once
+// every verdict is out. Distinct streams keep the store and verifier
+// pool honest, since identical uploads deduplicate. The ceilings are
+// 25% above the largest of five plain runs on go1.24.0; the pushed
+// bytes are exact.
+func TestFaninAllocs(t *testing.T) {
+	const uploaders = 64
+	var streams [][]byte
+	distinct := make(map[string]bool)
+	for seed := uint64(1); seed <= 4; seed++ {
+		data, err := RecordWorkloadStream("counter", 4, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, data)
+		sum := sha256.Sum256(data)
+		distinct[hex.EncodeToString(sum[:])] = true
+	}
+	allocpin.Check(t, 27_423, 364_541_960, func() {
+		// A fresh store per run: a populated one would measure the
+		// dedupe fast path instead of ingest.
+		cfg := DefaultConfig()
+		cfg.StoreDir = t.TempDir()
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve()
+		defer srv.Close()
+		lg, err := Loadgen(LoadgenConfig{
+			Addr:       srv.Addr(),
+			Uploaders:  uploaders,
+			UploadsPer: 1,
+			Tenants:    []string{"bench-0", "bench-1", "bench-2", "bench-3"},
+			Streams:    streams,
+			Attempts:   5,
+			Backoff:    10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.WaitIdle()
+		if lg.Failures != 0 || lg.Uploads != uploaders {
+			t.Fatalf("%d of %d uploads acked, %d failed", lg.Uploads, uploaders, lg.Failures)
+		}
+		if lg.Bytes != 28_091_952 {
+			t.Errorf("pushed %d bytes, want 28091952", lg.Bytes)
+		}
+		stored, err := srv.Store().List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stored) != len(streams) {
+			t.Errorf("stored %d bundles, want %d distinct", len(stored), len(streams))
+		}
+		for _, d := range stored {
+			if !distinct[d] {
+				t.Errorf("stored unexpected bundle %s", d)
+			}
+		}
+		ctrs := srv.Counters()
+		for _, st := range []VerdictStatus{StatusTorn, StatusDiverged, StatusUnverifiable} {
+			if n := ctrs.VerdictsBy[st]; n != 0 {
+				t.Errorf("published %d %s verdicts", n, st)
+			}
+		}
+		if ctrs.VerdictsBy[StatusAccepted] == 0 {
+			t.Error("published no accepted verdicts")
+		}
+	})
 }

@@ -481,24 +481,23 @@ func TestInstrStrings(t *testing.T) {
 
 func TestOpClassPredicates(t *testing.T) {
 	cases := []struct {
-		op                               Op
-		read, write, atomic, rep, branch bool
+		op     Op
+		atomic bool
 	}{
-		{OpLd, true, false, false, false, false},
-		{OpSt, false, true, false, false, false},
-		{OpXchg, true, true, true, false, false},
-		{OpCas, true, true, true, false, false},
-		{OpFadd, true, true, true, false, false},
-		{OpRepMovs, true, true, false, true, false},
-		{OpRepStos, false, true, false, true, false},
-		{OpBeq, false, false, false, false, true},
-		{OpJmp, false, false, false, false, true},
-		{OpAdd, false, false, false, false, false},
+		{OpLd, false},
+		{OpSt, false},
+		{OpXchg, true},
+		{OpCas, true},
+		{OpFadd, true},
+		{OpRepMovs, false},
+		{OpRepStos, false},
+		{OpBeq, false},
+		{OpJmp, false},
+		{OpAdd, false},
 	}
 	for _, c := range cases {
-		if c.op.IsMemRead() != c.read || c.op.IsMemWrite() != c.write ||
-			c.op.IsAtomic() != c.atomic || c.op.IsRep() != c.rep || c.op.IsBranch() != c.branch {
-			t.Errorf("%v predicates wrong", c.op)
+		if c.op.IsAtomic() != c.atomic {
+			t.Errorf("%v.IsAtomic() = %v, want %v", c.op, !c.atomic, c.atomic)
 		}
 	}
 }

@@ -154,45 +154,10 @@ func (op Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// IsMemRead reports whether the opcode reads data memory.
-func (op Op) IsMemRead() bool {
-	switch op {
-	case OpLd, OpLb, OpLbu, OpXchg, OpCas, OpFadd, OpRepMovs:
-		return true
-	case OpSb:
-		// A byte store reads the containing word to merge the byte.
-		return true
-	}
-	return false
-}
-
-// IsMemWrite reports whether the opcode writes data memory. CAS is
-// treated as a write even when the compare fails, matching hardware that
-// acquires the line exclusively up front.
-func (op Op) IsMemWrite() bool {
-	switch op {
-	case OpSt, OpSb, OpXchg, OpCas, OpFadd, OpRepMovs, OpRepStos:
-		return true
-	}
-	return false
-}
-
 // IsAtomic reports whether the opcode is an atomic read-modify-write.
 func (op Op) IsAtomic() bool {
 	switch op {
 	case OpXchg, OpCas, OpFadd:
-		return true
-	}
-	return false
-}
-
-// IsRep reports whether the opcode is a REP string instruction.
-func (op Op) IsRep() bool { return op == OpRepMovs || op == OpRepStos }
-
-// IsBranch reports whether the opcode may redirect control flow.
-func (op Op) IsBranch() bool {
-	switch op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu, OpJmp, OpJal, OpJr:
 		return true
 	}
 	return false

@@ -148,9 +148,6 @@ func (r *Recorder) SetSigSink(sink func(read, write []byte)) { r.sigSink = sink 
 // state, not recording state.
 func (r *Recorder) SetEnabled(on bool) { r.enabled = on }
 
-// Enabled reports whether recording is active.
-func (r *Recorder) Enabled() bool { return r.enabled }
-
 // Clock returns the current Lamport clock.
 func (r *Recorder) Clock() uint64 { return r.clock }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/allocpin"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -198,5 +199,33 @@ func TestDetectParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(cands, serial.Candidates) {
 			t.Errorf("%s: ScreenWorkers(4) candidates differ from serial Detect's", mk.name)
 		}
+	}
+}
+
+// TestScreenAllocs pins the allocations and allocated bytes of
+// screening the racy catalogue workload (4 threads on 4 cores, seed 1)
+// serially and on a 4-worker pool. Each ceiling is 25% above the
+// largest of five plain runs on go1.24.0.
+func TestScreenAllocs(t *testing.T) {
+	spec, ok := workload.ByName("racy")
+	if !ok {
+		t.Fatal("racy workload missing from catalogue")
+	}
+	b := record(t, spec.Build(4), 4, 4, 1)
+	for _, c := range []struct {
+		stage               string
+		workers             int
+		maxAllocs, maxBytes uint64
+	}{
+		{"screen:racy", 0, 1119, 348_710},
+		{"screen:par", 4, 1128, 349_630},
+	} {
+		t.Run(c.stage, func(t *testing.T) {
+			allocpin.Check(t, c.maxAllocs, c.maxBytes, func() {
+				if _, err := ScreenWorkers(b, c.workers); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }

@@ -161,19 +161,13 @@ func (r *replayer) emit(addr uint64, pc int, kind AccessKind) {
 
 // drainAccesses attributes the in-flight step's buffered accesses to the
 // issuing PC and classifies them: every access of an atomic instruction
-// (XCHG/CAS/FADD) is synchronization, everything else is a plain read or
+// (isa.Op.IsAtomic) is synchronization, everything else is a plain read or
 // write, dropped here unless the filter keeps the item's chunk.
 func (r *replayer) drainAccesses(pcBefore int) {
 	if len(r.accessBuf) == 0 {
 		return
 	}
-	atomic := false
-	if pcBefore >= 0 && pcBefore < len(r.in.Prog.Code) {
-		switch r.in.Prog.Code[pcBefore].Op {
-		case isa.OpXchg, isa.OpCas, isa.OpFadd:
-			atomic = true
-		}
-	}
+	atomic := pcBefore >= 0 && pcBefore < len(r.in.Prog.Code) && r.in.Prog.Code[pcBefore].Op.IsAtomic()
 	if atomic || r.item.keepPlain {
 		for _, a := range r.accessBuf {
 			kind := AccessRead

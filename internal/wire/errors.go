@@ -19,13 +19,6 @@ func (c *Cursor) corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s at offset %d", c.corrupt, fmt.Sprintf(format, args...), c.pos)
 }
 
-// Truncatedf builds a truncation error at the cursor's position for
-// validation a codec performs outside the primitive set (e.g. a header
-// check on raw bytes before cursor decoding starts).
-func (c *Cursor) Truncatedf(format string, args ...any) error {
-	return c.truncatedf(format, args...)
-}
-
 // Corruptf builds a corruption error at the cursor's position for
 // codec-level validation (bad magic, unsupported version, implausible
 // counts). Using it keeps the offset context uniform with primitive
