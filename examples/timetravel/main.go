@@ -30,7 +30,7 @@ func main() {
 		fullChunks += l.Len()
 	}
 	fmt.Printf("recorded fft: %d instructions, %d chunk entries, %d checkpoints taken\n",
-		rec.RecordStats.Retired, fullChunks, rec.RecordStats.Checkpoints)
+		rec.RecordStats.Retired, fullChunks, len(rec.IntervalCheckpoints))
 
 	// The tail bundle: last checkpoint + only the logs after it.
 	tail, err := quickrec.Tail(rec)

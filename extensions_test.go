@@ -17,7 +17,7 @@ func TestTailThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.RecordStats.Checkpoints == 0 {
+	if len(rec.IntervalCheckpoints) == 0 {
 		t.Fatal("no checkpoints taken")
 	}
 	tail, err := quickrec.Tail(rec)

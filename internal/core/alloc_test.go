@@ -50,7 +50,7 @@ func TestRecordReplayAllocsPerKinstr(t *testing.T) {
 // TestStageAllocs pins the allocations and allocated bytes of the
 // record, replay and windowed-stream stages: 4 threads on 4 cores,
 // seed 1. Each ceiling is 25% above the largest of five plain runs on
-// go1.24.0. flight:window's stream size is exact.
+// go1.24.0. flight:window's stream size and window base are exact.
 func TestStageAllocs(t *testing.T) {
 	cfg := recordCfg(1, func(c *machine.Config) { c.Cores, c.Threads = 4, 4 })
 	record := func(name string) func(t *testing.T) func() {
@@ -90,22 +90,32 @@ func TestStageAllocs(t *testing.T) {
 				}
 			}
 		}},
-		// reqserver through a 4-interval window. Its 36,540 instructions
-		// take one checkpoint, so nothing is evicted yet.
-		{"flight:window", 969, 3_544_640, func(t *testing.T) func() {
+		// reqserver through a 4-interval window, checkpointed every
+		// 5,000 instructions: 7 checkpoints, so the window evicts and
+		// opens with a base checkpoint at 20,037 retired instructions.
+		{"flight:window", 1438, 6_001_270, func(t *testing.T) func() {
 			prog := workload.ReqServer(96, 4, 16, 4)
 			wcfg := cfg
-			wcfg.CheckpointEveryInstrs = 20000
+			wcfg.CheckpointEveryInstrs = 5000
 			wcfg.RetainCheckpoints = 4
-			return func() {
+			stream := func() []byte {
 				var buf bytes.Buffer
 				if _, err := StreamRecord(prog, wcfg, &buf); err != nil {
 					t.Fatal(err)
 				}
-				if buf.Len() != 80666 {
-					t.Errorf("windowed stream is %d bytes, want 80666", buf.Len())
+				if buf.Len() != 175411 {
+					t.Errorf("windowed stream is %d bytes, want 175411", buf.Len())
 				}
+				return buf.Bytes()
 			}
+			sv, err := SalvageStream(stream())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base, evicted := sv.WindowBase(); !evicted || base != 20037 {
+				t.Fatalf("window base at %d retired (evicted %v), want an evicted window based at 20037", base, evicted)
+			}
+			return func() { stream() }
 		}},
 	}
 	for _, c := range cases {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/capo"
 	"repro/internal/chunk"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/wire"
 )
 
@@ -120,17 +119,17 @@ func (b *Bundle) sizeHint() int {
 		}
 	}
 	if b.Checkpoint != nil {
-		n += checkpointSizeHint(b.Checkpoint)
+		n += snapshotSizeHint(b.Checkpoint)
 	}
 	for _, ck := range b.IntervalCheckpoints {
-		n += 32 + checkpointSizeHint(ck.State)
+		n += 32 + snapshotSizeHint(&ck.Snapshot)
 	}
 	return n
 }
 
-func checkpointSizeHint(cs *CheckpointState) int {
-	return 64 + int(cs.Mem.Size()) + len(cs.OutputPrefix) +
-		len(cs.Contexts)*(isa.NumRegs+4)*9
+func snapshotSizeHint(s *capo.Snapshot) int {
+	return 64 + int(s.Mem.Size()) + len(s.Output) +
+		len(s.Contexts)*(isa.NumRegs+4)*9
 }
 
 // Marshal serializes the bundle (logs, metadata and reference state;
@@ -164,22 +163,7 @@ func (b *Bundle) marshalV1() []byte {
 	a.Uvarint(b.StackWordsPerThread)
 	a.Uvarint(b.MemChecksum)
 	a.Blob(b.Output)
-	// Always emit Threads entries: a Partial bundle has no reference
-	// final state, so pad with zero values the reader can skip past.
-	for t := 0; t < b.Threads; t++ {
-		var r uint64
-		if t < len(b.RetiredPerThread) {
-			r = b.RetiredPerThread[t]
-		}
-		a.Uvarint(r)
-	}
-	for t := 0; t < b.Threads; t++ {
-		var ctx isa.Context
-		if t < len(b.FinalContexts) {
-			ctx = b.FinalContexts[t]
-		}
-		appendContext(&a, ctx)
-	}
+	b.appendFinalState(&a)
 	// Nested logs are built in one pooled scratch buffer, then blobbed
 	// into the output with their length prefix.
 	scratch := wire.GetAppender()
@@ -192,166 +176,128 @@ func (b *Bundle) marshalV1() []byte {
 	b.InputLog.AppendMarshal(scratch)
 	a.Blob(scratch.Buf)
 	wire.PutAppender(scratch)
-	if b.SigLogs != nil {
-		// One signature log per thread, parallel to the chunk logs; each
-		// pair is the chunk's serialized read then write filter.
-		for t := 0; t < b.Threads; t++ {
-			var pairs []capo.SigPair
-			if t < len(b.SigLogs) {
-				pairs = b.SigLogs[t]
-			}
-			a.Int(len(pairs))
-			for _, p := range pairs {
-				a.Blob(p.Read)
-				a.Blob(p.Write)
-			}
+	b.appendSigLogs(&a)
+	b.appendCheckpoints(&a)
+	return a.Buf
+}
+
+// appendFinalState emits the retired counts and final contexts shared
+// by both layouts. It always emits Threads entries: a Partial bundle has
+// no reference final state, so it pads with zero values the reader can
+// skip past.
+func (b *Bundle) appendFinalState(a *wire.Appender) {
+	for t := 0; t < b.Threads; t++ {
+		var r uint64
+		if t < len(b.RetiredPerThread) {
+			r = b.RetiredPerThread[t]
+		}
+		a.Uvarint(r)
+	}
+	for t := 0; t < b.Threads; t++ {
+		var ctx isa.Context
+		if t < len(b.FinalContexts) {
+			ctx = b.FinalContexts[t]
+		}
+		capo.AppendContext(a, ctx)
+	}
+}
+
+// appendSigLogs emits the optional signature section shared by both
+// layouts: one signature log per thread, parallel to the chunk logs;
+// each pair is the chunk's serialized read then write filter.
+func (b *Bundle) appendSigLogs(a *wire.Appender) {
+	if b.SigLogs == nil {
+		return
+	}
+	for t := 0; t < b.Threads; t++ {
+		var pairs []capo.SigPair
+		if t < len(b.SigLogs) {
+			pairs = b.SigLogs[t]
+		}
+		a.Int(len(pairs))
+		for _, p := range pairs {
+			a.Blob(p.Read)
+			a.Blob(p.Write)
 		}
 	}
+}
+
+// appendCheckpoints emits the checkpoint and interval-checkpoint
+// sections shared by both layouts.
+func (b *Bundle) appendCheckpoints(a *wire.Appender) {
 	if b.Checkpoint == nil {
 		a.Byte(0)
 	} else {
 		a.Byte(1)
-		appendCheckpoint(&a, b.Checkpoint)
+		appendSnapshot(a, b.Checkpoint)
 	}
-	if len(b.IntervalCheckpoints) > 0 {
-		a.Int(len(b.IntervalCheckpoints))
-		for _, ck := range b.IntervalCheckpoints {
-			appendCheckpoint(&a, ck.State)
-			for t := 0; t < b.Threads; t++ {
-				var p int
-				if t < len(ck.ChunkPos) {
-					p = ck.ChunkPos[t]
-				}
-				a.Int(p)
+	if len(b.IntervalCheckpoints) == 0 {
+		return
+	}
+	a.Int(len(b.IntervalCheckpoints))
+	for _, ck := range b.IntervalCheckpoints {
+		appendSnapshot(a, &ck.Snapshot)
+		for t := 0; t < b.Threads; t++ {
+			var p int
+			if t < len(ck.ChunkPos) {
+				p = ck.ChunkPos[t]
 			}
-			a.Int(ck.InputPos)
-			a.Uvarint(ck.RetiredAt)
+			a.Int(p)
 		}
+		a.Int(ck.InputPos)
+		a.Uvarint(ck.RetiredAt)
 	}
-	return a.Buf
 }
 
-func appendCheckpoint(a *wire.Appender, cs *CheckpointState) {
-	size := cs.Mem.Size()
-	a.Uvarint(size)
-	a.Raw(cs.Mem.LoadBytes(0, size))
-	for t := range cs.Contexts {
-		appendContext(a, cs.Contexts[t])
-		var flags byte
-		if cs.Exited[t] {
-			flags = 1
-		}
-		a.Byte(flags)
-		for _, r := range cs.SigRegs[t] {
+// appendSnapshot emits a checkpoint's snapshot in the bundle layout;
+// the stream carries the same checkpoint in a layout of its own.
+func appendSnapshot(a *wire.Appender, s *capo.Snapshot) {
+	capo.AppendImage(a, s.Mem)
+	for t := range s.Contexts {
+		capo.AppendContext(a, s.Contexts[t])
+		a.Bool(s.Exited[t])
+		for _, r := range s.SigRegs[t] {
 			a.Uvarint(r)
 		}
-		a.Int(cs.SigPC[t])
+		a.Int(s.SigPC[t])
 	}
-	a.Int(cs.HandlerPC)
-	a.Bool(cs.HandlerOK)
-	a.Blob(cs.OutputPrefix)
+	a.Int(s.HandlerPC)
+	a.Bool(s.HandlerOK)
+	a.Blob(s.Output)
 }
 
-func appendContext(a *wire.Appender, ctx isa.Context) {
-	for _, r := range ctx.Regs {
-		a.Uvarint(r)
+// readSnapshot decodes what appendSnapshot wrote into s.
+func readSnapshot(c *wire.Cursor, threads int, s *capo.Snapshot) error {
+	var err error
+	if s.Mem, err = capo.ReadImage(c); err != nil {
+		return err
 	}
-	a.Int(ctx.PC)
-	a.Uvarint(ctx.Retired)
-	var flags byte
-	if ctx.Halted {
-		flags |= 1
-	}
-	if ctx.RepActive {
-		flags |= 2
-	}
-	a.Byte(flags)
-	a.Uvarint(ctx.RepDone)
-}
-
-func readContext(c *wire.Cursor) (isa.Context, error) {
-	var ctx isa.Context
-	for i := range ctx.Regs {
-		v, err := c.Uvarint()
-		if err != nil {
-			return ctx, err
-		}
-		ctx.Regs[i] = v
-	}
-	pc, err := c.Uvarint()
-	if err != nil {
-		return ctx, err
-	}
-	ctx.PC = int(pc)
-	if ctx.Retired, err = c.Uvarint(); err != nil {
-		return ctx, err
-	}
-	flags, err := c.Byte()
-	if err != nil {
-		return ctx, err
-	}
-	ctx.Halted = flags&1 != 0
-	ctx.RepActive = flags&2 != 0
-	if ctx.RepDone, err = c.Uvarint(); err != nil {
-		return ctx, err
-	}
-	return ctx, nil
-}
-
-func readCheckpoint(c *wire.Cursor, threads int) (*CheckpointState, error) {
-	size, err := c.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if size > 1<<32 || size > uint64(c.Remaining()) {
-		return nil, fmt.Errorf("%w: implausible checkpoint memory size %d", ErrCorruptBundle, size)
-	}
-	img, err := c.Raw(int(size))
-	if err != nil {
-		return nil, err
-	}
-	cs := &CheckpointState{Mem: mem.New(size)}
-	cs.Mem.StoreBytes(0, img)
-	cs.Contexts = make([]isa.Context, 0, threads)
-	cs.Exited = make([]bool, 0, threads)
-	cs.SigRegs = make([][isa.NumRegs]uint64, 0, threads)
-	cs.SigPC = make([]int, 0, threads)
+	s.Contexts = make([]isa.Context, threads)
+	s.Exited = make([]bool, threads)
+	s.SigRegs = make([][isa.NumRegs]uint64, threads)
+	s.SigPC = make([]int, threads)
 	for t := 0; t < threads; t++ {
-		ctx, err := readContext(c)
-		if err != nil {
-			return nil, err
+		if s.Contexts[t], err = capo.ReadContext(c); err != nil {
+			return err
 		}
-		cs.Contexts = append(cs.Contexts, ctx)
-		flags, err := c.Byte()
-		if err != nil {
-			return nil, err
+		if s.Exited[t], err = c.Bool(); err != nil {
+			return err
 		}
-		cs.Exited = append(cs.Exited, flags&1 != 0)
-		var regs [isa.NumRegs]uint64
-		for i := range regs {
-			if regs[i], err = c.Uvarint(); err != nil {
-				return nil, err
+		for i := range s.SigRegs[t] {
+			if s.SigRegs[t][i], err = c.Uvarint(); err != nil {
+				return err
 			}
 		}
-		cs.SigRegs = append(cs.SigRegs, regs)
-		pc, err := c.Uvarint()
-		if err != nil {
-			return nil, err
+		if s.SigPC[t], err = capo.ReadPC(c); err != nil {
+			return err
 		}
-		cs.SigPC = append(cs.SigPC, int(pc))
 	}
-	hpc, err := c.Uvarint()
-	if err != nil {
-		return nil, err
+	if s.HandlerPC, err = capo.ReadPC(c); err != nil {
+		return err
 	}
-	cs.HandlerPC = int(hpc)
-	ok, err := c.Byte()
-	if err != nil {
-		return nil, err
+	if s.HandlerOK, err = c.Bool(); err != nil {
+		return err
 	}
-	cs.HandlerOK = ok == 1
-	if cs.OutputPrefix, err = c.Blob(); err != nil {
-		return nil, err
-	}
-	return cs, nil
+	s.Output, err = c.Blob()
+	return err
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/capo"
 	"repro/internal/chunk"
-	"repro/internal/isa"
 	"repro/internal/wire"
 )
 
@@ -78,20 +77,7 @@ func (b *Bundle) appendBodyV2(a *wire.Appender) {
 	a.Int(b.Threads)
 	a.Uvarint(b.StackWordsPerThread)
 	a.Uvarint(b.MemChecksum)
-	for t := 0; t < b.Threads; t++ {
-		var r uint64
-		if t < len(b.RetiredPerThread) {
-			r = b.RetiredPerThread[t]
-		}
-		a.Uvarint(r)
-	}
-	for t := 0; t < b.Threads; t++ {
-		var ctx isa.Context
-		if t < len(b.FinalContexts) {
-			ctx = b.FinalContexts[t]
-		}
-		appendContext(a, ctx)
-	}
+	b.appendFinalState(a)
 	scratch := wire.GetAppender()
 	for _, l := range b.ChunkLogs {
 		scratch.Reset()
@@ -100,40 +86,8 @@ func (b *Bundle) appendBodyV2(a *wire.Appender) {
 	}
 	wire.PutAppender(scratch)
 	capo.AppendColumnar(a, b.InputLog.Records)
-	if b.SigLogs != nil {
-		for t := 0; t < b.Threads; t++ {
-			var pairs []capo.SigPair
-			if t < len(b.SigLogs) {
-				pairs = b.SigLogs[t]
-			}
-			a.Int(len(pairs))
-			for _, p := range pairs {
-				a.Blob(p.Read)
-				a.Blob(p.Write)
-			}
-		}
-	}
-	if b.Checkpoint == nil {
-		a.Byte(0)
-	} else {
-		a.Byte(1)
-		appendCheckpoint(a, b.Checkpoint)
-	}
-	if len(b.IntervalCheckpoints) > 0 {
-		a.Int(len(b.IntervalCheckpoints))
-		for _, ck := range b.IntervalCheckpoints {
-			appendCheckpoint(a, ck.State)
-			for t := 0; t < b.Threads; t++ {
-				var p int
-				if t < len(ck.ChunkPos) {
-					p = ck.ChunkPos[t]
-				}
-				a.Int(p)
-			}
-			a.Int(ck.InputPos)
-			a.Uvarint(ck.RetiredAt)
-		}
-	}
+	b.appendSigLogs(a)
+	b.appendCheckpoints(a)
 	appendOutputOps(a, b.Output, b.InputLog.Records)
 }
 

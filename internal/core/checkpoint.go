@@ -3,46 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/isa"
-	"repro/internal/machine"
-	"repro/internal/mem"
-	"repro/internal/replay"
 )
-
-// CheckpointState is a flight-recorder checkpoint embedded in a bundle:
-// replay resumes from it with only the post-checkpoint log tail. This
-// implements the paper's "always-on RnR" direction — bounded logs via
-// periodic snapshots.
-type CheckpointState struct {
-	// Mem is the checkpointed architectural memory image.
-	Mem *mem.Memory
-	// Contexts, Exited, SigRegs, SigPC hold per-thread state.
-	Contexts []isa.Context
-	Exited   []bool
-	SigRegs  [][isa.NumRegs]uint64
-	SigPC    []int
-	// HandlerPC/HandlerOK carry the registered signal handler.
-	HandlerPC int
-	HandlerOK bool
-	// OutputPrefix is fd-1 output written before the checkpoint.
-	OutputPrefix []byte
-}
-
-// IntervalCheckpoint is one flight-recorder snapshot of a full
-// recording, with the log positions that separate pre- from
-// post-checkpoint entries. A bundle's IntervalCheckpoints partition its
-// logs into independently replayable intervals.
-type IntervalCheckpoint struct {
-	// State is the machine state at the boundary.
-	State *CheckpointState
-	// ChunkPos[t] is thread t's chunk-log length at the snapshot;
-	// InputPos is the input-log length.
-	ChunkPos []int
-	InputPos int
-	// RetiredAt is the global retired-instruction count at the snapshot.
-	RetiredAt uint64
-}
 
 // ErrNoCheckpoint reports a Tail request on a recording made without
 // checkpointing.
@@ -53,37 +14,14 @@ var ErrNoCheckpoint = errors.New("core: recording has no checkpoint (set Checkpo
 // log entries after it. The tail replays to the same final state as the
 // full bundle and verifies against the same reference.
 func Tail(full *Bundle) (*Bundle, error) {
-	if full.RecordStats == nil || full.RecordStats.Checkpoint == nil {
-		return nil, ErrNoCheckpoint
-	}
-	ck := full.RecordStats.Checkpoint
-	tail := &Bundle{
-		ProgramName:         full.ProgramName,
-		Threads:             full.Threads,
-		StackWordsPerThread: full.StackWordsPerThread,
-		CountRepIterations:  full.CountRepIterations,
-		MemChecksum:         full.MemChecksum,
-		Output:              full.Output,
-		FinalContexts:       full.FinalContexts,
-		RetiredPerThread:    full.RetiredPerThread,
-		Checkpoint:          fromMachineCheckpoint(ck),
-	}
-	for t, l := range full.ChunkLogs {
-		pos := ck.ChunkPos[t]
-		tail.ChunkLogs = append(tail.ChunkLogs, l.Slice(pos))
-	}
-	tail.InputLog = full.InputLog.Slice(ck.InputPos)
-	// SigLogs are deliberately dropped: slicing them at the checkpoint
-	// would need the same per-thread positions, and the race detector
-	// works on full recordings, not flight-recorder tails.
-	return tail, nil
+	return TailAt(full, len(full.IntervalCheckpoints)-1)
 }
 
 // TailAt derives the flight-recorder tail bundle resuming from interval
-// checkpoint k (0-based) of a full bundle. Unlike Tail it needs no
-// RecordStats, so it works on deserialized bundles too; with k equal to
-// the last index it produces the same tail as Tail. The tail shares the
-// checkpoint state and reference final state with the full bundle.
+// checkpoint k (0-based) of a full bundle, recorded or decoded. The
+// tail shares the checkpoint's snapshot and the reference final state
+// with the full bundle. SigLogs are dropped: the race detector works on
+// full recordings, not flight-recorder tails.
 func TailAt(full *Bundle, k int) (*Bundle, error) {
 	if len(full.IntervalCheckpoints) == 0 {
 		return nil, ErrNoCheckpoint
@@ -93,12 +31,8 @@ func TailAt(full *Bundle, k int) (*Bundle, error) {
 			k, len(full.IntervalCheckpoints))
 	}
 	ck := full.IntervalCheckpoints[k]
-	if err := ck.State.validate(full.Threads); err != nil {
+	if err := ck.Check(full.Threads); err != nil {
 		return nil, err
-	}
-	if len(ck.ChunkPos) != full.Threads {
-		return nil, fmt.Errorf("core: checkpoint %d has %d chunk positions for %d threads",
-			k, len(ck.ChunkPos), full.Threads)
 	}
 	tail := &Bundle{
 		ProgramName:         full.ProgramName,
@@ -110,49 +44,11 @@ func TailAt(full *Bundle, k int) (*Bundle, error) {
 		Output:              full.Output,
 		FinalContexts:       full.FinalContexts,
 		RetiredPerThread:    full.RetiredPerThread,
-		Checkpoint:          ck.State,
+		Checkpoint:          &ck.Snapshot,
 	}
 	for t, l := range full.ChunkLogs {
 		tail.ChunkLogs = append(tail.ChunkLogs, l.Slice(ck.ChunkPos[t]))
 	}
 	tail.InputLog = full.InputLog.Slice(ck.InputPos)
 	return tail, nil
-}
-
-func fromMachineCheckpoint(ck *machine.Checkpoint) *CheckpointState {
-	cs := &CheckpointState{
-		Mem:          ck.Mem.Snapshot(),
-		HandlerPC:    ck.HandlerPC,
-		HandlerOK:    ck.HandlerOK,
-		OutputPrefix: append([]byte(nil), ck.Output...),
-	}
-	for _, th := range ck.Threads {
-		cs.Contexts = append(cs.Contexts, th.Ctx)
-		cs.Exited = append(cs.Exited, th.Exited)
-		cs.SigRegs = append(cs.SigRegs, th.SigRegs)
-		cs.SigPC = append(cs.SigPC, th.SigPC)
-	}
-	return cs
-}
-
-// startState converts the bundle's checkpoint for the replayer.
-func (cs *CheckpointState) startState() *replay.StartState {
-	return &replay.StartState{
-		Mem:          cs.Mem,
-		Contexts:     cs.Contexts,
-		Exited:       cs.Exited,
-		SigRegs:      cs.SigRegs,
-		SigPC:        cs.SigPC,
-		HandlerPC:    cs.HandlerPC,
-		HandlerOK:    cs.HandlerOK,
-		OutputPrefix: cs.OutputPrefix,
-	}
-}
-
-func (cs *CheckpointState) validate(threads int) error {
-	if cs.Mem == nil || len(cs.Contexts) != threads || len(cs.Exited) != threads ||
-		len(cs.SigRegs) != threads || len(cs.SigPC) != threads {
-		return fmt.Errorf("core: malformed checkpoint for %d threads", threads)
-	}
-	return nil
 }

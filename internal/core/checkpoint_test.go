@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/chunk"
@@ -25,7 +26,7 @@ func recordWithCheckpoint(t *testing.T, spec workload.Spec, threads int, every u
 func TestTailReplaysToSameFinalState(t *testing.T) {
 	spec, _ := workload.ByName("radix")
 	full := recordWithCheckpoint(t, spec, 4, 50_000, 3)
-	if full.RecordStats.Checkpoints == 0 {
+	if len(full.IntervalCheckpoints) == 0 {
 		t.Fatal("no checkpoints taken")
 	}
 	// The full bundle still replays from the start.
@@ -70,7 +71,7 @@ func TestTailAcrossSuite(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			full := recordWithCheckpoint(t, spec, 4, 30_000, 9)
-			if full.RecordStats.Checkpoints == 0 {
+			if len(full.IntervalCheckpoints) == 0 {
 				t.Skip("workload too short for a checkpoint")
 			}
 			tail, err := Tail(full)
@@ -117,7 +118,7 @@ func TestCheckpointChunkBoundaries(t *testing.T) {
 func TestTailBundleSerializes(t *testing.T) {
 	spec, _ := workload.ByName("water")
 	full := recordWithCheckpoint(t, spec, 4, 50_000, 7)
-	if full.RecordStats.Checkpoints == 0 {
+	if len(full.IntervalCheckpoints) == 0 {
 		t.Fatal("no checkpoints")
 	}
 	tail, err := Tail(full)
@@ -125,6 +126,19 @@ func TestTailBundleSerializes(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := tail.Marshal()
+	// Tail needs only the bundle's own checkpoints, so a decoded full
+	// bundle yields the same tail as the recording.
+	decoded, err := UnmarshalBundle(full.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodedTail, err := Tail(decoded)
+	if err != nil {
+		t.Fatalf("tail of a decoded bundle: %v", err)
+	}
+	if !bytes.Equal(decodedTail.Marshal(), data) {
+		t.Error("tail of the decoded bundle marshals differently from the recording's tail")
+	}
 	got, err := UnmarshalBundle(data)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +173,7 @@ func TestCheckpointWithSignalsAndPreemption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.RecordStats.Checkpoints == 0 {
+	if len(full.IntervalCheckpoints) == 0 {
 		t.Skip("no checkpoint boundary crossed")
 	}
 	tail, err := Tail(full)
@@ -178,7 +192,7 @@ func TestCheckpointWithSignalsAndPreemption(t *testing.T) {
 func TestTamperedCheckpointRejected(t *testing.T) {
 	spec, _ := workload.ByName("water")
 	full := recordWithCheckpoint(t, spec, 4, 50_000, 7)
-	if full.RecordStats.Checkpoints == 0 {
+	if len(full.IntervalCheckpoints) == 0 {
 		t.Fatal("no checkpoints")
 	}
 	tail, err := Tail(full)

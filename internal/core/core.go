@@ -38,15 +38,14 @@ type Bundle struct {
 	SigLogs [][]capo.SigPair
 	// Checkpoint, when non-nil, marks this as a flight-recorder tail
 	// bundle: the logs cover only execution after the checkpoint and
-	// replay resumes from its state. Built with Tail.
-	Checkpoint *CheckpointState
-	// IntervalCheckpoints holds every flight-recorder snapshot taken
-	// during the recording, in order, with the log positions that
-	// separate pre- from post-checkpoint entries. Present only on full
-	// bundles recorded with CheckpointEveryInstrs (and on salvaged
-	// bundles whose checkpoints survived the cut); parallel replay
-	// partitions the logs at these points.
-	IntervalCheckpoints []*IntervalCheckpoint
+	// replay resumes from its snapshot. Built with Tail.
+	Checkpoint *capo.Snapshot
+	// IntervalCheckpoints holds every flight-recorder checkpoint taken
+	// during the recording, in order. Present only on full bundles
+	// recorded with CheckpointEveryInstrs (and on salvaged bundles whose
+	// checkpoints survived the cut); parallel replay partitions the logs
+	// at these points.
+	IntervalCheckpoints []*capo.Checkpoint
 	// CountRepIterations records the hardware's counting convention
 	// (chunk sizes include REP iterations); the replayer must mirror it.
 	CountRepIterations bool
@@ -104,15 +103,8 @@ func Record(prog *isa.Program, cfg machine.Config) (*Bundle, error) {
 		Output:              res.Output,
 		FinalContexts:       res.FinalContexts,
 		RetiredPerThread:    res.RetiredPerThread,
+		IntervalCheckpoints: res.Checkpoints,
 		RecordStats:         res,
-	}
-	for _, ck := range res.AllCheckpoints {
-		b.IntervalCheckpoints = append(b.IntervalCheckpoints, &IntervalCheckpoint{
-			State:     fromMachineCheckpoint(ck),
-			ChunkPos:  append([]int(nil), ck.ChunkPos...),
-			InputPos:  ck.InputPos,
-			RetiredAt: ck.RetiredAt,
-		})
 	}
 	return b, nil
 }
@@ -181,22 +173,11 @@ func ReplayInput(prog *isa.Program, b *Bundle) (replay.Input, error) {
 		StackWordsPerThread: b.StackWordsPerThread,
 		CountRepIterations:  b.CountRepIterations,
 		AllowTruncated:      b.Partial,
+		Start:               b.Checkpoint,
+		Checkpoints:         b.IntervalCheckpoints,
 	}
 	if prog.Name != b.ProgramName {
 		return in, fmt.Errorf("core: bundle was recorded from %q, not %q", b.ProgramName, prog.Name)
-	}
-	if b.Checkpoint != nil {
-		if err := b.Checkpoint.validate(b.Threads); err != nil {
-			return in, err
-		}
-		in.Start = b.Checkpoint.startState()
-	}
-	for _, ck := range b.IntervalCheckpoints {
-		in.Checkpoints = append(in.Checkpoints, replay.IntervalCheckpoint{
-			State:    ck.State.startState(),
-			ChunkPos: ck.ChunkPos,
-			InputPos: ck.InputPos,
-		})
 	}
 	return in, nil
 }

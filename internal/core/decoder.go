@@ -265,7 +265,7 @@ func (d *BundleDecoder) readFinalState(c *wire.Cursor, b *Bundle) error {
 		b.FinalContexts = make([]isa.Context, 0, b.Threads)
 	}
 	for t := 0; t < b.Threads; t++ {
-		ctx, err := readContext(c)
+		ctx, err := capo.ReadContext(c)
 		if err != nil {
 			return err
 		}
@@ -312,7 +312,8 @@ func (d *BundleDecoder) readCheckpointSections(c *wire.Cursor, b *Bundle, hasIva
 		return fmt.Errorf("%w: missing checkpoint flag", ErrCorruptBundle)
 	}
 	if hasCkpt == 1 {
-		if b.Checkpoint, err = readCheckpoint(c, b.Threads); err != nil {
+		b.Checkpoint = &capo.Snapshot{}
+		if err := readSnapshot(c, b.Threads, b.Checkpoint); err != nil {
 			return err
 		}
 	} else if hasCkpt != 0 {
@@ -331,8 +332,8 @@ func (d *BundleDecoder) readCheckpointSections(c *wire.Cursor, b *Bundle, hasIva
 		return fmt.Errorf("%w: implausible interval checkpoint count %d", ErrCorruptBundle, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		ck := &IntervalCheckpoint{}
-		if ck.State, err = readCheckpoint(c, b.Threads); err != nil {
+		ck := &capo.Checkpoint{}
+		if err := readSnapshot(c, b.Threads, &ck.Snapshot); err != nil {
 			return err
 		}
 		for t := 0; t < b.Threads; t++ {

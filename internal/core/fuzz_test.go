@@ -60,7 +60,7 @@ func TestFuzzWithCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prog seed %d: %v", progSeed, err)
 		}
-		if full.RecordStats.Checkpoints == 0 {
+		if len(full.IntervalCheckpoints) == 0 {
 			continue // program too short
 		}
 		tail, err := Tail(full)

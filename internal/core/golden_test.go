@@ -357,6 +357,19 @@ func TestGoldenStreamCompat(t *testing.T) {
 			if !bytes.Equal(fresh, data) {
 				t.Errorf("fresh streamed recording no longer byte-matches the fixture")
 			}
+			// The salvaged stream is the same recording as the bundle
+			// fixtures, checkpoints included: it marshals to their bytes.
+			for _, name := range []string{gs.Name + ".bundle", gs.Name + ".v2.bundle"} {
+				want := loadGolden(t, name)
+				fixture, err := UnmarshalBundle(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Format = fixture.Format
+				if !bytes.Equal(b.Marshal(), want) {
+					t.Errorf("salvaged stream marshals differently from %s as %v", name, b.Format)
+				}
+			}
 		})
 	}
 }

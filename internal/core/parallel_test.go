@@ -97,9 +97,9 @@ func TestTailAtEveryCheckpoint(t *testing.T) {
 			if len(full.IntervalCheckpoints) == 0 {
 				t.Skip("workload too short for a checkpoint")
 			}
-			if int(full.RecordStats.Checkpoints) != len(full.IntervalCheckpoints) {
+			if len(full.RecordStats.Checkpoints) != len(full.IntervalCheckpoints) {
 				t.Fatalf("bundle carries %d interval checkpoints, recorder took %d",
-					len(full.IntervalCheckpoints), full.RecordStats.Checkpoints)
+					len(full.IntervalCheckpoints), len(full.RecordStats.Checkpoints))
 			}
 			prog := spec.Build(4)
 			for k := range full.IntervalCheckpoints {
@@ -119,7 +119,7 @@ func TestTailAtEveryCheckpoint(t *testing.T) {
 				// and the tail and compare streams.
 				ck := full.IntervalCheckpoints[k]
 				for tid := 0; tid < full.Threads; tid++ {
-					from := ck.State.Contexts[tid].Retired
+					from := ck.Contexts[tid].Retired
 					to := from + 50
 					if final := full.RetiredPerThread[tid]; to > final {
 						to = final
@@ -300,7 +300,7 @@ func TestParallelBoundaryMismatchDetected(t *testing.T) {
 	if len(full.IntervalCheckpoints) == 0 {
 		t.Fatal("no checkpoints")
 	}
-	full.IntervalCheckpoints[0].State.Contexts[1].Regs[3] ^= 0xdead
+	full.IntervalCheckpoints[0].Contexts[1].Regs[3] ^= 0xdead
 	prog := spec.Build(4)
 	_, err := ReplayWorkers(prog, full, 4)
 	var be *replay.BoundaryError
@@ -330,7 +330,7 @@ func TestParallelReplayAcrossThreadTermination(t *testing.T) {
 	}
 	terminated := false
 	for _, ck := range full.IntervalCheckpoints {
-		for _, ex := range ck.State.Exited {
+		for _, ex := range ck.Exited {
 			if ex {
 				terminated = true
 			}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/segment"
 )
 
@@ -30,10 +29,6 @@ type Salvaged struct {
 	Bundle *Bundle
 	// Report describes what the salvage pass kept and why it stopped.
 	Report *segment.Report
-
-	checkpoint *segment.CheckpointPayload
-	base       *segment.CheckpointPayload
-	window     uint64
 }
 
 // SalvageStream scans a segmented stream, discards any torn or corrupt
@@ -68,92 +63,38 @@ func SalvageStream(data []byte) (*Salvaged, error) {
 	// Every checkpoint that survived inside the salvaged prefix becomes
 	// an interval partition point; truncation (if any) lands in the final
 	// interval because unusable checkpoints were already dropped.
-	for _, cp := range st.Checkpoints {
-		b.IntervalCheckpoints = append(b.IntervalCheckpoints, &IntervalCheckpoint{
-			State:     checkpointStateFromPayload(cp),
-			ChunkPos:  append([]int(nil), cp.ChunkPos...),
-			InputPos:  cp.InputPos,
-			RetiredAt: cp.RetiredAt,
-		})
-	}
+	b.IntervalCheckpoints = st.Checkpoints
 	if st.Base != nil {
 		// Replay-from-window-base: the retained logs start at the base
-		// checkpoint, so the bundle carries its state as the initial
+		// checkpoint, so the bundle carries its snapshot as the initial
 		// state (exactly like a flight-recorder tail bundle). The base
 		// also sits at IntervalCheckpoints[0]; partitioning skips it as a
 		// non-advancing cut and the remaining checkpoints still split the
 		// window for parallel replay.
-		b.Checkpoint = b.IntervalCheckpoints[0].State
+		b.Checkpoint = &st.Base.Snapshot
 	}
-	return &Salvaged{
-		Bundle: b, Report: rep,
-		checkpoint: st.Checkpoint, base: st.Base, window: st.Manifest.Window,
-	}, nil
+	return &Salvaged{Bundle: b, Report: rep}, nil
 }
 
-// checkpointStateFromPayload converts a streamed checkpoint payload into
-// the bundle's in-memory checkpoint representation.
-func checkpointStateFromPayload(cp *segment.CheckpointPayload) *CheckpointState {
-	cs := &CheckpointState{
-		Mem:          mem.New(uint64(len(cp.MemImage))),
-		HandlerPC:    cp.HandlerPC,
-		HandlerOK:    cp.HandlerOK,
-		OutputPrefix: append([]byte(nil), cp.Output...),
-	}
-	cs.Mem.StoreBytes(0, cp.MemImage)
-	for t := range cp.Contexts {
-		cs.Contexts = append(cs.Contexts, cp.Contexts[t])
-		cs.Exited = append(cs.Exited, cp.Exited[t])
-		cs.SigRegs = append(cs.SigRegs, cp.SigRegs[t])
-		cs.SigPC = append(cs.SigPC, cp.SigPC[t])
-	}
-	return cs
-}
-
-// HasCheckpoint reports whether a flight-recorder snapshot survived
+// HasCheckpoint reports whether a flight-recorder checkpoint survived
 // inside the salvaged prefix.
-func (s *Salvaged) HasCheckpoint() bool { return s.checkpoint != nil }
+func (s *Salvaged) HasCheckpoint() bool { return len(s.Bundle.IntervalCheckpoints) > 0 }
 
 // Window returns the stream's retention window in checkpoint intervals
 // (0: unbounded stream).
-func (s *Salvaged) Window() uint64 { return s.window }
+func (s *Salvaged) Window() uint64 { return s.Report.Window }
 
 // WindowBase reports the retention window's base checkpoint: the
 // retired-instruction count replay resumes from, and whether the stream
 // had evicted history at all (false for unbounded streams and windowed
 // streams young enough to still reach back to program start).
 func (s *Salvaged) WindowBase() (retiredAt uint64, ok bool) {
-	if s.base == nil {
-		return 0, false
-	}
-	return s.base.RetiredAt, true
+	return s.Report.BaseRetired, s.Report.HasBase
 }
 
 // Tail returns the flight-recorder tail bundle: the last surviving
 // checkpoint plus only the salvaged log entries after it. Like the full
 // salvaged bundle, the tail is Partial when the stream was torn.
 func (s *Salvaged) Tail() (*Bundle, error) {
-	if s.checkpoint == nil {
-		return nil, ErrNoCheckpoint
-	}
-	cp := s.checkpoint
-	cs := checkpointStateFromPayload(cp)
-	full := s.Bundle
-	tail := &Bundle{
-		ProgramName:         full.ProgramName,
-		Threads:             full.Threads,
-		StackWordsPerThread: full.StackWordsPerThread,
-		CountRepIterations:  full.CountRepIterations,
-		Partial:             full.Partial,
-		MemChecksum:         full.MemChecksum,
-		Output:              full.Output,
-		FinalContexts:       full.FinalContexts,
-		RetiredPerThread:    full.RetiredPerThread,
-		Checkpoint:          cs,
-	}
-	for t, l := range full.ChunkLogs {
-		tail.ChunkLogs = append(tail.ChunkLogs, l.Slice(cp.ChunkPos[t]))
-	}
-	tail.InputLog = full.InputLog.Slice(cp.InputPos)
-	return tail, nil
+	return Tail(s.Bundle)
 }

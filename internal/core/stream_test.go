@@ -94,7 +94,7 @@ func TestSalvagedTailReplay(t *testing.T) {
 	full, data := streamRecorded(t, 4, func(c *machine.Config) {
 		c.CheckpointEveryInstrs = 40_000
 	})
-	if full.RecordStats.Checkpoints == 0 {
+	if len(full.IntervalCheckpoints) == 0 {
 		t.Fatal("no checkpoints taken")
 	}
 	offs := segment.Offsets(data)

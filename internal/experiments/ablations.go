@@ -234,7 +234,7 @@ func A4(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		nCkpts := full.RecordStats.Checkpoints
+		nCkpts := uint64(len(full.IntervalCheckpoints))
 		var fullChunks int
 		for _, l := range full.ChunkLogs {
 			fullChunks += l.Len()

@@ -213,7 +213,7 @@ func TestBoundaryMemoryMismatchSameEverywhere(t *testing.T) {
 	if len(rec.IntervalCheckpoints) < 2 {
 		t.Fatalf("%d interval checkpoints, want an interior one", len(rec.IntervalCheckpoints))
 	}
-	img := rec.IntervalCheckpoints[0].State.Mem
+	img := rec.IntervalCheckpoints[0].Mem
 	want := img.Checksum()
 	addr := img.Size() - 8
 	img.Store(addr, img.Load(addr)^0x5a5a)

@@ -1,48 +1,11 @@
 package machine
 
 import (
+	"repro/internal/capo"
 	"repro/internal/chunk"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/perf"
 )
-
-// Checkpoint is a flight-recorder snapshot: everything replay needs to
-// resume from this point instead of from program start. QuickRec's
-// stated goal is always-on RnR; bounding the logs requires periodic
-// checkpoints so that only the tail since the last one must be kept.
-//
-// A checkpoint is taken at a global quiescent point (all cores between
-// instructions) after force-terminating every open chunk, so every
-// logged entry after it covers only post-checkpoint execution.
-type Checkpoint struct {
-	// RetiredAt is the global retired-instruction count at the snapshot.
-	RetiredAt uint64
-	// Mem is the architectural memory image (caches overlaid).
-	Mem *mem.Memory
-	// Threads holds per-thread snapshots, indexed by thread ID.
-	Threads []ThreadSnapshot
-	// HandlerPC/HandlerOK mirror the registered signal handler.
-	HandlerPC int
-	HandlerOK bool
-	// Output is everything written to fd 1 so far.
-	Output []byte
-	// ChunkPos[t] is thread t's chunk-log length at the snapshot;
-	// InputPos is the input-log length. Entries beyond these positions
-	// form the replayable tail.
-	ChunkPos []int
-	InputPos int
-}
-
-// ThreadSnapshot is one thread's state at a checkpoint.
-type ThreadSnapshot struct {
-	Ctx        isa.Context
-	Exited     bool
-	SigMasked  bool
-	SigRegs    [isa.NumRegs]uint64
-	SigPC      int
-	SavedClock uint64
-}
 
 // maybeCheckpoint takes a flight-recorder snapshot when the retired
 // instruction counter crosses the next checkpoint boundary. Called from
@@ -62,39 +25,42 @@ func (m *Machine) maybeCheckpoint() {
 		}
 	}
 
-	ck := &Checkpoint{
+	ck := &capo.Checkpoint{
+		Snapshot: capo.Snapshot{
+			Mem:      m.bus.SnapshotMemory(),
+			Contexts: make([]isa.Context, len(m.threads)),
+			Exited:   make([]bool, len(m.threads)),
+			SigRegs:  make([][isa.NumRegs]uint64, len(m.threads)),
+			SigPC:    make([]int, len(m.threads)),
+			Output:   append([]byte(nil), m.kernel.Output(1)...),
+		},
 		RetiredAt: m.retired,
-		Mem:       m.bus.SnapshotMemory(),
-		Threads:   make([]ThreadSnapshot, len(m.threads)),
-		Output:    append([]byte(nil), m.kernel.Output(1)...),
 		ChunkPos:  make([]int, len(m.threads)),
 		InputPos:  m.session.InputLog().Len(),
 	}
 	ck.HandlerPC, ck.HandlerOK = m.kernel.HandlerPC()
 	for t, th := range m.threads {
-		snap := ThreadSnapshot{
-			SigMasked: th.sigMasked,
-			SigRegs:   th.sigRegs,
-			SigPC:     th.sigPC,
-		}
-		switch {
-		case th.state == thExited:
-			snap.Ctx = th.finalCtx
-			snap.Exited = true
-		case th.state == thRunning:
-			snap.Ctx = m.cores[th.core].SaveContext()
-			snap.SavedClock = m.mrrs[th.core].Clock()
+		switch th.state {
+		case thExited:
+			ck.Contexts[t] = th.finalCtx
+			ck.Exited[t] = true
+		case thRunning:
+			ck.Contexts[t] = m.cores[th.core].SaveContext()
 		default: // runnable or blocked: parked context is current
-			snap.Ctx = th.ctx
-			snap.SavedClock = th.savedClock
+			ck.Contexts[t] = th.ctx
 		}
-		ck.Threads[t] = snap
+		ck.SigRegs[t] = th.sigRegs
+		ck.SigPC[t] = th.sigPC
 		ck.ChunkPos[t] = m.session.ChunkLog(t).Len()
 	}
-	m.checkpoint = ck
-	m.allCheckpoints = append(m.allCheckpoints, ck)
-	m.checkpoints++
-	m.streamCheckpoint(ck)
+	m.checkpoints = append(m.checkpoints, ck)
+	if m.stream != nil {
+		// The flush makes the snapshot's positions equal the streamed
+		// counts, so a salvaged prefix that includes the checkpoint can
+		// always resume from it.
+		m.flushStream()
+		m.stream.WriteCheckpoint(ck)
+	}
 	m.acct.Add(perf.CompKernel, m.cfg.Perf.CheckpointCost)
 	m.chargeFull(perf.CompRecSched, m.cfg.Perf.RecCheckpointExtra)
 }

@@ -208,15 +208,11 @@ type Result struct {
 	SignalsDelivered uint64
 	// MemAccesses counts data-memory accesses (loads + stores).
 	MemAccesses uint64
-	// Checkpoint is the last flight-recorder snapshot (nil unless
-	// Config.CheckpointEveryInstrs was set and a boundary was crossed).
-	Checkpoint *Checkpoint
-	// AllCheckpoints holds every snapshot taken, in the order they were
-	// taken; the last element aliases Checkpoint. Interval-partitioned
-	// parallel replay uses these as split points.
-	AllCheckpoints []*Checkpoint
-	// Checkpoints counts snapshots taken.
-	Checkpoints uint64
+	// Checkpoints holds every flight-recorder checkpoint taken, in
+	// order (none unless Config.CheckpointEveryInstrs was set and a
+	// boundary was crossed). Interval-partitioned parallel replay uses
+	// them as split points, and the last one starts a tail replay.
+	Checkpoints []*capo.Checkpoint
 	// StreamSegments/StreamBytes/StreamFramingBytes describe the
 	// segmented stream written to Config.StreamTo (zero when not
 	// streaming). FramingBytes is the streaming-only overhead: segment
@@ -256,12 +252,10 @@ type Machine struct {
 	// lastWriteTS orders write syscalls across threads: the kernel's
 	// output stream is a shared object, so successive writes carry
 	// strictly increasing timestamps.
-	lastWriteTS    uint64
-	nextCkpt       uint64
-	checkpoint     *Checkpoint
-	allCheckpoints []*Checkpoint
-	checkpoints    uint64
-	ran            bool
+	lastWriteTS uint64
+	nextCkpt    uint64
+	checkpoints []*capo.Checkpoint
+	ran         bool
 
 	// coreBuf backs the core lists activeCores and deliverSignal
 	// build; neither list is used after its caller picks a core.

@@ -572,19 +572,19 @@ func TestCheckpointStateCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Checkpoints == 0 || res.Checkpoint == nil {
+	if len(res.Checkpoints) == 0 {
 		t.Fatal("no checkpoints taken")
 	}
-	ck := res.Checkpoint
+	ck := res.Checkpoints[len(res.Checkpoints)-1]
 	if ck.RetiredAt == 0 || ck.RetiredAt > res.Retired {
 		t.Errorf("checkpoint position %d outside run of %d", ck.RetiredAt, res.Retired)
 	}
-	if len(ck.Threads) != 4 || len(ck.ChunkPos) != 4 {
-		t.Fatalf("thread snapshots: %d/%d", len(ck.Threads), len(ck.ChunkPos))
+	if err := ck.Check(4); err != nil || len(ck.ChunkPos) != 4 {
+		t.Fatalf("thread snapshots: %v, %d chunk positions", err, len(ck.ChunkPos))
 	}
 	var sum uint64
-	for t2, th := range ck.Threads {
-		sum += th.Ctx.Retired
+	for t2, ctx := range ck.Contexts {
+		sum += ctx.Retired
 		if ck.ChunkPos[t2] > res.Session.ChunkLog(t2).Len() {
 			t.Errorf("thread %d: chunk pos %d beyond final log %d",
 				t2, ck.ChunkPos[t2], res.Session.ChunkLog(t2).Len())
@@ -617,7 +617,7 @@ func TestCheckpointDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Checkpoints != 0 || res.Checkpoint != nil {
+	if len(res.Checkpoints) != 0 {
 		t.Error("checkpoints taken without being configured")
 	}
 }

@@ -386,8 +386,6 @@ func (m *Machine) finalize() *Result {
 		Syscalls:         m.syscalls,
 		CtxSwitches:      m.switches,
 		SignalsDelivered: m.signals,
-		Checkpoint:       m.checkpoint,
-		AllCheckpoints:   m.allCheckpoints,
 		Checkpoints:      m.checkpoints,
 	}
 	for _, th := range m.threads {

@@ -107,33 +107,6 @@ func (m *Machine) flushStream() {
 	}
 }
 
-// streamCheckpoint flushes pending log data and emits the snapshot as a
-// checkpoint segment. The preceding flush guarantees the snapshot's
-// ChunkPos/InputPos match the streamed counts exactly, so a salvaged
-// prefix that includes the checkpoint can always resume from it.
-func (m *Machine) streamCheckpoint(ck *Checkpoint) {
-	if m.stream == nil {
-		return
-	}
-	m.flushStream()
-	cp := &segment.CheckpointPayload{
-		RetiredAt: ck.RetiredAt,
-		MemImage:  ck.Mem.LoadBytes(0, ck.Mem.Size()),
-		HandlerPC: ck.HandlerPC,
-		HandlerOK: ck.HandlerOK,
-		Output:    ck.Output,
-		ChunkPos:  append([]int(nil), ck.ChunkPos...),
-		InputPos:  ck.InputPos,
-	}
-	for _, ts := range ck.Threads {
-		cp.Contexts = append(cp.Contexts, ts.Ctx)
-		cp.Exited = append(cp.Exited, ts.Exited)
-		cp.SigRegs = append(cp.SigRegs, ts.SigRegs)
-		cp.SigPC = append(cp.SigPC, ts.SigPC)
-	}
-	m.stream.WriteCheckpoint(cp)
-}
-
 // finishStream flushes the last epoch and closes the stream with the
 // reference final state. Close renders a windowed sink's retained ring
 // to the underlying writer; for the unbounded writer it is a no-op. The

@@ -78,18 +78,18 @@ func TestStreamCarriesCheckpoint(t *testing.T) {
 		c.FlushEveryChunks = 4
 		c.CheckpointEveryInstrs = 500
 	})
-	if res.Checkpoint == nil {
+	if len(res.Checkpoints) == 0 {
 		t.Fatal("run took no checkpoint")
 	}
 	st, err := segment.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatalf("strict decode: %v", err)
 	}
-	if st.Checkpoint == nil {
-		t.Fatal("stream missing checkpoint segment")
+	if len(st.Checkpoints) != len(res.Checkpoints) {
+		t.Fatalf("stream carries %d checkpoint segments, machine took %d", len(st.Checkpoints), len(res.Checkpoints))
 	}
-	ck := res.Checkpoint
-	cp := st.Checkpoint
+	ck := res.Checkpoints[len(res.Checkpoints)-1]
+	cp := st.Checkpoints[len(st.Checkpoints)-1]
 	if cp.RetiredAt != ck.RetiredAt {
 		t.Fatalf("checkpoint RetiredAt: stream %d, machine %d", cp.RetiredAt, ck.RetiredAt)
 	}

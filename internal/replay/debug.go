@@ -46,17 +46,12 @@ func RunUntil(in Input, bp Breakpoint) (ps *PauseState, err error) {
 		return nil, fmt.Errorf("replay: breakpoint thread %d out of range", bp.Thread)
 	}
 	r := &replayer{in: in, bp: &bp}
-	if s := in.Start; s != nil {
-		if s.Mem == nil || len(s.Contexts) != in.Threads || len(s.Exited) != in.Threads {
-			return nil, errors.New("replay: inconsistent checkpoint")
-		}
-		if s.Contexts[bp.Thread].Retired > bp.Retired {
-			return nil, fmt.Errorf("replay: breakpoint at %d predates the checkpoint (thread already at %d)",
-				bp.Retired, s.Contexts[bp.Thread].Retired)
-		}
+	if err := validate(&r.in); err != nil {
+		return nil, err
 	}
-	if in.StackWordsPerThread == 0 {
-		r.in.StackWordsPerThread = 1024
+	if s := in.Start; s != nil && s.Contexts[bp.Thread].Retired > bp.Retired {
+		return nil, fmt.Errorf("replay: breakpoint at %d predates the checkpoint (thread already at %d)",
+			bp.Retired, s.Contexts[bp.Thread].Retired)
 	}
 	r.setup()
 	err = r.loop()

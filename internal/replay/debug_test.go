@@ -144,7 +144,7 @@ func TestRunUntilOnTailBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.RecordStats.Checkpoints == 0 {
+	if len(b.IntervalCheckpoints) == 0 {
 		t.Skip("no checkpoint taken")
 	}
 	tail, err := core.Tail(b)

@@ -13,7 +13,7 @@ package replay
 import (
 	"fmt"
 
-	"repro/internal/isa"
+	"repro/internal/capo"
 	"repro/internal/mem"
 	"repro/internal/wire"
 )
@@ -64,7 +64,7 @@ func encodeIntervalResult(r *Result, final bool) []byte {
 	a.Blob(r.Output)
 	a.Uvarint(uint64(len(r.FinalContexts)))
 	for _, ctx := range r.FinalContexts {
-		appendContext(&a, ctx)
+		capo.AppendContext(&a, ctx)
 	}
 	a.Uvarint(uint64(len(r.RetiredPerThread)))
 	for _, n := range r.RetiredPerThread {
@@ -138,7 +138,7 @@ func decodeIntervalResult(data []byte, final bool, memBytes uint64) (*Result, er
 		return fail("context count", errOr(err, nctx))
 	}
 	for i := 0; i < int(nctx); i++ {
-		ctx, err := decodeContext(&c)
+		ctx, err := capo.ReadContext(&c)
 		if err != nil {
 			return fail("context", err)
 		}
@@ -210,58 +210,6 @@ func errOr(err error, v uint64) error {
 		return err
 	}
 	return fmt.Errorf("%w: value %d out of range", wire.ErrCorrupt, v)
-}
-
-// appendContext / decodeContext serialize one architectural context for
-// interval results (the bundle codec in core has its own copy; replay
-// cannot import core).
-func appendContext(a *wire.Appender, ctx isa.Context) {
-	for _, r := range ctx.Regs {
-		a.Uvarint(r)
-	}
-	a.Int(ctx.PC)
-	a.Uvarint(ctx.Retired)
-	var flags byte
-	if ctx.Halted {
-		flags |= 1
-	}
-	if ctx.RepActive {
-		flags |= 2
-	}
-	a.Byte(flags)
-	a.Uvarint(ctx.RepDone)
-}
-
-func decodeContext(c *wire.Cursor) (isa.Context, error) {
-	var ctx isa.Context
-	for i := range ctx.Regs {
-		r, err := c.Uvarint()
-		if err != nil {
-			return ctx, err
-		}
-		ctx.Regs[i] = r
-	}
-	pc, err := c.Uvarint()
-	if err != nil || pc >= 1<<31 {
-		return ctx, errOr(err, pc)
-	}
-	ctx.PC = int(pc)
-	if ctx.Retired, err = c.Uvarint(); err != nil {
-		return ctx, err
-	}
-	flags, err := c.Byte()
-	if err != nil {
-		return ctx, err
-	}
-	if flags > 3 {
-		return ctx, c.Corruptf("context flags %#x", flags)
-	}
-	ctx.Halted = flags&1 != 0
-	ctx.RepActive = flags&2 != 0
-	if ctx.RepDone, err = c.Uvarint(); err != nil {
-		return ctx, err
-	}
-	return ctx, nil
 }
 
 // IntervalRunner caches one Input's interval partition for repeated

@@ -61,30 +61,18 @@ func effectiveWorkers(n int) int {
 	return dispatch.Resolve(n)
 }
 
-// intervalBoundary is the expected machine state at the end of an
-// interior interval, extracted from the next checkpoint. The memory
-// image is compared lazily, word for word, by the one interval that
-// validates against it — partitioning must stay cheap because remote
-// workers re-derive the partition per job. Concurrent reads are safe:
-// Equal and Checksum are pure reads and interval replays snapshot their
-// start state instead of mutating the checkpoint's image.
-type intervalBoundary struct {
-	interval  int
-	endMem    *mem.Memory
-	contexts  []isa.Context
-	exited    []bool
-	sigRegs   [][isa.NumRegs]uint64
-	sigPC     []int
-	handlerPC int
-	handlerOK bool
-	output    []byte
-}
-
 // interval is one independently replayable slice of the recording.
 type interval struct {
-	index     int
-	start     *StartState // nil: the program's initial state
-	end       *intervalBoundary
+	index int
+	start *capo.Snapshot // nil: the program's initial state
+	// end is the next checkpoint's snapshot, which an interior interval
+	// must reach exactly (nil for the last interval). Its memory image
+	// is compared lazily, word for word, by the one interval that
+	// validates against it: partitioning must stay cheap because remote
+	// workers re-derive the partition per job. Concurrent reads are
+	// safe, since interval replays copy their start image instead of
+	// mutating a checkpoint's.
+	end       *capo.Snapshot
 	chunkLogs []*chunk.Log
 	inputLog  *capo.InputLog
 	chunkBase []int
@@ -120,7 +108,7 @@ func partitionCuts(in Input) []*interval {
 	}
 	prevChunk := make([]int, in.Threads)
 	prevInput := 0
-	var cuts []IntervalCheckpoint
+	var cuts []*capo.Checkpoint
 	for _, ck := range in.Checkpoints {
 		if !usableCut(ck, in, prevChunk, prevInput) {
 			continue
@@ -162,19 +150,8 @@ func partitionCuts(in Input) []*interval {
 		}
 		iv.inputLog = &capo.InputLog{Records: in.InputLog.Records[baseInput:nextInput]}
 		if k < len(cuts) {
-			s := cuts[k].State
-			iv.end = &intervalBoundary{
-				interval:  k,
-				endMem:    s.Mem,
-				contexts:  s.Contexts,
-				exited:    s.Exited,
-				sigRegs:   s.SigRegs,
-				sigPC:     s.SigPC,
-				handlerPC: s.HandlerPC,
-				handlerOK: s.HandlerOK,
-				output:    s.OutputPrefix,
-			}
-			start = s
+			iv.end = &cuts[k].Snapshot
+			start = iv.end
 			copy(base, cuts[k].ChunkPos)
 			baseInput = cuts[k].InputPos
 		}
@@ -184,16 +161,10 @@ func partitionCuts(in Input) []*interval {
 }
 
 // usableCut reports whether a checkpoint can partition the logs: its
-// state must be complete for the thread count and its log positions must
-// be monotonic from the previous cut and within the logs.
-func usableCut(ck IntervalCheckpoint, in Input, prevChunk []int, prevInput int) bool {
-	s := ck.State
-	if s == nil || s.Mem == nil ||
-		len(s.Contexts) != in.Threads || len(s.Exited) != in.Threads ||
-		len(s.SigRegs) != in.Threads || len(s.SigPC) != in.Threads {
-		return false
-	}
-	if len(ck.ChunkPos) != in.Threads {
+// snapshot must be shaped for the thread count and its log positions
+// must be monotonic from the previous cut and within the logs.
+func usableCut(ck *capo.Checkpoint, in Input, prevChunk []int, prevInput int) bool {
+	if ck.Check(in.Threads) != nil || len(ck.ChunkPos) != in.Threads {
 		return false
 	}
 	advanced := false
@@ -293,7 +264,10 @@ func runInterval(in Input, iv *interval, filter ChunkFilter, sink AccessSink) (r
 		// per-interval budget here.
 		sub.AllowTruncated = false
 	}
-	r := &replayer{in: sub, chunkBase: iv.chunkBase, boundary: iv.end, sink: sink, filter: filter}
+	r := &replayer{
+		in: sub, chunkBase: iv.chunkBase, boundary: iv.end, interval: iv.index,
+		sink: sink, filter: filter,
+	}
 	if sink != nil {
 		r.stepHook = func(_ *threadState, pcBefore int, _ isa.StepKind) { r.drainAccesses(pcBefore) }
 	}
@@ -310,7 +284,7 @@ func (r *replayer) finishAtBoundary() (*Result, error) {
 	b := r.boundary
 	mismatch := func(t *threadState, format string, args ...any) error {
 		return &BoundaryError{
-			Interval: b.interval, Thread: t.id, Chunk: r.chunkBase[t.id] + t.chunksDone,
+			Interval: r.interval, Thread: t.id, Chunk: r.chunkBase[t.id] + t.chunksDone,
 			Reason: fmt.Sprintf(format, args...),
 		}
 	}
@@ -323,13 +297,13 @@ func (r *replayer) finishAtBoundary() (*Result, error) {
 		// "exited" in checkpoint snapshots; mirror that here, where the
 		// replayer keeps the two apart.
 		done := t.exited || t.core.Halted()
-		if done != b.exited[t.id] {
-			return nil, mismatch(t, "termination flag %v, checkpoint records %v", done, b.exited[t.id])
+		if done != b.Exited[t.id] {
+			return nil, mismatch(t, "termination flag %v, checkpoint records %v", done, b.Exited[t.id])
 		}
-		if ctx != b.contexts[t.id] {
-			return nil, mismatch(t, "context %+v does not match checkpoint %+v", ctx, b.contexts[t.id])
+		if ctx != b.Contexts[t.id] {
+			return nil, mismatch(t, "context %+v does not match checkpoint %+v", ctx, b.Contexts[t.id])
 		}
-		if t.sigRegs != b.sigRegs[t.id] || t.sigPC != b.sigPC[t.id] {
+		if t.sigRegs != b.SigRegs[t.id] || t.sigPC != b.SigPC[t.id] {
 			return nil, mismatch(t, "signal frame does not match checkpoint")
 		}
 		r.res.FinalContexts = append(r.res.FinalContexts, ctx)
@@ -337,24 +311,24 @@ func (r *replayer) finishAtBoundary() (*Result, error) {
 	}
 	whole := func(format string, args ...any) error {
 		return &BoundaryError{
-			Interval: b.interval, Thread: -1, Chunk: -1, Reason: fmt.Sprintf(format, args...),
+			Interval: r.interval, Thread: -1, Chunk: -1, Reason: fmt.Sprintf(format, args...),
 		}
 	}
-	if r.handlerPC != b.handlerPC || r.handlerOK != b.handlerOK {
+	if r.handlerPC != b.HandlerPC || r.handlerOK != b.HandlerOK {
 		return nil, whole("signal handler (%d, %v) does not match checkpoint (%d, %v)",
-			r.handlerPC, r.handlerOK, b.handlerPC, b.handlerOK)
+			r.handlerPC, r.handlerOK, b.HandlerPC, b.HandlerOK)
 	}
-	if !bytes.Equal(r.output, b.output) {
+	if !bytes.Equal(r.output, b.Output) {
 		return nil, whole("fd-1 output (%d bytes) does not match checkpoint prefix (%d bytes)",
-			len(r.output), len(b.output))
+			len(r.output), len(b.Output))
 	}
 	// Word-for-word comparison decides; the checksums are computed only
 	// to name the mismatch. An interior interval's MemChecksum is never
 	// read (stitch takes the last interval's, and remote results ship it
 	// for the final interval alone), so it stays zero.
-	if !r.memory.Equal(b.endMem) {
+	if !r.memory.Equal(b.Mem) {
 		return nil, whole("memory checksum %#x does not match checkpoint %#x",
-			r.memory.Checksum(), b.endMem.Checksum())
+			r.memory.Checksum(), b.Mem.Checksum())
 	}
 	r.res.Output = r.output
 	r.res.FinalMem = r.memory

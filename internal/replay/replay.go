@@ -43,9 +43,10 @@ type Input struct {
 	// the address space lines up.
 	StackWordsPerThread uint64
 	// Start, when non-nil, resumes replay from a flight-recorder
-	// checkpoint instead of the program's initial state; ChunkLogs and
-	// InputLog must then hold only the post-checkpoint tail.
-	Start *StartState
+	// checkpoint's snapshot instead of the program's initial state;
+	// ChunkLogs and InputLog must then hold only the post-checkpoint
+	// tail.
+	Start *capo.Snapshot
 	// CountRepIterations matches the recorder's counting convention:
 	// chunk sizes include one unit per REP iteration in addition to each
 	// retired instruction (hardware performance-counter style). The
@@ -73,11 +74,10 @@ type Input struct {
 	// schedule would, and every interior boundary state is validated
 	// against the next checkpoint.
 	Workers int
-	// Checkpoints lists the recording's flight-recorder snapshots in
-	// RetiredAt order. Only consulted when Workers enables parallel
-	// replay and Start is nil (a tail replay already has a single
-	// implied interval); ChunkPos/InputPos index into ChunkLogs/InputLog.
-	Checkpoints []IntervalCheckpoint
+	// Checkpoints lists the recording's flight-recorder checkpoints in
+	// RetiredAt order. Only consulted when Workers or Exec enables
+	// parallel replay; ChunkPos/InputPos index into ChunkLogs/InputLog.
+	Checkpoints []*capo.Checkpoint
 	// Exec, when non-nil, overrides the Workers-bounded local pool for
 	// interval fan-out: the recording partitions at Checkpoints exactly
 	// as for local parallel replay, and every interval becomes one
@@ -88,18 +88,6 @@ type Input struct {
 	// recording's uploaded bytes, stamped into remote interval jobs.
 	// Ignored by local executors.
 	Digest string
-}
-
-// IntervalCheckpoint locates one flight-recorder snapshot inside a full
-// recording: the machine state at the boundary plus the log positions
-// that separate pre- from post-checkpoint entries.
-type IntervalCheckpoint struct {
-	// State is the machine state at the checkpoint boundary.
-	State *StartState
-	// ChunkPos[t] is thread t's chunk-log length at the snapshot;
-	// InputPos is the input-log length.
-	ChunkPos []int
-	InputPos int
 }
 
 // TruncatedReplay describes a best-effort prefix replay that consumed a
@@ -114,28 +102,6 @@ type TruncatedReplay struct {
 func (t *TruncatedReplay) String() string {
 	return fmt.Sprintf("replay truncated: %d thread(s) still running at log exhaustion %v",
 		len(t.Threads), t.Threads)
-}
-
-// StartState is a checkpoint the replayer can resume from: the
-// architectural memory image and per-thread state captured by the
-// recorder at a chunk boundary.
-type StartState struct {
-	// Mem is the checkpointed memory image (copied before use).
-	Mem *mem.Memory
-	// Contexts holds each thread's architectural state.
-	Contexts []isa.Context
-	// Exited marks threads that terminated before the checkpoint.
-	Exited []bool
-	// SigRegs/SigPC/SigMasked carry in-flight signal frames.
-	SigRegs [][isa.NumRegs]uint64
-	SigPC   []int
-	// HandlerPC/HandlerOK carry the registered signal handler (its
-	// registration record may predate the tail log).
-	HandlerPC int
-	HandlerOK bool
-	// OutputPrefix is everything written to fd 1 before the checkpoint,
-	// so the replayed output stream compares against the full recording.
-	OutputPrefix []byte
 }
 
 // Result summarises a completed replay.
@@ -242,9 +208,11 @@ type replayer struct {
 	// interval name the absolute chunk (nil for whole-recording replay).
 	chunkBase []int
 	// boundary, when non-nil, is the expected machine state at the end
-	// of this interval (the next checkpoint); finish() validates against
-	// it instead of requiring threads to halt or exit.
-	boundary *intervalBoundary
+	// of this interval, the next checkpoint's snapshot; finish()
+	// validates against it instead of requiring threads to halt or exit.
+	// interval is the interval's index, which a BoundaryError names.
+	boundary *capo.Snapshot
+	interval int
 	// bp, when set, pauses execution at a thread-local position (see
 	// RunUntil).
 	bp *Breakpoint
@@ -313,11 +281,8 @@ func validate(in *Input) error {
 	if in.StackWordsPerThread == 0 {
 		in.StackWordsPerThread = 1024
 	}
-	if s := in.Start; s != nil {
-		if s.Mem == nil || len(s.Contexts) != in.Threads || len(s.Exited) != in.Threads {
-			return fmt.Errorf("replay: inconsistent checkpoint: %d contexts, %d exit flags for %d threads",
-				len(s.Contexts), len(s.Exited), in.Threads)
-		}
+	if in.Start != nil {
+		return in.Start.Check(in.Threads)
 	}
 	return nil
 }
@@ -334,17 +299,14 @@ func (r *replayer) setup() {
 	if s := r.in.Start; s != nil {
 		r.memory = s.Mem.Snapshot()
 		r.handlerPC, r.handlerOK = s.HandlerPC, s.HandlerOK
-		r.output = append(r.output, s.OutputPrefix...)
+		r.output = append(r.output, s.Output...)
 		for t := 0; t < r.in.Threads; t++ {
 			core := isa.NewCore(t, r.in.Prog, r.corePort())
 			core.RestoreContext(s.Contexts[t])
 			ts := &threadState{
 				id: t, core: core, items: buildItems(r.in, t),
 				execBase: s.Contexts[t].Retired,
-			}
-			if len(s.SigRegs) > t {
-				ts.sigRegs = s.SigRegs[t]
-				ts.sigPC = s.SigPC[t]
+				sigRegs:  s.SigRegs[t], sigPC: s.SigPC[t],
 			}
 			if s.Exited[t] {
 				ts.exited = true

@@ -32,8 +32,8 @@ func Trace(in Input, tid int, from, to uint64) (entries []TraceEntry, err error)
 		return nil, fmt.Errorf("replay: empty trace window [%d, %d)", from, to)
 	}
 	r := &replayer{in: in, bp: &Breakpoint{Thread: tid, Retired: to}}
-	if in.StackWordsPerThread == 0 {
-		r.in.StackWordsPerThread = 1024
+	if err := validate(&r.in); err != nil {
+		return nil, err
 	}
 	var out []TraceEntry
 	r.stepHook = func(t *threadState, pcBefore int, kind isa.StepKind) {

@@ -3,6 +3,7 @@ package segment
 import (
 	"fmt"
 
+	"repro/internal/capo"
 	"repro/internal/isa"
 	"repro/internal/wire"
 )
@@ -196,57 +197,15 @@ func decodeCommit(data []byte, threads int) (Commit, error) {
 	return c, nil
 }
 
-// CheckpointPayload is a flight-recorder snapshot in stream form —
-// a neutral mirror of machine.Checkpoint (segment cannot import machine:
-// machine imports segment).
-type CheckpointPayload struct {
-	// RetiredAt is the global retired-instruction count at the snapshot.
-	RetiredAt uint64
-	// MemImage is the architectural memory image bytes.
-	MemImage []byte
-	// Per-thread state, indexed by thread ID.
-	Contexts []isa.Context
-	Exited   []bool
-	SigRegs  [][isa.NumRegs]uint64
-	SigPC    []int
-	// HandlerPC/HandlerOK mirror the registered signal handler.
-	HandlerPC int
-	HandlerOK bool
-	// Output is fd-1 output written before the snapshot.
-	Output []byte
-	// ChunkPos[t] is thread t's chunk-log length at the snapshot;
-	// InputPos the input-log length. Both equal the counts streamed so
-	// far, since a checkpoint segment is always preceded by a flush.
-	ChunkPos []int
-	InputPos int
-}
-
-// Clone returns a deep copy: every slice (memory image, output, contexts,
-// per-thread state, log positions) gets its own backing array. The
-// windowed sink buffers checkpoint payloads across whole retention
-// intervals, so it must not alias buffers the recorder keeps mutating.
-func (cp *CheckpointPayload) Clone() *CheckpointPayload {
-	out := *cp
-	out.MemImage = append([]byte(nil), cp.MemImage...)
-	out.Output = append([]byte(nil), cp.Output...)
-	out.Contexts = append([]isa.Context(nil), cp.Contexts...)
-	out.Exited = append([]bool(nil), cp.Exited...)
-	out.SigRegs = append([][isa.NumRegs]uint64(nil), cp.SigRegs...)
-	out.SigPC = append([]int(nil), cp.SigPC...)
-	out.ChunkPos = append([]int(nil), cp.ChunkPos...)
-	return &out
-}
-
-func appendCheckpointPayload(a *wire.Appender, cp *CheckpointPayload) {
+// appendCheckpoint encodes a checkpoint segment's payload. Its layout
+// (positions interleaved with the per-thread state) is the stream's
+// own; the bundle carries the same checkpoint in another layout.
+func appendCheckpoint(a *wire.Appender, cp *capo.Checkpoint) {
 	a.Uvarint(cp.RetiredAt)
-	a.Blob(cp.MemImage)
+	capo.AppendImage(a, cp.Mem)
 	for t := range cp.Contexts {
-		appendContext(a, cp.Contexts[t])
-		var flags byte
-		if cp.Exited[t] {
-			flags |= 1
-		}
-		a.Byte(flags)
+		capo.AppendContext(a, cp.Contexts[t])
+		a.Bool(cp.Exited[t])
 		for _, r := range cp.SigRegs[t] {
 			a.Uvarint(r)
 		}
@@ -255,35 +214,31 @@ func appendCheckpointPayload(a *wire.Appender, cp *CheckpointPayload) {
 	}
 	a.Int(cp.InputPos)
 	a.Int(cp.HandlerPC)
-	var flags byte
-	if cp.HandlerOK {
-		flags |= 1
-	}
-	a.Byte(flags)
+	a.Bool(cp.HandlerOK)
 	a.Blob(cp.Output)
 }
 
-func decodeCheckpointPayload(data []byte, threads int) (*CheckpointPayload, error) {
-	cp := &CheckpointPayload{}
+func decodeCheckpoint(data []byte, threads int) (*capo.Checkpoint, error) {
+	cp := &capo.Checkpoint{}
 	rd := newReader(data)
 	var err error
 	if cp.RetiredAt, err = rd.Uvarint(); err != nil {
 		return nil, err
 	}
-	if cp.MemImage, err = rd.Blob(); err != nil {
+	if cp.Mem, err = capo.ReadImage(&rd.Cursor); err != nil {
 		return nil, err
 	}
 	for t := 0; t < threads; t++ {
-		ctx, err := rd.context()
+		ctx, err := capo.ReadContext(&rd.Cursor)
 		if err != nil {
 			return nil, err
 		}
 		cp.Contexts = append(cp.Contexts, ctx)
-		flags, err := rd.Byte()
+		exited, err := rd.Bool()
 		if err != nil {
 			return nil, err
 		}
-		cp.Exited = append(cp.Exited, flags&1 != 0)
+		cp.Exited = append(cp.Exited, exited)
 		var regs [isa.NumRegs]uint64
 		for i := range regs {
 			if regs[i], err = rd.Uvarint(); err != nil {
@@ -291,11 +246,11 @@ func decodeCheckpointPayload(data []byte, threads int) (*CheckpointPayload, erro
 			}
 		}
 		cp.SigRegs = append(cp.SigRegs, regs)
-		pc, err := rd.Uvarint()
+		pc, err := capo.ReadPC(&rd.Cursor)
 		if err != nil {
 			return nil, err
 		}
-		cp.SigPC = append(cp.SigPC, int(pc))
+		cp.SigPC = append(cp.SigPC, pc)
 		pos, err := rd.Uvarint()
 		if err != nil {
 			return nil, err
@@ -313,19 +268,12 @@ func decodeCheckpointPayload(data []byte, threads int) (*CheckpointPayload, erro
 		return nil, fmt.Errorf("%w: implausible checkpoint input position %d", ErrCorrupt, pos)
 	}
 	cp.InputPos = int(pos)
-	hpc, err := rd.Uvarint()
-	if err != nil {
+	if cp.HandlerPC, err = capo.ReadPC(&rd.Cursor); err != nil {
 		return nil, err
 	}
-	cp.HandlerPC = int(hpc)
-	flags, err := rd.Byte()
-	if err != nil {
+	if cp.HandlerOK, err = rd.Bool(); err != nil {
 		return nil, err
 	}
-	if flags > 1 {
-		return nil, fmt.Errorf("%w: checkpoint flags %#x", ErrCorrupt, flags)
-	}
-	cp.HandlerOK = flags&1 != 0
 	if cp.Output, err = rd.Blob(); err != nil {
 		return nil, err
 	}
@@ -344,8 +292,9 @@ type FinalPayload struct {
 	RetiredPerThread []uint64
 }
 
-// Clone returns a deep copy of the final payload; same aliasing contract
-// as CheckpointPayload.Clone.
+// Clone returns a deep copy: the windowed sink buffers the final
+// payload until Close, so it must not alias buffers the recorder keeps
+// mutating.
 func (f *FinalPayload) Clone() *FinalPayload {
 	out := *f
 	out.Output = append([]byte(nil), f.Output...)
@@ -358,7 +307,7 @@ func appendFinalPayload(a *wire.Appender, f *FinalPayload) {
 	a.Uvarint(f.MemChecksum)
 	a.Blob(f.Output)
 	for t := range f.FinalContexts {
-		appendContext(a, f.FinalContexts[t])
+		capo.AppendContext(a, f.FinalContexts[t])
 		a.Uvarint(f.RetiredPerThread[t])
 	}
 }
@@ -374,7 +323,7 @@ func decodeFinalPayload(data []byte, threads int) (*FinalPayload, error) {
 		return nil, err
 	}
 	for t := 0; t < threads; t++ {
-		ctx, err := rd.context()
+		ctx, err := capo.ReadContext(&rd.Cursor)
 		if err != nil {
 			return nil, err
 		}
@@ -400,53 +349,4 @@ type reader struct {
 
 func newReader(data []byte) *reader {
 	return &reader{wire.CursorWith(data, ErrTruncated, ErrCorrupt)}
-}
-
-func (r *reader) context() (isa.Context, error) {
-	var ctx isa.Context
-	for i := range ctx.Regs {
-		v, err := r.Uvarint()
-		if err != nil {
-			return ctx, err
-		}
-		ctx.Regs[i] = v
-	}
-	pc, err := r.Uvarint()
-	if err != nil {
-		return ctx, err
-	}
-	ctx.PC = int(pc)
-	if ctx.Retired, err = r.Uvarint(); err != nil {
-		return ctx, err
-	}
-	flags, err := r.Byte()
-	if err != nil {
-		return ctx, err
-	}
-	if flags > 3 {
-		return ctx, fmt.Errorf("%w: context flags %#x", ErrCorrupt, flags)
-	}
-	ctx.Halted = flags&1 != 0
-	ctx.RepActive = flags&2 != 0
-	if ctx.RepDone, err = r.Uvarint(); err != nil {
-		return ctx, err
-	}
-	return ctx, nil
-}
-
-func appendContext(a *wire.Appender, ctx isa.Context) {
-	for _, r := range ctx.Regs {
-		a.Uvarint(r)
-	}
-	a.Int(ctx.PC)
-	a.Uvarint(ctx.Retired)
-	var flags byte
-	if ctx.Halted {
-		flags |= 1
-	}
-	if ctx.RepActive {
-		flags |= 2
-	}
-	a.Byte(flags)
-	a.Uvarint(ctx.RepDone)
 }

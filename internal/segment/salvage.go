@@ -19,13 +19,11 @@ type Stream struct {
 	ChunkLogs []*chunk.Log
 	// InputLog holds the retained input records in stream order.
 	InputLog *capo.InputLog
-	// Checkpoint is the last flight-recorder snapshot whose log
-	// positions fall inside the retained prefix (nil if none survived).
-	Checkpoint *CheckpointPayload
-	// Checkpoints holds every surviving snapshot in stream order; the
-	// last element aliases Checkpoint. Parallel replay partitions the
-	// salvaged prefix at these points.
-	Checkpoints []*CheckpointPayload
+	// Checkpoints holds every flight-recorder checkpoint whose log
+	// positions fall inside the retained prefix, in stream order.
+	// Parallel replay partitions the salvaged prefix at these points,
+	// and the last one starts a tail replay.
+	Checkpoints []*capo.Checkpoint
 	// Final is the reference final state; non-nil iff the stream is
 	// complete (ends with an intact Final segment).
 	Final *FinalPayload
@@ -34,7 +32,7 @@ type Stream struct {
 	// garbage-collected. Nil for unbounded streams and for windowed
 	// streams that never evicted. When set it aliases Checkpoints[0]
 	// and its log positions are zero (the retained logs start at it).
-	Base *CheckpointPayload
+	Base *capo.Checkpoint
 }
 
 // Report describes what a Salvage pass kept and why it stopped.
@@ -197,7 +195,7 @@ type scanner struct {
 	logs    []*chunk.Log
 	lastTS  []uint64 // per-thread high-water timestamp, for monotonicity
 	records []capo.Record
-	ckpts   []*CheckpointPayload
+	ckpts   []*capo.Checkpoint
 	final   *FinalPayload
 
 	cur           *epochAccum
@@ -210,7 +208,7 @@ type scanner struct {
 	// segment must be the window-base checkpoint. base holds it once
 	// scanned.
 	needBase bool
-	base     *CheckpointPayload
+	base     *capo.Checkpoint
 }
 
 // sealEpoch folds the open epoch into the per-thread completeness
@@ -285,7 +283,7 @@ func (sc *scanner) apply(s rawSegment) error {
 		if s.kind != KindCheckpoint {
 			return fmt.Errorf("%w: windowed stream must open with its base checkpoint (got %s)", ErrCorrupt, s.kind)
 		}
-		cp, err := decodeCheckpointPayload(s.payload, threads)
+		cp, err := decodeCheckpoint(s.payload, threads)
 		if err != nil {
 			return err
 		}
@@ -410,7 +408,7 @@ func (sc *scanner) apply(s rawSegment) error {
 		if err := sc.sealEpoch(true); err != nil {
 			return err
 		}
-		cp, err := decodeCheckpointPayload(s.payload, threads)
+		cp, err := decodeCheckpoint(s.payload, threads)
 		if err != nil {
 			return err
 		}
@@ -550,13 +548,10 @@ func Salvage(data []byte) (*Stream, *Report, error) {
 			rep.CheckpointsDropped++
 		}
 	}
-	if n := len(st.Checkpoints); n > 0 {
-		st.Checkpoint = st.Checkpoints[n-1]
-	}
 	return st, rep, nil
 }
 
-func checkpointUsable(cp *CheckpointPayload, st *Stream) bool {
+func checkpointUsable(cp *capo.Checkpoint, st *Stream) bool {
 	if len(cp.ChunkPos) != len(st.ChunkLogs) {
 		return false
 	}

@@ -274,8 +274,8 @@ func (w *Writer) WriteInputBatch(recs []capo.Record) {
 	w.writeSegment(KindInput, p.Buf)
 }
 
-// WriteCheckpoint emits a flight-recorder snapshot.
-func (w *Writer) WriteCheckpoint(cp *CheckpointPayload) {
+// WriteCheckpoint emits a flight-recorder checkpoint.
+func (w *Writer) WriteCheckpoint(cp *capo.Checkpoint) {
 	if !w.usable() {
 		return
 	}
@@ -290,7 +290,7 @@ func (w *Writer) WriteCheckpoint(cp *CheckpointPayload) {
 	}
 	p := wire.GetAppender()
 	defer wire.PutAppender(p)
-	appendCheckpointPayload(p, cp)
+	appendCheckpoint(p, cp)
 	w.writeSegment(KindCheckpoint, p.Buf)
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/capo"
 	"repro/internal/chunk"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/segment"
 )
 
@@ -78,21 +79,30 @@ func testManifest() segment.Manifest {
 	}
 }
 
-func testCheckpoint() *segment.CheckpointPayload {
-	mem := make([]byte, 64)
-	for i := range mem {
-		mem[i] = byte(i * 3)
+// imageOf returns a memory holding img (a whole number of words).
+func imageOf(img []byte) *mem.Memory {
+	m := mem.New(uint64(len(img)))
+	m.StoreBytes(0, img)
+	return m
+}
+
+func testCheckpoint() *capo.Checkpoint {
+	img := make([]byte, 64)
+	for i := range img {
+		img[i] = byte(i * 3)
 	}
-	return &segment.CheckpointPayload{
+	return &capo.Checkpoint{
+		Snapshot: capo.Snapshot{
+			Mem:       imageOf(img),
+			Contexts:  []isa.Context{{PC: 5, Retired: 60}, {PC: 6, Retired: 40}},
+			Exited:    []bool{false, false},
+			SigRegs:   make([][isa.NumRegs]uint64, 2),
+			SigPC:     []int{0, 0},
+			HandlerPC: 3,
+			HandlerOK: true,
+			Output:    []byte("he"),
+		},
 		RetiredAt: 100,
-		MemImage:  mem,
-		Contexts:  []isa.Context{{PC: 5, Retired: 60}, {PC: 6, Retired: 40}},
-		Exited:    []bool{false, false},
-		SigRegs:   make([][isa.NumRegs]uint64, 2),
-		SigPC:     []int{0, 0},
-		HandlerPC: 3,
-		HandlerOK: true,
-		Output:    []byte("he"),
 		ChunkPos:  []int{2, 1},
 		InputPos:  1,
 	}
@@ -122,10 +132,10 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if r := st.InputLog.Records[0]; !bytes.Equal(r.Data, []byte{1, 2, 3}) || r.Ret != 42 {
 		t.Fatalf("input record round trip: %+v", r)
 	}
-	if st.Checkpoint == nil || st.Checkpoint.RetiredAt != 100 || !st.Checkpoint.HandlerOK {
-		t.Fatalf("checkpoint round trip: %+v", st.Checkpoint)
+	if len(st.Checkpoints) != 1 || st.Checkpoints[0].RetiredAt != 100 || !st.Checkpoints[0].HandlerOK {
+		t.Fatalf("checkpoint round trip: %+v", st.Checkpoints)
 	}
-	if !bytes.Equal(st.Checkpoint.MemImage, testCheckpoint().MemImage) {
+	if !st.Checkpoints[0].Mem.Equal(testCheckpoint().Mem) {
 		t.Fatal("checkpoint memory image changed in round trip")
 	}
 	if st.Final == nil || st.Final.MemChecksum != 0xabcdef || string(st.Final.Output) != "hello" {
@@ -211,8 +221,8 @@ func TestSalvageEveryTornCut(t *testing.T) {
 			t.Fatalf("cut %d: Complete=%v", cut, rep.Complete)
 		}
 		checkPrefix(t, full, st)
-		if st.Checkpoint != nil {
-			for th, pos := range st.Checkpoint.ChunkPos {
+		for _, cp := range st.Checkpoints {
+			for th, pos := range cp.ChunkPos {
 				if pos > st.ChunkLogs[th].Len() {
 					t.Fatalf("cut %d: checkpoint position %d beyond salvaged log %d", cut, pos, st.ChunkLogs[th].Len())
 				}

@@ -32,14 +32,16 @@ func sinkCommit(epoch uint64) segment.Commit {
 	}
 }
 
-func sinkCheckpoint() *segment.CheckpointPayload {
-	return &segment.CheckpointPayload{
+func sinkCheckpoint() *capo.Checkpoint {
+	return &capo.Checkpoint{
+		Snapshot: capo.Snapshot{
+			Mem:      imageOf([]byte{1, 2, 3, 4, 5, 6, 7, 8}),
+			Contexts: []isa.Context{{PC: 1, Retired: 5}, {PC: 2, Retired: 5}},
+			Exited:   []bool{false, false},
+			SigRegs:  make([][isa.NumRegs]uint64, 2),
+			SigPC:    []int{0, 0},
+		},
 		RetiredAt: 42,
-		MemImage:  []byte{1, 2, 3, 4, 5, 6, 7, 8},
-		Contexts:  []isa.Context{{PC: 1, Retired: 5}, {PC: 2, Retired: 5}},
-		Exited:    []bool{false, false},
-		SigRegs:   make([][isa.NumRegs]uint64, 2),
-		SigPC:     []int{0, 0},
 		ChunkPos:  []int{1, 0},
 		InputPos:  1,
 	}

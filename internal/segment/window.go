@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/capo"
 	"repro/internal/chunk"
+	"repro/internal/isa"
 )
 
 // Sink is the stream interface the recorder writes through: the
@@ -20,7 +21,7 @@ type Sink interface {
 	WriteCommit(Commit)
 	WriteChunkBatch(thread int, entries []chunk.Entry)
 	WriteInputBatch(recs []capo.Record)
-	WriteCheckpoint(cp *CheckpointPayload)
+	WriteCheckpoint(cp *capo.Checkpoint)
 	WriteFinal(f *FinalPayload)
 	Err() error
 	Segments() int
@@ -52,7 +53,7 @@ type windowEpoch struct {
 // it (nil only for the genesis interval, which starts at program start)
 // and the epochs flushed before the next checkpoint.
 type windowInterval struct {
-	anchor *CheckpointPayload
+	anchor *capo.Checkpoint
 	epochs []windowEpoch
 }
 
@@ -230,7 +231,7 @@ func (w *WindowWriter) WriteInputBatch(recs []capo.Record) {
 // WriteCheckpoint closes the current interval and opens the next one,
 // anchored at cp, then garbage-collects intervals that fell out of the
 // retention window.
-func (w *WindowWriter) WriteCheckpoint(cp *CheckpointPayload) {
+func (w *WindowWriter) WriteCheckpoint(cp *capo.Checkpoint) {
 	if !w.usable() {
 		return
 	}
@@ -246,8 +247,21 @@ func (w *WindowWriter) WriteCheckpoint(cp *CheckpointPayload) {
 	// Deep-copied for the same reason as input batches: the anchor is
 	// buffered until its interval leaves the window, and its memory image,
 	// output and position slices must not track the caller's buffers.
-	w.intervals = append(w.intervals, &windowInterval{anchor: cp.Clone()})
+	w.intervals = append(w.intervals, &windowInterval{anchor: cloneCheckpoint(cp)})
 	w.evict()
+}
+
+// cloneCheckpoint returns a deep copy of cp.
+func cloneCheckpoint(cp *capo.Checkpoint) *capo.Checkpoint {
+	out := *cp
+	out.Mem = cp.Mem.Snapshot()
+	out.Output = append([]byte(nil), cp.Output...)
+	out.Contexts = append([]isa.Context(nil), cp.Contexts...)
+	out.Exited = append([]bool(nil), cp.Exited...)
+	out.SigRegs = append([][isa.NumRegs]uint64(nil), cp.SigRegs...)
+	out.SigPC = append([]int(nil), cp.SigPC...)
+	out.ChunkPos = append([]int(nil), cp.ChunkPos...)
+	return &out
 }
 
 // evict drops intervals older than the retention window. The open
@@ -288,7 +302,7 @@ func (w *WindowWriter) WriteFinal(f *FinalPayload) {
 // rebase returns cp with its log positions made relative to the window
 // base. Everything else (timestamps, contexts, memory, output) stays
 // absolute.
-func rebase(cp *CheckpointPayload, baseChunk []int, baseInput int) *CheckpointPayload {
+func rebase(cp *capo.Checkpoint, baseChunk []int, baseInput int) *capo.Checkpoint {
 	if baseChunk == nil {
 		return cp
 	}

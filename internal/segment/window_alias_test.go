@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/capo"
 	"repro/internal/chunk"
+	"repro/internal/mem"
 	"repro/internal/segment"
 )
 
@@ -15,7 +16,7 @@ import (
 // over them after the writes returned.
 type aliasBuffers struct {
 	recData  []byte
-	memImage []byte
+	memImage *mem.Memory
 	output   []byte
 	chunkPos []int
 	finalOut []byte
@@ -24,7 +25,7 @@ type aliasBuffers struct {
 func driveAliasSession(w *segment.WindowWriter) aliasBuffers {
 	bufs := aliasBuffers{
 		recData:  []byte{0xAA, 0xBB, 0xCC},
-		memImage: []byte{1, 2, 3, 4, 5, 6, 7, 8},
+		memImage: imageOf([]byte{1, 2, 3, 4, 5, 6, 7, 8}),
 		output:   []byte("hello"),
 		chunkPos: []int{1, 0},
 		finalOut: []byte("final output"),
@@ -37,7 +38,7 @@ func driveAliasSession(w *segment.WindowWriter) aliasBuffers {
 		Addr: 64, Data: bufs.recData,
 	}})
 	cp := sinkCheckpoint()
-	cp.MemImage = bufs.memImage
+	cp.Mem = bufs.memImage
 	cp.Output = bufs.output
 	cp.ChunkPos = bufs.chunkPos
 	w.WriteCheckpoint(cp)
@@ -72,9 +73,7 @@ func TestWindowWriterDoesNotAliasCallerBuffers(t *testing.T) {
 	for i := range bufs.recData {
 		bufs.recData[i] = 0xFF
 	}
-	for i := range bufs.memImage {
-		bufs.memImage[i] = 0xEE
-	}
+	bufs.memImage.Store(0, 0xEEEEEEEEEEEEEEEE)
 	copy(bufs.output, "XXXXX")
 	bufs.chunkPos[0] = 99
 	copy(bufs.finalOut, "CLOBBERED!!!")
@@ -103,7 +102,7 @@ func TestWindowWriterDoesNotAliasCallerBuffers(t *testing.T) {
 	if len(st.Checkpoints) != 1 {
 		t.Fatalf("%d checkpoints salvaged, want 1", len(st.Checkpoints))
 	}
-	if img := st.Checkpoints[0].MemImage; !bytes.Equal(img, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+	if img := st.Checkpoints[0].Mem.LoadBytes(0, 8); !bytes.Equal(img, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("salvaged checkpoint memory image %x mutated", img)
 	}
 	if out := st.Final.Output; !bytes.Equal(out, []byte("final output")) {

@@ -35,7 +35,7 @@ func (r *windowRNG) pick(n int) int { return int(r.next() % uint64(n)) }
 // interval: the anchor that opened it (nil for genesis) and the log
 // items its epochs carried.
 type synthInterval struct {
-	anchor  *segment.CheckpointPayload
+	anchor  *capo.Checkpoint
 	entries [2][]chunk.Entry
 	recs    []capo.Record
 }
@@ -119,13 +119,15 @@ func synthesize(seed uint64, nCheckpoints int, bufU *bytes.Buffer, wu *segment.W
 		for i, n := 0, 1+rng.pick(3); i < n; i++ {
 			writeEpoch()
 		}
-		cp := &segment.CheckpointPayload{
+		cp := &capo.Checkpoint{
+			Snapshot: capo.Snapshot{
+				Mem:      imageOf([]byte{1, 2, 3, 4, 5, 6, 7, 8}),
+				Contexts: []isa.Context{{PC: 1, Retired: ts}, {PC: 2, Retired: ts}},
+				Exited:   []bool{false, false},
+				SigRegs:  make([][isa.NumRegs]uint64, 2),
+				SigPC:    []int{0, 0},
+			},
 			RetiredAt: ts * 10,
-			MemImage:  []byte{1, 2, 3, 4, 5, 6, 7, 8},
-			Contexts:  []isa.Context{{PC: 1, Retired: ts}, {PC: 2, Retired: ts}},
-			Exited:    []bool{false, false},
-			SigRegs:   make([][isa.NumRegs]uint64, 2),
-			SigPC:     []int{0, 0},
 			ChunkPos:  []int{pos[0], pos[1]},
 			InputPos:  inputs,
 		}

@@ -117,6 +117,19 @@ func (c *Cursor) Byte() (byte, error) {
 	return b, nil
 }
 
+// Bool decodes a byte written by Appender.Bool. Anything but 0 or 1 is
+// corruption: it would re-encode as a different byte.
+func (c *Cursor) Bool() (bool, error) {
+	b, err := c.Byte()
+	if err != nil {
+		return false, err
+	}
+	if b > 1 {
+		return false, c.corruptf("bool byte %#x", b)
+	}
+	return b == 1, nil
+}
+
 // Raw consumes exactly n bytes. Zero-copy: the result aliases the
 // cursor's data and must not be retained past the decode.
 func (c *Cursor) Raw(n int) ([]byte, error) {

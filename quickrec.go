@@ -392,8 +392,8 @@ type FleetClient = fleet.Client
 func DialFleet(addr string) (*FleetClient, error) { return fleet.Dial(addr) }
 
 // Tail derives the flight-recorder bundle from a recording made with
-// Options.CheckpointEveryInstrs: the last checkpoint plus only the log
-// entries after it. The tail replays and verifies to the same final
+// Options.CheckpointEveryInstrs, fresh or loaded: the last checkpoint
+// plus only the log entries after it. The tail replays and verifies to the same final
 // state as the full recording, with bounded log volume — the mechanism
 // behind always-on RnR.
 func Tail(rec *Recording) (*Recording, error) { return core.Tail(rec) }
