@@ -166,6 +166,19 @@ func TestCanonicalDecode(t *testing.T) {
 			return data
 		}, decodeBundle, ErrCorruptBundle},
 		{"13-byte stream checkpoint image", markedStream, decodeStream, segment.ErrCorrupt},
+		{"padded varint", func(t *testing.T) []byte {
+			data := loadGolden(t, "counter-4t2c.bundle")
+			c := wire.CursorOf(data)
+			c.Skip(6)
+			c.View()    // program name
+			c.Uvarint() // threads
+			at := c.Pos()
+			if words, err := c.Uvarint(); err != nil || words != 1024 || c.Pos() != at+2 {
+				t.Fatalf("stack words %d in %d bytes, %v; want 1024 in 2", words, c.Pos()-at, err)
+			}
+			// 1024 is 0x80 0x08; padded to three bytes it is 0x80 0x88 0x00.
+			return append(append(append([]byte(nil), data[:at]...), 0x80, 0x88, 0x00), data[at+2:]...)
+		}, decodeBundle, ErrCorruptBundle},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

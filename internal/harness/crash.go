@@ -451,16 +451,7 @@ func checkSalvagedPrefix(prog *isa.Program, full *core.Bundle, sv *core.Salvaged
 		perThread[r.Thread] = i + 1
 	}
 
-	rr, err := replay.Run(replay.Input{
-		Prog:                prog,
-		Threads:             b.Threads,
-		ChunkLogs:           b.ChunkLogs,
-		InputLog:            b.InputLog,
-		StackWordsPerThread: b.StackWordsPerThread,
-		CountRepIterations:  b.CountRepIterations,
-		AllowTruncated:      b.Partial,
-		MaxSteps:            maxSteps,
-	})
+	rr, err := core.ReplayBounded(prog, b, maxSteps)
 	if err != nil {
 		return fmt.Errorf("salvaged prefix does not replay: %w", err)
 	}

@@ -1,13 +1,13 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/capo"
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/replay"
 	"repro/internal/wire"
 )
 
@@ -155,10 +155,10 @@ func injectOnce(prog *isa.Program, rec *core.Bundle, origKey []byte, maxSteps ui
 	if mut == nil {
 		return OutcomeInert, detail // no viable site this attempt
 	}
-	if bytesEqual(scheduleKey(mut), origKey) {
+	if bytes.Equal(scheduleKey(mut), origKey) {
 		return OutcomeInert, detail
 	}
-	rr, err := replayBundle(prog, mut, maxSteps)
+	rr, err := core.ReplayBounded(prog, mut, maxSteps)
 	if err != nil {
 		return OutcomeReplay, detail + ": " + err.Error()
 	}
@@ -169,19 +169,6 @@ func injectOnce(prog *isa.Program, rec *core.Bundle, origKey []byte, maxSteps ui
 		return OutcomeBenign, detail
 	}
 	return OutcomeSilent, detail + ": replay of mutated log verified but diverged from the original execution"
-}
-
-// replayBundle mirrors core.Replay but threads the step budget through.
-func replayBundle(prog *isa.Program, b *core.Bundle, maxSteps uint64) (*replay.Result, error) {
-	return replay.Run(replay.Input{
-		Prog:                prog,
-		Threads:             b.Threads,
-		ChunkLogs:           b.ChunkLogs,
-		InputLog:            b.InputLog,
-		StackWordsPerThread: b.StackWordsPerThread,
-		CountRepIterations:  b.CountRepIterations,
-		MaxSteps:            maxSteps,
-	})
 }
 
 // applyFault produces a mutated copy of rec (or a decode error for
@@ -463,16 +450,4 @@ func copyBundle(b *core.Bundle) *core.Bundle {
 	}
 	out.InputLog = &capo.InputLog{Records: append([]capo.Record(nil), b.InputLog.Records...)}
 	return &out
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/capo"
@@ -131,7 +132,7 @@ func TestScheduleKeyProjection(t *testing.T) {
 			if !mu.apply(b) {
 				t.Skipf("no site for %q in this recording", mu.name)
 			}
-			equal := bytesEqual(scheduleKey(b), orig)
+			equal := bytes.Equal(scheduleKey(b), orig)
 			if equal != mu.wantEqual {
 				t.Errorf("key equality after %q = %v, want %v", mu.name, equal, mu.wantEqual)
 			}
@@ -157,7 +158,7 @@ func TestCopyBundleIndependence(t *testing.T) {
 	cp.ChunkLogs[0].Entries = append(cp.ChunkLogs[0].Entries, chunk.Entry{Size: 1, TS: 1 << 60})
 	cp.InputLog.Records = append(cp.InputLog.Records, capo.Record{Kind: capo.KindSyscall})
 
-	if !bytesEqual(rec.Marshal(), before) {
+	if !bytes.Equal(rec.Marshal(), before) {
 		t.Errorf("mutating the copy changed the original bundle")
 	}
 }
@@ -302,7 +303,7 @@ func TestInjectOnceLeavesOriginalIntact(t *testing.T) {
 			injectOnce(prog, rec, scheduleKey(rec), 1_000_000, class, m)
 		}
 	}
-	if !bytesEqual(rec.Marshal(), before) {
+	if !bytes.Equal(rec.Marshal(), before) {
 		t.Fatalf("injectOnce mutated the original recording")
 	}
 }

@@ -12,10 +12,11 @@ package ingest
 // its in-flight jobs re-queued — on connection teardown immediately, on
 // a silent stall when the job's deadline lapses. Duplicated execution
 // is safe because every job is a pure function of the bundle it names;
-// duplicate results are discarded by ID.
+// duplicate results are discarded by ID. A worker may answer only the
+// jobs in flight on it: a result under any other ID ends its session.
 
 import (
-	"net"
+	"errors"
 	"sync"
 	"time"
 
@@ -28,8 +29,7 @@ const defaultJobTimeout = 30 * time.Second
 
 // fleetConn is one attached fleet session (worker or submitter).
 type fleetConn struct {
-	conn  net.Conn
-	wmu   sync.Mutex
+	*session
 	slots int             // worker concurrency; 0 for submitters
 	sent  map[uint64]bool // job IDs in flight on this worker (broker.mu)
 	gone  bool            // torn down (broker.mu)
@@ -160,15 +160,23 @@ func (b *broker) nextJob(w *fleetConn) *brokerJob {
 	}
 }
 
+// inFlight reports whether job id was dispatched to w and has not come
+// back from it: the only IDs w may send results for.
+func (b *broker) inFlight(w *fleetConn, id uint64) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return w.sent[id]
+}
+
 // complete routes one finished job's result to its submitter. Stale
 // results — the job already completed elsewhere, or the submitter hung
 // up — are discarded.
-func (b *broker) complete(w *fleetConn, id uint64, data []byte, errMsg string) {
+func (b *broker) complete(w *fleetConn, r resultPayload) {
 	b.mu.Lock()
-	delete(w.sent, id) // frees a slot even when the result is stale
-	j := b.jobs[id]
+	delete(w.sent, r.ID) // frees a slot even when the result is stale
+	j := b.jobs[r.ID]
 	if j != nil {
-		delete(b.jobs, id)
+		delete(b.jobs, r.ID)
 	}
 	var sub *fleetConn
 	var subID uint64
@@ -178,7 +186,7 @@ func (b *broker) complete(w *fleetConn, id uint64, data []byte, errMsg string) {
 	b.mu.Unlock()
 	b.cond.Broadcast() // a slot freed; feeders may proceed
 	if sub != nil {
-		b.writeResult(sub, subID, errMsg, data)
+		sub.sendResult(subID, r.Data, r.Err)
 	}
 }
 
@@ -212,72 +220,24 @@ func (b *broker) submitterGone(sub *fleetConn) {
 	b.cond.Broadcast()
 }
 
-// writeFleetFrame sends one frame on a fleet session under its write
-// lock and the server's write deadline.
-func (b *broker) writeFleetFrame(fc *fleetConn, kind FrameKind, payload []byte) bool {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendFrame(a, kind, payload)
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	fc.conn.SetWriteDeadline(time.Now().Add(b.s.cfg.WriteTimeout))
-	if _, err := fc.conn.Write(a.Buf); err != nil {
-		fc.conn.Close()
-		return false
-	}
-	return true
-}
-
-// writeResult streams one result to a session as a chunk sequence
-// sharing the routing ID. Chunks of different jobs may interleave on a
-// submitter's connection; the ID keeps reassembly unambiguous.
-func (b *broker) writeResult(fc *fleetConn, id uint64, errMsg string, data []byte) bool {
-	for {
-		n := len(data)
-		if n > resultChunkSize {
-			n = resultChunkSize
-		}
-		last := n == len(data)
-		r := resultPayload{ID: id, Last: last, Data: data[:n]}
-		if last {
-			r.Err = errMsg
-		}
-		a := wire.GetAppender()
-		appendResult(a, r)
-		ok := b.writeFleetFrame(fc, FrameResult, a.Buf)
-		wire.PutAppender(a)
-		if !ok {
-			return false
-		}
-		if last {
-			return true
-		}
-		data = data[n:]
-	}
-}
-
 // handleAttach runs one fleet session from its ATTACH frame on. Called
-// on the connection handler goroutine; returns when the session ends.
-func (b *broker) handleAttach(conn net.Conn, payload []byte) {
-	fc := &fleetConn{conn: conn}
+// on the connection handler goroutine; returns when the session ends,
+// with the rejection that ended it, if any.
+func (b *broker) handleAttach(ss *session, payload []byte) *ServerError {
 	at, err := decodeAttach(payload)
+	if err == nil {
+		err = checkVersion(at.Version)
+	}
 	if err != nil {
 		b.s.ctrs.rejected.Add(1)
-		b.writeError(fc, CodeProtocol, false, err.Error())
-		return
+		return &ServerError{Code: CodeProtocol, Msg: err.Error()}
 	}
-	if err := checkVersion(at.Version); err != nil {
-		b.s.ctrs.rejected.Add(1)
-		b.writeError(fc, CodeProtocol, false, err.Error())
-		return
+	if ss.send(FrameWelcome, func(a *wire.Appender) {
+		appendWelcome(a, welcomePayload{Version: protoVersion, Credit: uint64(b.s.cfg.Credit)})
+	}) != nil {
+		return nil
 	}
-	a := wire.GetAppender()
-	appendWelcome(a, welcomePayload{Version: protoVersion, Credit: uint64(b.s.cfg.Credit)})
-	ok := b.writeFleetFrame(fc, FrameWelcome, a.Buf)
-	wire.PutAppender(a)
-	if !ok {
-		return
-	}
+	fc := &fleetConn{session: ss}
 	switch at.Role {
 	case roleWorker:
 		fc.slots = int(at.Slots)
@@ -289,18 +249,13 @@ func (b *broker) handleAttach(conn net.Conn, payload []byte) {
 	case roleSubmitter:
 		b.runSubmitter(fc)
 	}
-}
-
-func (b *broker) writeError(fc *fleetConn, code ErrorCode, retryable bool, msg string) {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendError(a, errorPayload{Code: code, Retryable: retryable, Msg: msg})
-	b.writeFleetFrame(fc, FrameError, a.Buf)
+	return nil
 }
 
 // runWorker feeds jobs to an attached worker and routes its results.
 // The feeder goroutine pulls from the board; the session goroutine
-// (this one) reads RESULT frames, reassembling chunked results by ID.
+// (this one) reads the worker's results. A result for a job that is not
+// in flight on this worker ends the session before any of it is kept.
 func (b *broker) runWorker(fc *fleetConn) {
 	b.wg.Add(1)
 	go func() {
@@ -310,38 +265,22 @@ func (b *broker) runWorker(fc *fleetConn) {
 			if j == nil {
 				return
 			}
-			a := wire.GetAppender()
-			appendJobFrame(a, jobPayload{ID: j.id, Body: j.body})
-			ok := b.writeFleetFrame(fc, FrameJob, a.Buf)
-			wire.PutAppender(a)
-			if !ok {
+			if fc.send(FrameJob, func(a *wire.Appender) { appendJobFrame(a, jobPayload{ID: j.id, Body: j.body}) }) != nil {
 				b.workerGone(fc)
 				return
 			}
 		}
 	}()
 	defer b.workerGone(fc)
-	partial := make(map[uint64][]byte)
 	for {
-		kind, payload, err := readFrame(fc.conn)
+		r, err := fc.result(func(id uint64) bool { return b.inFlight(fc, id) })
 		if err != nil {
+			if errors.Is(err, ErrFrame) {
+				b.s.ctrs.rejected.Add(1)
+			}
 			return
 		}
-		if kind != FrameResult {
-			b.s.ctrs.rejected.Add(1)
-			return
-		}
-		r, err := decodeResult(payload)
-		if err != nil {
-			b.s.ctrs.rejected.Add(1)
-			return
-		}
-		partial[r.ID] = append(partial[r.ID], r.Data...)
-		if r.Last {
-			data := partial[r.ID]
-			delete(partial, r.ID)
-			b.complete(fc, r.ID, data, r.Err)
-		}
+		b.complete(fc, r)
 	}
 }
 
@@ -350,7 +289,7 @@ func (b *broker) runWorker(fc *fleetConn) {
 func (b *broker) runSubmitter(fc *fleetConn) {
 	defer b.submitterGone(fc)
 	for {
-		kind, payload, err := readFrame(fc.conn)
+		kind, payload, err := fc.recv()
 		if err != nil {
 			return
 		}

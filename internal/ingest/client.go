@@ -1,42 +1,20 @@
 package ingest
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// ServerError is a typed server-side rejection surfaced to an uploader.
-type ServerError struct {
-	Code      ErrorCode
-	Retryable bool
-	Msg       string
-}
-
-// Error implements error.
-func (e *ServerError) Error() string {
-	return fmt.Sprintf("ingest: server rejected upload (%s): %s", e.Code, e.Msg)
-}
-
-// IsRetryable reports whether err is a shed/transient server rejection
-// worth retrying (an overloaded shard, a draining server).
-func IsRetryable(err error) bool {
-	var se *ServerError
-	return errors.As(err, &se) && se.Retryable
-}
-
 // Client is one recorder's connection to the ingest fleet. A client
 // carries one upload session; it is not safe for concurrent use.
 type Client struct {
-	conn   net.Conn
-	br     *bufio.Reader
+	*session
 	credit int
 	chunk  int
 }
@@ -46,61 +24,18 @@ const uploadChunk = 64 << 10
 
 // Dial connects to an ingest server.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	s, err := dial(addr)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: dial: %w", err)
+		return nil, err
 	}
-	return &Client{conn: conn, br: bufio.NewReader(conn), chunk: uploadChunk}, nil
-}
-
-// Close severs the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// send frames payload under kind and writes it.
-func (c *Client) send(kind FrameKind, payload []byte) error {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendFrame(a, kind, payload)
-	if _, err := c.conn.Write(a.Buf); err != nil {
-		return fmt.Errorf("ingest: send: %w", err)
-	}
-	return nil
-}
-
-// recv reads the next server frame, decoding ERROR frames into
-// *ServerError.
-func (c *Client) recv() (FrameKind, []byte, error) {
-	kind, payload, err := readFrame(c.br)
-	if err != nil {
-		return 0, nil, fmt.Errorf("ingest: recv: %w", err)
-	}
-	if kind == FrameError {
-		ep, err := decodeError(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return 0, nil, &ServerError{Code: ep.Code, Retryable: ep.Retryable, Msg: ep.Msg}
-	}
-	return kind, payload, nil
+	return &Client{session: s, chunk: uploadChunk}, nil
 }
 
 // hello negotiates the session and the initial credit.
 func (c *Client) hello(tenant string, sizeHint uint64) error {
-	a := wire.GetAppender()
-	appendHello(a, helloPayload{Version: protoVersion, Tenant: tenant, SizeHint: sizeHint})
-	err := c.send(FrameHello, a.Buf)
-	wire.PutAppender(a)
-	if err != nil {
-		return err
-	}
-	kind, payload, err := c.recv()
-	if err != nil {
-		return err
-	}
-	if kind != FrameWelcome {
-		return fmt.Errorf("%w: %s instead of welcome", ErrFrame, kind)
-	}
-	w, err := acceptWelcome(payload)
+	w, err := c.open(FrameHello, func(a *wire.Appender) {
+		appendHello(a, helloPayload{Version: protoVersion, Tenant: tenant, SizeHint: sizeHint})
+	})
 	if err != nil {
 		return err
 	}
@@ -143,7 +78,7 @@ func (c *Client) sendData(stream []byte) error {
 			n = len(stream) - off
 		}
 		if err := c.sendChunk(stream[off : off+n]); err != nil {
-			return err
+			return c.rejection(err)
 		}
 		// Credit is accounted in decoded bytes on both sides, so the flow-
 		// control loop is oblivious to whether a chunk traveled compressed.
@@ -159,13 +94,33 @@ func (c *Client) sendData(stream []byte) error {
 // are usually highly compressible, already-dense chunks fall back to
 // plain DATA.
 func (c *Client) sendChunk(chunk []byte) error {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendDataZ(a, chunk)
-	if len(a.Buf) < len(chunk) {
-		return c.send(FrameDataZ, a.Buf)
+	z := wire.GetAppender()
+	defer wire.PutAppender(z)
+	appendDataZ(z, chunk)
+	kind, payload := FrameData, chunk
+	if len(z.Buf) < len(chunk) {
+		kind, payload = FrameDataZ, z.Buf
 	}
-	return c.send(FrameData, chunk)
+	return c.send(kind, func(a *wire.Appender) { a.Raw(payload) })
+}
+
+// rejection returns the ERROR the server sent before closing the
+// connection that the write error err failed on, or err when it sent
+// none. A server that rejects an upload mid-stream sends ERROR and
+// closes, and the client's next write then fails on the closed
+// connection; the ERROR is still buffered, so a shed mid-upload stays a
+// retryable *ServerError.
+func (c *Client) rejection(err error) error {
+	for {
+		_, _, rerr := c.recv() // nil for a GRANT sent before the ERROR
+		var se *ServerError
+		if errors.As(rerr, &se) {
+			return se
+		}
+		if rerr != nil {
+			return err
+		}
+	}
 }
 
 // Upload sends one recorded stream under tenant and returns the
@@ -180,12 +135,8 @@ func (c *Client) Upload(tenant string, stream []byte) (digest string, duplicate 
 		return "", false, err
 	}
 	sum := sha256.Sum256(stream)
-	a := wire.GetAppender()
-	appendFinish(a, finishPayload{Digest: sum})
-	err = c.send(FrameFinish, a.Buf)
-	wire.PutAppender(a)
-	if err != nil {
-		return "", false, err
+	if err := c.send(FrameFinish, func(a *wire.Appender) { appendFinish(a, finishPayload{Digest: sum}) }); err != nil {
+		return "", false, c.rejection(err)
 	}
 	// Late grants for the final DATA frames may precede the ACK.
 	for {
@@ -224,7 +175,7 @@ func (c *Client) UploadTorn(tenant string, stream []byte, cut int) error {
 	if err := c.sendData(stream[:cut]); err != nil {
 		return err
 	}
-	return c.conn.Close()
+	return c.Close()
 }
 
 // backoffCapFactor bounds the exponential retry backoff at

@@ -105,10 +105,11 @@ func TestDataZBombRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var hello, frames wire.Appender
-	appendHello(&hello, helloPayload{Version: protoVersion, Tenant: "sphere-bomb", SizeHint: 64})
-	appendFrame(&frames, FrameHello, hello.Buf)
-	appendFrame(&frames, FrameDataZ, dataz.Buf)
+	var frames wire.Appender
+	appendFrame(&frames, FrameHello, func(a *wire.Appender) {
+		appendHello(a, helloPayload{Version: protoVersion, Tenant: "sphere-bomb", SizeHint: 64})
+	})
+	appendFrame(&frames, FrameDataZ, func(a *wire.Appender) { a.Raw(dataz.Buf) })
 	before := s.Counters().BytesIngested
 	if _, err := conn.Write(frames.Buf); err != nil {
 		t.Fatal(err)

@@ -7,157 +7,81 @@ package ingest
 // the wire protocol.
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
-	"net"
-	"sync"
-	"time"
 
 	"repro/internal/wire"
 )
 
-// fleetDial opens a fleet session in the given role.
-func fleetDial(addr string, role byte, slots int) (net.Conn, *bufio.Reader, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: dial: %w", err)
-	}
-	a := wire.GetAppender()
-	var f wire.Appender
-	appendAttach(&f, attachPayload{Version: protoVersion, Role: role, Slots: uint64(slots)})
-	appendFrame(a, FrameAttach, f.Buf)
-	_, err = conn.Write(a.Buf)
-	wire.PutAppender(a)
-	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("ingest: attach: %w", err)
-	}
-	br := bufio.NewReader(conn)
-	kind, payload, err := readFrame(br)
-	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("ingest: attach: %w", err)
-	}
-	if kind == FrameError {
-		ep, derr := decodeError(payload)
-		conn.Close()
-		if derr != nil {
-			return nil, nil, derr
-		}
-		return nil, nil, &ServerError{Code: ep.Code, Retryable: ep.Retryable, Msg: ep.Msg}
-	}
-	if kind != FrameWelcome {
-		conn.Close()
-		return nil, nil, fmt.Errorf("%w: %s instead of welcome", ErrFrame, kind)
-	}
-	if _, err := acceptWelcome(payload); err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	return conn, br, nil
-}
-
-// sendFleetFrame writes one frame. Callers serialize writes themselves
-// (both session types write from a single goroutine).
-func sendFleetFrame(conn net.Conn, kind FrameKind, payload []byte) error {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendFrame(a, kind, payload)
-	if _, err := conn.Write(a.Buf); err != nil {
-		return fmt.Errorf("ingest: send %s: %w", kind, err)
-	}
-	return nil
-}
-
 // Submitter is a submitter-role fleet session: it pushes job bodies
-// under caller-chosen IDs and pulls completed results.
+// under caller-chosen IDs and pulls completed results. Close severs the
+// session; the server drops any unfinished jobs.
 type Submitter struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	partial map[uint64][]byte
+	*session
 }
 
 // DialSubmitter attaches to a fleet server as a submitter.
 func DialSubmitter(addr string) (*Submitter, error) {
-	conn, br, err := fleetDial(addr, roleSubmitter, 0)
+	s, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Submitter{conn: conn, br: br, partial: make(map[uint64][]byte)}, nil
+	if _, err := s.open(FrameAttach, func(a *wire.Appender) {
+		appendAttach(a, attachPayload{Version: protoVersion, Role: roleSubmitter})
+	}); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return &Submitter{s}, nil
 }
-
-// Close severs the session; the server drops any unfinished jobs.
-func (s *Submitter) Close() error { return s.conn.Close() }
 
 // Submit puts one job on the server's board under id. IDs are the
 // caller's namespace; reusing one before its result arrives is a
 // caller bug.
 func (s *Submitter) Submit(id uint64, body []byte) error {
-	var p wire.Appender
-	appendJobFrame(&p, jobPayload{ID: id, Body: body})
-	return sendFleetFrame(s.conn, FrameJob, p.Buf)
+	return s.send(FrameJob, func(a *wire.Appender) { appendJobFrame(a, jobPayload{ID: id, Body: body}) })
 }
 
 // Next blocks for the next completed job: its ID, result payload, and
 // the worker-side error message (empty on success). Results arrive in
 // completion order, not submission order.
 func (s *Submitter) Next() (id uint64, data []byte, errMsg string, err error) {
-	for {
-		kind, payload, err := readFrame(s.br)
-		if err != nil {
-			return 0, nil, "", fmt.Errorf("ingest: submitter recv: %w", err)
-		}
-		if kind == FrameError {
-			ep, derr := decodeError(payload)
-			if derr != nil {
-				return 0, nil, "", derr
-			}
-			return 0, nil, "", &ServerError{Code: ep.Code, Retryable: ep.Retryable, Msg: ep.Msg}
-		}
-		if kind != FrameResult {
-			return 0, nil, "", fmt.Errorf("%w: %s instead of result", ErrFrame, kind)
-		}
-		r, err := decodeResult(payload)
-		if err != nil {
-			return 0, nil, "", err
-		}
-		s.partial[r.ID] = append(s.partial[r.ID], r.Data...)
-		if r.Last {
-			data := s.partial[r.ID]
-			delete(s.partial, r.ID)
-			return r.ID, data, r.Err, nil
-		}
+	r, err := s.result(nil)
+	if err != nil {
+		return 0, nil, "", err
 	}
+	return r.ID, r.Data, r.Err, nil
 }
 
 // WorkerConn is a worker-role fleet session: it pulls job envelopes and
 // pushes results. Reads and writes may come from different goroutines
-// (jobs execute concurrently); writes are serialized by wmu.
+// (jobs execute concurrently). Close severs the session; the server
+// re-queues anything in flight.
 type WorkerConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	wmu  sync.Mutex
+	*session
 }
 
 // DialWorker attaches to a fleet server as a worker advertising the
 // given slot count.
 func DialWorker(addr string, slots int) (*WorkerConn, error) {
-	conn, br, err := fleetDial(addr, roleWorker, slots)
+	s, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &WorkerConn{conn: conn, br: br}, nil
+	if _, err := s.open(FrameAttach, func(a *wire.Appender) {
+		appendAttach(a, attachPayload{Version: protoVersion, Role: roleWorker, Slots: uint64(slots)})
+	}); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return &WorkerConn{s}, nil
 }
-
-// Close severs the session; the server re-queues anything in flight.
-func (w *WorkerConn) Close() error { return w.conn.Close() }
 
 // NextJob blocks for the next job envelope.
 func (w *WorkerConn) NextJob() (id uint64, body []byte, err error) {
-	kind, payload, err := readFrame(w.br)
+	kind, payload, err := w.recv()
 	if err != nil {
-		return 0, nil, fmt.Errorf("ingest: worker recv: %w", err)
+		return 0, nil, err
 	}
 	if kind != FrameJob {
 		return 0, nil, fmt.Errorf("%w: %s instead of job", ErrFrame, kind)
@@ -172,28 +96,7 @@ func (w *WorkerConn) NextJob() (id uint64, body []byte, err error) {
 // SendResult streams one job's result back, chunked under the
 // maxFramePayload cap. Safe for concurrent use.
 func (w *WorkerConn) SendResult(id uint64, data []byte, errMsg string) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	for {
-		n := len(data)
-		if n > resultChunkSize {
-			n = resultChunkSize
-		}
-		last := n == len(data)
-		r := resultPayload{ID: id, Last: last, Data: data[:n]}
-		if last {
-			r.Err = errMsg
-		}
-		var p wire.Appender
-		appendResult(&p, r)
-		if err := sendFleetFrame(w.conn, FrameResult, p.Buf); err != nil {
-			return err
-		}
-		if last {
-			return nil
-		}
-		data = data[n:]
-	}
+	return w.sendResult(id, data, errMsg)
 }
 
 // FetchBundle retrieves a stored bundle by digest over a fetch session:
@@ -201,26 +104,19 @@ func (w *WorkerConn) SendResult(id uint64, data []byte, errMsg string) error {
 // object's SHA-256, which is checked against both the reassembled bytes
 // and the requested digest.
 func FetchBundle(addr, digest string) ([]byte, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	s, err := dial(addr)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: dial: %w", err)
+		return nil, err
 	}
-	defer conn.Close()
-	a := wire.GetAppender()
-	var f wire.Appender
-	appendFetch(&f, fetchPayload{Digest: digest})
-	appendFrame(a, FrameFetch, f.Buf)
-	_, err = conn.Write(a.Buf)
-	wire.PutAppender(a)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: fetch: %w", err)
+	defer s.Close()
+	if err := s.send(FrameFetch, func(a *wire.Appender) { appendFetch(a, fetchPayload{Digest: digest}) }); err != nil {
+		return nil, err
 	}
-	br := bufio.NewReader(conn)
 	var data []byte
 	for {
-		kind, payload, err := readFrame(br)
+		kind, payload, err := s.recv()
 		if err != nil {
-			return nil, fmt.Errorf("ingest: fetch recv: %w", err)
+			return nil, err
 		}
 		switch kind {
 		case FrameData:
@@ -235,12 +131,6 @@ func FetchBundle(addr, digest string) ([]byte, error) {
 				return nil, fmt.Errorf("%w: fetched object hashes to %x, asked for %s", ErrFrame, sum, digest)
 			}
 			return data, nil
-		case FrameError:
-			ep, derr := decodeError(payload)
-			if derr != nil {
-				return nil, derr
-			}
-			return nil, &ServerError{Code: ep.Code, Retryable: ep.Retryable, Msg: ep.Msg}
 		default:
 			return nil, fmt.Errorf("%w: %s during fetch", ErrFrame, kind)
 		}

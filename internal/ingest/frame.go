@@ -25,6 +25,7 @@ package ingest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -135,12 +136,13 @@ const (
 // readers surface it (wrapped with detail) and close the session.
 var ErrFrame = fmt.Errorf("ingest: invalid frame")
 
-// appendFrame frames payload under kind into a.
-func appendFrame(a *wire.Appender, kind FrameKind, payload []byte) {
-	a.Grow(frameHeaderSize + len(payload))
-	a.U32(uint32(len(payload)))
+// appendFrame frames the payload build appends under kind into a.
+func appendFrame(a *wire.Appender, kind FrameKind, build func(*wire.Appender)) {
+	at := len(a.Buf)
+	a.U32(0)
 	a.Byte(byte(kind))
-	a.Raw(payload)
+	build(a)
+	binary.LittleEndian.PutUint32(a.Buf[at:], uint32(len(a.Buf)-at-frameHeaderSize))
 }
 
 // readFrame reads one frame from r. The payload is freshly allocated —
@@ -236,16 +238,6 @@ func checkVersion(offer byte) error {
 		return fmt.Errorf("%w: protocol v%d is below the v%d floor", ErrFrame, offer, protoVersion)
 	}
 	return nil
-}
-
-// acceptWelcome decodes a WELCOME on the client side, which speaks
-// protoVersion only.
-func acceptWelcome(data []byte) (welcomePayload, error) {
-	w, err := decodeWelcome(data)
-	if err == nil && w.Version != protoVersion {
-		err = fmt.Errorf("%w: server answered v%d, client speaks v%d", ErrFrame, w.Version, protoVersion)
-	}
-	return w, err
 }
 
 func decodeWelcome(data []byte) (welcomePayload, error) {
@@ -377,21 +369,34 @@ func (c ErrorCode) String() string {
 	return fmt.Sprintf("code(%d)", uint8(c))
 }
 
-// errorPayload rejects a session.
-type errorPayload struct {
+// ServerError is a typed server-side rejection: the payload of an ERROR
+// frame, which a session's receive returns as this error.
+type ServerError struct {
 	Code      ErrorCode
 	Retryable bool
 	Msg       string
 }
 
-func appendError(a *wire.Appender, e errorPayload) {
+// Error implements error.
+func (e *ServerError) Error() string {
+	return fmt.Sprintf("ingest: server rejected upload (%s): %s", e.Code, e.Msg)
+}
+
+// IsRetryable reports whether err is a shed/transient server rejection
+// worth retrying (an overloaded shard, a draining server).
+func IsRetryable(err error) bool {
+	var se *ServerError
+	return errors.As(err, &se) && se.Retryable
+}
+
+func appendError(a *wire.Appender, e ServerError) {
 	a.Byte(byte(e.Code))
 	a.Bool(e.Retryable)
 	a.String(e.Msg)
 }
 
-func decodeError(data []byte) (errorPayload, error) {
-	var e errorPayload
+func decodeError(data []byte) (ServerError, error) {
+	var e ServerError
 	c := wire.CursorOf(data)
 	b, err := c.Byte()
 	if err != nil {

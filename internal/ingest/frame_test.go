@@ -12,12 +12,8 @@ import (
 
 // frameBytes renders one framed payload.
 func frameBytes(kind FrameKind, build func(*wire.Appender)) []byte {
-	var p wire.Appender
-	if build != nil {
-		build(&p)
-	}
 	var f wire.Appender
-	appendFrame(&f, kind, p.Buf)
+	appendFrame(&f, kind, build)
 	return f.Buf
 }
 
@@ -30,7 +26,7 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 		fin.Digest[i] = byte(i)
 	}
 	ack := ackPayload{Digest: string(bytes.Repeat([]byte("ab"), digestSize)), Duplicate: true}
-	srvErr := errorPayload{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"}
+	srvErr := ServerError{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"}
 
 	cases := []struct {
 		kind  FrameKind
@@ -178,7 +174,7 @@ func FuzzIngestFrame(f *testing.F) {
 		appendAck(a, ackPayload{Digest: string(bytes.Repeat([]byte("0"), 2*digestSize))})
 	}))
 	f.Add(frameBytes(FrameError, func(a *wire.Appender) {
-		appendError(a, errorPayload{Code: CodeOverloaded, Retryable: true, Msg: "shed"})
+		appendError(a, ServerError{Code: CodeOverloaded, Retryable: true, Msg: "shed"})
 	}))
 	// Hostile shapes: oversize plen, torn header, torn payload, bad kind.
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1})
@@ -200,15 +196,13 @@ func FuzzIngestFrame(f *testing.F) {
 			t.Fatalf("decoded payload of %d bytes exceeds the frame cap", len(payload))
 		}
 		var re wire.Appender
-		appendFrame(&re, kind, payload)
+		appendFrame(&re, kind, func(a *wire.Appender) { a.Raw(payload) })
 		if !bytes.Equal(re.Buf, data[:len(data)-r.Len()]) {
 			t.Fatal("frame did not re-encode byte-identically")
 		}
 
 		// Any payload that decodes must survive an encode→decode round
-		// trip with its values intact. (Byte-identity is not asserted for
-		// varint-bearing payloads: binary.Uvarint tolerates non-minimal
-		// encodings the Appender never emits.)
+		// trip with its values intact.
 		switch kind {
 		case FrameHello:
 			if h, err := decodeHello(payload); err == nil {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -244,9 +245,7 @@ func TestDigestMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fin finishPayload // declare an all-zero digest: a corrupted upload
-	var a wire.Appender
-	appendFinish(&a, fin)
-	if err := c.send(FrameFinish, a.Buf); err != nil {
+	if err := c.send(FrameFinish, func(a *wire.Appender) { appendFinish(a, fin) }); err != nil {
 		t.Fatal(err)
 	}
 	var se *ServerError
@@ -281,8 +280,11 @@ func TestOversizeUploadRejected(t *testing.T) {
 // shedThenAccept is a front end that sheds its first sheds sessions
 // with a retryable overload error (exactly what an overloaded shard
 // sends) and proxies later sessions to the real server — a
-// deterministic way to exercise the client's shed-retry loop.
-func shedThenAccept(t *testing.T, sheds int, s *Server) (addr string) {
+// deterministic way to exercise the client's shed-retry loop. With
+// midUpload it sheds the way a full shard queue does mid-upload: after
+// a WELCOME granting the declared size and one DATA frame, while the
+// client is still sending.
+func shedThenAccept(t *testing.T, sheds int, s *Server, midUpload bool) (addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -296,14 +298,18 @@ func shedThenAccept(t *testing.T, sheds int, s *Server) (addr string) {
 				return
 			}
 			if i < sheds {
-				// Read the HELLO, then shed like an overloaded shard.
-				readFrame(conn)
-				a := wire.GetAppender()
-				var p wire.Appender
-				appendError(&p, errorPayload{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"})
-				appendFrame(a, FrameError, p.Buf)
-				conn.Write(a.Buf)
-				wire.PutAppender(a)
+				fe := newSession(conn, 0)
+				_, hello, _ := fe.recv()
+				if midUpload {
+					h, _ := decodeHello(hello)
+					fe.send(FrameWelcome, func(a *wire.Appender) {
+						appendWelcome(a, welcomePayload{Version: protoVersion, Credit: h.SizeHint})
+					})
+					fe.recv()
+				}
+				fe.send(FrameError, func(a *wire.Appender) {
+					appendError(a, ServerError{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"})
+				})
 				conn.Close()
 				continue
 			}
@@ -338,7 +344,7 @@ func copyConn(dst, src net.Conn) {
 func TestUploadRetriesShedSessions(t *testing.T) {
 	_, stream := recordStream(t, "counter", 2, 7)
 	s := startServer(t, nil)
-	addr := shedThenAccept(t, 2, s)
+	addr := shedThenAccept(t, 2, s, false)
 	digest, _, retries, err := Upload(addr, "sphere-r", stream, 4, time.Millisecond)
 	if err != nil {
 		t.Fatalf("upload through shedding front end: %v", err)
@@ -350,10 +356,43 @@ func TestUploadRetriesShedSessions(t *testing.T) {
 		t.Fatalf("retried upload not stored: %v", err)
 	}
 	// Exhausting attempts surfaces the typed retryable error.
-	addr2 := shedThenAccept(t, 1000, s)
+	addr2 := shedThenAccept(t, 1000, s, false)
 	_, _, _, err = Upload(addr2, "sphere-r", stream, 2, time.Millisecond)
 	if !IsRetryable(err) {
 		t.Fatalf("exhausted retries: %v, want retryable ServerError", err)
+	}
+}
+
+// TestUploadShedMidUploadIsTyped is the regression test for a shed that
+// lands while the client is still sending. The server sends ERROR and
+// closes with DATA unread, so the client's next write fails on a reset
+// connection; the upload must still return the server's retryable
+// ERROR, not the write error.
+func TestUploadShedMidUploadIsTyped(t *testing.T) {
+	// Incompressible, so it travels as DATA frames of its own size, and
+	// more than the loopback socket buffers hold, so the client is still
+	// writing when the front end closes.
+	stream := make([]byte, 16<<20)
+	rand.New(rand.NewSource(1)).Read(stream)
+	addr := shedThenAccept(t, 1000, nil, true)
+	_, _, _, err := Upload(addr, "sphere-m", stream, 1, 0)
+	var se *ServerError
+	if !errors.As(err, &se) || !IsRetryable(err) {
+		t.Fatalf("mid-upload shed: %v, want a retryable ServerError", err)
+	}
+}
+
+// TestNewServerNeedsWriteTimeout pins that every server session writes
+// under a deadline, which is how the session type tells a server end
+// (it severs itself on a failed write) from a client end. At zero every
+// server write used to fail at once.
+func TestNewServerNeedsWriteTimeout(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.StoreDir = t.TempDir()
+	cfg.WriteTimeout = 0
+	if s, err := NewServer(cfg); err == nil {
+		s.Close()
+		t.Fatal("NewServer accepted a zero write timeout")
 	}
 }
 

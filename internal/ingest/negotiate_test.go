@@ -1,13 +1,10 @@
 package ingest
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -16,18 +13,15 @@ import (
 // returns the first reply frame.
 func rawOpen(t *testing.T, addr string, kind FrameKind, payload []byte) (FrameKind, []byte) {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	s, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	fa := wire.GetAppender()
-	defer wire.PutAppender(fa)
-	appendFrame(fa, kind, payload)
-	if _, err := conn.Write(fa.Buf); err != nil {
+	defer s.Close()
+	if err := s.send(kind, func(a *wire.Appender) { a.Raw(payload) }); err != nil {
 		t.Fatal(err)
 	}
-	reply, body, err := readFrame(conn)
+	reply, body, err := readFrame(s.br)
 	if err != nil {
 		t.Fatalf("reading reply to %s: %v", kind, err)
 	}
@@ -106,9 +100,10 @@ func TestClientNegotiatesV3Only(t *testing.T) {
 		{4, false},
 	} {
 		srv, cli := net.Pipe()
-		c := &Client{conn: cli, br: bufio.NewReader(cli), chunk: uploadChunk}
+		c := &Client{session: newSession(cli, 0), chunk: uploadChunk}
 		go func() {
-			kind, payload, err := readFrame(srv)
+			ss := newSession(srv, 0)
+			kind, payload, err := ss.recv()
 			if err != nil || kind != FrameHello {
 				srv.Close()
 				return
@@ -118,13 +113,9 @@ func TestClientNegotiatesV3Only(t *testing.T) {
 				srv.Close()
 				return
 			}
-			a := wire.GetAppender()
-			defer wire.PutAppender(a)
-			appendWelcome(a, welcomePayload{Version: tc.version, Credit: 1024})
-			fa := wire.GetAppender()
-			defer wire.PutAppender(fa)
-			appendFrame(fa, FrameWelcome, a.Buf)
-			srv.Write(fa.Buf)
+			ss.send(FrameWelcome, func(a *wire.Appender) {
+				appendWelcome(a, welcomePayload{Version: tc.version, Credit: 1024})
+			})
 		}()
 		err := c.hello("sphere-n", 64)
 		cli.Close()
@@ -139,26 +130,28 @@ func TestClientNegotiatesV3Only(t *testing.T) {
 }
 
 // TestWriteFrameMarksUploadDead is the regression test for the shard
-// lifecycle bug: writeFrame's contract says a failed write marks the
-// upload dead, and the shard relies on that to stop assembling (and
-// never ack) a session whose socket is gone.
+// lifecycle bug: a failed write on a server session marks the upload
+// dead, and the shard relies on that to stop assembling (and never ack)
+// a session whose socket is gone.
 func TestWriteFrameMarksUploadDead(t *testing.T) {
 	s := startServer(t, nil)
 	srv, cli := net.Pipe()
 	cli.Close() // the peer vanished: every write must fail
-	up := &upload{conn: srv, wmu: &sync.Mutex{}}
-	if s.writeFrame(up, FrameGrant, []byte{1}) {
-		t.Fatal("writeFrame reported success on a closed connection")
+	up := &upload{session: newSession(srv, s.cfg.WriteTimeout)}
+	if up.send(FrameGrant, func(a *wire.Appender) { a.Byte(1) }) == nil {
+		t.Fatal("send reported success on a closed connection")
 	}
 	if !up.dead.Load() {
-		t.Fatal("failed writeFrame did not mark the upload dead")
+		t.Fatal("failed send did not mark the upload dead")
 	}
 	// A dead upload must stay inert through the shard's remaining work:
 	// finishUpload on a dead session neither stores nor acks.
 	before := s.ctrs.accepted.Load()
 	up.buf = wire.GetAppender()
 	defer wire.PutAppender(up.buf)
-	s.finishUpload(up, [digestSize]byte{})
+	if rej := s.finishUpload(up, [digestSize]byte{}); rej != nil {
+		t.Fatalf("dead upload was rejected: %v", rej)
+	}
 	if got := s.ctrs.accepted.Load(); got != before {
 		t.Fatalf("dead upload was acked (accepted %d -> %d)", before, got)
 	}

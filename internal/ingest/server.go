@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -84,18 +83,19 @@ type shard struct {
 	ch chan shardMsg
 }
 
-// upload is one in-flight session's assembly state. The buf is owned by
-// the shard worker between register and finish/abort; conn writes are
-// serialized by wmu (the shard worker and the session handler both send
-// frames). dead is atomic for the same reason: writeFrame marks it from
-// whichever goroutine hit the failure, and the shard polls it.
+// upload is one in-flight upload's assembly state. The shard worker and
+// the session handler both send frames on its session, and the shard
+// skips an upload whose session is dead (a failed write, or a size
+// overflow). The buf is owned by the shard worker between register and
+// finish/abort.
 type upload struct {
+	*session
 	tenant string
-	conn   net.Conn
-	wmu    *sync.Mutex
 	buf    *wire.Appender
 	size   int
-	dead   atomic.Bool // set on write failure / size overflow; shard skips dead uploads
+	// sh is the upload's shard while it is registered and unfinished, so
+	// the handler aborts it when the session ends. Handler-owned.
+	sh *shard
 }
 
 // Server is the recording-as-a-service ingest endpoint.
@@ -120,8 +120,8 @@ type Server struct {
 // NewServer opens the store, starts the shard workers and verifier
 // pool, and begins listening. Serve must be called to accept sessions.
 func NewServer(cfg Config) (*Server, error) {
-	if cfg.Shards < 1 || cfg.QueueDepth < 1 || cfg.Credit < 1 || cfg.MaxUploadBytes < 1 {
-		return nil, fmt.Errorf("ingest: config: shards, queue depth, credit and size cap must be positive")
+	if cfg.Shards < 1 || cfg.QueueDepth < 1 || cfg.Credit < 1 || cfg.MaxUploadBytes < 1 || cfg.WriteTimeout <= 0 {
+		return nil, fmt.Errorf("ingest: config: shards, queue depth, credit, size cap and write timeout must be positive")
 	}
 	store, err := OpenStore(cfg.StoreDir)
 	if err != nil {
@@ -212,32 +212,6 @@ func (s *Server) shardFor(tenant string) *shard {
 	return s.shards[int(h.Sum32())%len(s.shards)]
 }
 
-// writeFrame sends one frame on up's connection under its write lock
-// and deadline. Returns false (and marks the upload dead) on failure.
-func (s *Server) writeFrame(up *upload, kind FrameKind, payload []byte) bool {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendFrame(a, kind, payload)
-	up.wmu.Lock()
-	defer up.wmu.Unlock()
-	up.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	_, err := up.conn.Write(a.Buf)
-	if err != nil {
-		up.dead.Store(true) // no more frames owed; the shard drops its work
-		up.conn.Close()     // a wedged reader: sever the session
-		return false
-	}
-	return true
-}
-
-// writeErrorFrame sends a typed ERROR frame.
-func (s *Server) writeErrorFrame(up *upload, code ErrorCode, retryable bool, msg string) {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendError(a, errorPayload{Code: code, Retryable: retryable, Msg: msg})
-	s.writeFrame(up, FrameError, a.Buf)
-}
-
 // enqueue offers msg to sh, blocking up to the shed timeout.
 func (s *Server) enqueue(sh *shard, msg shardMsg) bool {
 	select {
@@ -266,7 +240,8 @@ func (s *Server) enqueueMust(sh *shard, msg shardMsg) {
 // HELLO starts an upload (WELCOME, then the DATA/FINISH loop), ATTACH
 // joins the fleet job plane as a worker or submitter, FETCH streams a
 // stored bundle back. For uploads the handler owns the read side; the
-// shard worker owns the upload buffer and sends GRANT/ACK frames.
+// shard worker owns the upload buffer and sends GRANT/ACK frames. A
+// session that ends in a rejection sends it as its last frame.
 func (s *Server) handle(conn net.Conn) {
 	defer s.handlers.Done()
 	defer func() {
@@ -276,23 +251,34 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 	}()
 
-	kind, payload, err := readFrame(conn)
+	ss := newSession(conn, s.cfg.WriteTimeout)
+	kind, payload, err := ss.recv()
 	if err != nil {
 		s.ctrs.rejected.Add(1)
 		return // nothing was negotiated; no frame owed
 	}
+	var rej *ServerError
 	switch kind {
 	case FrameHello:
+		up := &upload{session: ss}
+		defer s.abort(up) // after the rejection is sent
+		rej = s.handleUpload(up, payload)
 	case FrameAttach:
-		s.broker.handleAttach(conn, payload)
-		return
+		rej = s.broker.handleAttach(ss, payload)
 	case FrameFetch:
-		s.handleFetch(conn, payload)
-		return
+		rej = s.handleFetch(ss, payload)
 	default:
 		s.ctrs.rejected.Add(1)
 		return
 	}
+	if rej != nil {
+		ss.send(FrameError, func(a *wire.Appender) { appendError(a, *rej) })
+	}
+}
+
+// handleUpload runs an upload session from its HELLO on and returns
+// the rejection that ends it, if any.
+func (s *Server) handleUpload(up *upload, payload []byte) *ServerError {
 	// A future client offering a higher version is answered at v3 (the
 	// WELCOME below), not rejected.
 	hello, err := decodeHello(payload)
@@ -301,20 +287,15 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	if err != nil {
 		s.ctrs.rejected.Add(1)
-		up := &upload{conn: conn, wmu: &sync.Mutex{}}
-		s.writeErrorFrame(up, CodeProtocol, false, err.Error())
-		return
+		return &ServerError{Code: CodeProtocol, Msg: err.Error()}
 	}
 	if hello.SizeHint > uint64(s.cfg.MaxUploadBytes) {
 		s.ctrs.rejected.Add(1)
-		up := &upload{conn: conn, wmu: &sync.Mutex{}}
-		s.writeErrorFrame(up, CodeTooLarge, false,
-			fmt.Sprintf("declared %d bytes, cap %d", hello.SizeHint, s.cfg.MaxUploadBytes))
-		return
+		return &ServerError{Code: CodeTooLarge,
+			Msg: fmt.Sprintf("declared %d bytes, cap %d", hello.SizeHint, s.cfg.MaxUploadBytes)}
 	}
 	s.ctrs.sessions.Add(1)
-
-	up := &upload{tenant: hello.Tenant, conn: conn, wmu: &sync.Mutex{}}
+	up.tenant = hello.Tenant
 	sh := s.shardFor(hello.Tenant)
 
 	// Register with the shard: the worker attaches the pooled appender.
@@ -322,30 +303,19 @@ func (s *Server) handle(conn net.Conn) {
 	// shard sheds the session before it ever buffers a byte.
 	if !s.enqueue(sh, shardMsg{up: up, kind: FrameHello}) {
 		s.ctrs.shed.Add(1)
-		s.writeErrorFrame(up, CodeOverloaded, true, "shard queue full")
-		return
+		return &ServerError{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"}
 	}
-	registered := true
-	finished := false
-	defer func() {
-		if registered && !finished {
-			s.ctrs.aborted.Add(1)
-			s.enqueueMust(sh, shardMsg{up: up}) // abort: release the buffer
-		}
-	}()
-
-	a := wire.GetAppender()
-	appendWelcome(a, welcomePayload{Version: protoVersion, Credit: uint64(s.cfg.Credit)})
-	ok := s.writeFrame(up, FrameWelcome, a.Buf)
-	wire.PutAppender(a)
-	if !ok {
-		return
+	up.sh = sh
+	if up.send(FrameWelcome, func(a *wire.Appender) {
+		appendWelcome(a, welcomePayload{Version: protoVersion, Credit: uint64(s.cfg.Credit)})
+	}) != nil {
+		return nil
 	}
 
 	for {
-		kind, payload, err := readFrame(conn)
+		kind, payload, err := up.recv()
 		if err != nil {
-			return // torn upload: the deferred abort reclaims state
+			return nil // torn upload: the abort reclaims state
 		}
 		switch kind {
 		case FrameData, FrameDataZ:
@@ -357,35 +327,40 @@ func (s *Server) handle(conn net.Conn) {
 				payload, err = decodeDataZ(payload, s.cfg.Credit)
 				if err != nil {
 					s.ctrs.rejected.Add(1)
-					s.writeErrorFrame(up, CodeProtocol, false, err.Error())
-					return
+					return &ServerError{Code: CodeProtocol, Msg: err.Error()}
 				}
 				s.ctrs.framesCompressed.Add(1)
 			}
 			if !s.enqueue(sh, shardMsg{up: up, kind: FrameData, data: payload}) {
 				s.ctrs.shed.Add(1)
-				s.writeErrorFrame(up, CodeOverloaded, true, "shard queue full")
-				return
+				return &ServerError{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"}
 			}
 			s.ctrs.bytesIngested.Add(uint64(len(payload)))
 		case FrameFinish:
 			fin, err := decodeFinish(payload)
 			if err != nil {
 				s.ctrs.rejected.Add(1)
-				s.writeErrorFrame(up, CodeProtocol, false, err.Error())
-				return
+				return &ServerError{Code: CodeProtocol, Msg: err.Error()}
 			}
-			finished = true
+			up.sh = nil // finished: no abort is owed
 			s.enqueueMust(sh, shardMsg{up: up, kind: FrameFinish, dig: fin.Digest})
 			// The shard sends ACK (or ERROR) and releases the buffer; the
 			// session is done once the client closes its side.
-			io.Copy(io.Discard, conn)
-			return
+			io.Copy(io.Discard, up.br)
+			return nil
 		default:
 			s.ctrs.rejected.Add(1)
-			s.writeErrorFrame(up, CodeProtocol, false, "unexpected "+kind.String()+" frame")
-			return
+			return &ServerError{Code: CodeProtocol, Msg: "unexpected " + kind.String() + " frame"}
 		}
+	}
+}
+
+// abort releases an upload its session left registered and unfinished:
+// torn, shed or rejected.
+func (s *Server) abort(up *upload) {
+	if up.sh != nil {
+		s.ctrs.aborted.Add(1)
+		s.enqueueMust(up.sh, shardMsg{up: up})
 	}
 }
 
@@ -397,6 +372,7 @@ func (s *Server) runShard(sh *shard) {
 	defer s.shardWG.Done()
 	for msg := range sh.ch {
 		up := msg.up
+		var rej *ServerError
 		switch msg.kind {
 		case FrameHello:
 			up.buf = wire.GetAppender()
@@ -407,23 +383,22 @@ func (s *Server) runShard(sh *shard) {
 			if up.size+len(msg.data) > s.cfg.MaxUploadBytes {
 				up.dead.Store(true)
 				s.ctrs.rejected.Add(1)
-				s.writeErrorFrame(up, CodeTooLarge, false,
-					fmt.Sprintf("upload exceeds %d bytes", s.cfg.MaxUploadBytes))
-				continue
+				rej = &ServerError{Code: CodeTooLarge, Msg: fmt.Sprintf("upload exceeds %d bytes", s.cfg.MaxUploadBytes)}
+				break
 			}
 			up.buf.Raw(msg.data)
 			up.size += len(msg.data)
-			ga := wire.GetAppender()
-			appendGrant(ga, grantPayload{Bytes: uint64(len(msg.data))})
-			// A failed grant marks the upload dead inside writeFrame; the
+			// A failed grant marks the upload dead and severs it; the
 			// handler will see the closed conn and abort.
-			s.writeFrame(up, FrameGrant, ga.Buf)
-			wire.PutAppender(ga)
+			up.send(FrameGrant, func(a *wire.Appender) { appendGrant(a, grantPayload{Bytes: uint64(len(msg.data))}) })
 		case FrameFinish:
-			s.finishUpload(up, msg.dig)
+			rej = s.finishUpload(up, msg.dig)
 			s.releaseUpload(up)
 		default: // abort
 			s.releaseUpload(up)
+		}
+		if rej != nil {
+			up.send(FrameError, func(a *wire.Appender) { appendError(a, *rej) })
 		}
 	}
 }
@@ -437,24 +412,22 @@ func (s *Server) releaseUpload(up *upload) {
 }
 
 // finishUpload verifies the upload digest, stores the bundle, queues
-// verification, and acks.
-func (s *Server) finishUpload(up *upload, want [digestSize]byte) {
+// verification, and acks, or returns the rejection to send instead.
+func (s *Server) finishUpload(up *upload, want [digestSize]byte) *ServerError {
 	if up.dead.Load() {
-		return
+		return nil
 	}
 	got := sha256.Sum256(up.buf.Buf)
 	if subtle.ConstantTimeCompare(got[:], want[:]) != 1 {
 		s.ctrs.rejected.Add(1)
-		s.writeErrorFrame(up, CodeDigestMismatch, false,
-			fmt.Sprintf("upload hashed to %x, client declared %x", got, want))
-		return
+		return &ServerError{Code: CodeDigestMismatch,
+			Msg: fmt.Sprintf("upload hashed to %x, client declared %x", got, want)}
 	}
 	digest, existed, err := s.store.Put(up.buf.Buf)
 	if err != nil {
 		// Store faults (disk full, permissions) are retryable from the
 		// client's point of view: nothing was made addressable.
-		s.writeErrorFrame(up, CodeOverloaded, true, err.Error())
-		return
+		return &ServerError{Code: CodeOverloaded, Retryable: true, Msg: err.Error()}
 	}
 	if existed {
 		s.ctrs.duplicates.Add(1)
@@ -475,15 +448,13 @@ func (s *Server) finishUpload(up *upload, want [digestSize]byte) {
 			})
 		}
 	}
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendAck(a, ackPayload{Digest: digest, Duplicate: existed})
 	// Count before writing: a client that has read its ACK must find the
 	// upload in Counters. A write that fails takes the count back.
 	s.ctrs.accepted.Add(1)
-	if !s.writeFrame(up, FrameAck, a.Buf) {
+	if up.send(FrameAck, func(a *wire.Appender) { appendAck(a, ackPayload{Digest: digest, Duplicate: existed}) }) != nil {
 		s.ctrs.accepted.Add(^uint64(0))
 	}
+	return nil
 }
 
 // hexDigest is a tiny helper for tests and the CLI.
@@ -496,32 +467,25 @@ const FleetTenant = "_fleet"
 
 // handleFetch streams a stored bundle back to a worker: DATA frames in
 // upload-sized chunks, then FINISH carrying the SHA-256 of the whole
-// object so the worker can check what it reassembled.
-func (s *Server) handleFetch(conn net.Conn, payload []byte) {
-	up := &upload{conn: conn, wmu: &sync.Mutex{}}
+// object so the worker can check what it reassembled. It returns the
+// rejection that ends the session, if any.
+func (s *Server) handleFetch(ss *session, payload []byte) *ServerError {
 	f, err := decodeFetch(payload)
 	if err != nil {
 		s.ctrs.rejected.Add(1)
-		s.writeErrorFrame(up, CodeProtocol, false, err.Error())
-		return
+		return &ServerError{Code: CodeProtocol, Msg: err.Error()}
 	}
 	data, err := s.store.Get(f.Digest)
 	if err != nil {
-		s.writeErrorFrame(up, CodeNotFound, false, fmt.Sprintf("digest %s: %v", f.Digest, err))
-		return
+		return &ServerError{Code: CodeNotFound, Msg: fmt.Sprintf("digest %s: %v", f.Digest, err)}
 	}
 	for off := 0; off < len(data); off += uploadChunk {
-		end := off + uploadChunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if !s.writeFrame(up, FrameData, data[off:end]) {
-			return
+		chunk := data[off:min(off+uploadChunk, len(data))]
+		if ss.send(FrameData, func(a *wire.Appender) { a.Raw(chunk) }) != nil {
+			return nil
 		}
 	}
 	sum := sha256.Sum256(data)
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendFinish(a, finishPayload{Digest: sum})
-	s.writeFrame(up, FrameFinish, a.Buf)
+	ss.send(FrameFinish, func(a *wire.Appender) { appendFinish(a, finishPayload{Digest: sum}) })
+	return nil
 }

@@ -72,7 +72,9 @@ func (c *Cursor) poisoned() error {
 	return c.corruptf("read after out-of-range skip")
 }
 
-// Uvarint decodes one unsigned LEB128 varint.
+// Uvarint decodes one unsigned LEB128 varint. A multi-byte varint whose
+// last byte is 0 is corruption: it pads a shorter encoding, so it would
+// re-encode as different bytes.
 func (c *Cursor) Uvarint() (uint64, error) {
 	if err := c.poisoned(); err != nil {
 		return 0, err
@@ -84,24 +86,22 @@ func (c *Cursor) Uvarint() (uint64, error) {
 	if n < 0 {
 		return 0, c.corruptf("varint overflow")
 	}
+	if n > 1 && c.data[c.pos+n-1] == 0 {
+		return 0, c.corruptf("%d-byte varint is not minimal", n)
+	}
 	c.pos += n
 	return v, nil
 }
 
-// Varint decodes one zigzag-encoded signed LEB128 varint.
+// Varint decodes one zigzag-encoded signed LEB128 varint, under
+// Uvarint's rules.
 func (c *Cursor) Varint() (int64, error) {
-	if err := c.poisoned(); err != nil {
-		return 0, err
+	u, err := c.Uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	v, n := binary.Varint(c.data[c.pos:])
-	if n == 0 {
-		return 0, c.truncated("input ends mid-varint")
-	}
-	if n < 0 {
-		return 0, c.corruptf("varint overflow")
-	}
-	c.pos += n
-	return v, nil
+	return v, err
 }
 
 // Byte decodes one raw byte.
