@@ -12,11 +12,14 @@ package ingest
 // its in-flight jobs re-queued — on connection teardown immediately, on
 // a silent stall when the job's deadline lapses. Duplicated execution
 // is safe because every job is a pure function of the bundle it names;
-// duplicate results are discarded by ID. A worker may answer only the
-// jobs in flight on it: a result under any other ID ends its session.
+// duplicate results are discarded by ID. A re-dispatch goes to another
+// worker, never back to the one still holding the job. A worker may
+// answer only the jobs in flight on it: a result under any other ID ends
+// its session.
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -132,7 +135,7 @@ func (b *broker) submit(sub *fleetConn, subID uint64, body []byte) {
 	b.jobs[id] = &brokerJob{id: id, body: body, sub: sub, subID: subID, queued: true}
 	b.pending = append(b.pending, id)
 	b.mu.Unlock()
-	b.cond.Signal()
+	b.cond.Broadcast() // a feeder woken alone might have no free slot
 }
 
 // nextJob blocks until w may be fed another job (or the broker/worker
@@ -144,20 +147,39 @@ func (b *broker) nextJob(w *fleetConn) *brokerJob {
 		if b.closed || w.gone {
 			return nil
 		}
-		if len(w.sent) < w.slots && len(b.pending) > 0 {
-			id := b.pending[0]
-			b.pending = b.pending[1:]
-			j := b.jobs[id]
-			if j == nil || !j.queued {
-				continue // completed (or re-dispatched) while queued
+		if len(w.sent) < w.slots {
+			if j := b.take(w); j != nil {
+				j.queued = false
+				j.deadline = time.Now().Add(b.jobTimeout)
+				w.sent[j.id] = true
+				return j
 			}
-			j.queued = false
-			j.deadline = time.Now().Add(b.jobTimeout)
-			w.sent[id] = true
-			return j
 		}
 		b.cond.Wait()
 	}
+}
+
+// take removes and returns the first queued job w may run, dropping the
+// entries of jobs completed (or re-dispatched) while queued. A job still
+// in flight on w stays queued for another worker: one worker never
+// holds two dispatches of one ID, so it never answers one twice.
+func (b *broker) take(w *fleetConn) *brokerJob {
+	for i := 0; i < len(b.pending); {
+		j := b.jobs[b.pending[i]]
+		if j != nil && j.queued && w.sent[j.id] {
+			i++
+			continue
+		}
+		if i == 0 {
+			b.pending = b.pending[1:]
+		} else {
+			b.pending = slices.Delete(b.pending, i, i+1)
+		}
+		if j != nil && j.queued {
+			return j
+		}
+	}
+	return nil
 }
 
 // inFlight reports whether job id was dispatched to w and has not come

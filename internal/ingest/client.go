@@ -24,7 +24,7 @@ const uploadChunk = 64 << 10
 
 // Dial connects to an ingest server.
 func Dial(addr string) (*Client, error) {
-	s, err := dial(addr)
+	s, err := dial(addr, 0, nil)
 	if err != nil {
 		return nil, err
 	}

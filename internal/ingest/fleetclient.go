@@ -22,14 +22,10 @@ type Submitter struct {
 
 // DialSubmitter attaches to a fleet server as a submitter.
 func DialSubmitter(addr string) (*Submitter, error) {
-	s, err := dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.open(FrameAttach, func(a *wire.Appender) {
+	s, err := dial(addr, FrameAttach, func(a *wire.Appender) {
 		appendAttach(a, attachPayload{Version: protoVersion, Role: roleSubmitter})
-	}); err != nil {
-		s.Close()
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &Submitter{s}, nil
@@ -64,14 +60,10 @@ type WorkerConn struct {
 // DialWorker attaches to a fleet server as a worker advertising the
 // given slot count.
 func DialWorker(addr string, slots int) (*WorkerConn, error) {
-	s, err := dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.open(FrameAttach, func(a *wire.Appender) {
+	s, err := dial(addr, FrameAttach, func(a *wire.Appender) {
 		appendAttach(a, attachPayload{Version: protoVersion, Role: roleWorker, Slots: uint64(slots)})
-	}); err != nil {
-		s.Close()
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &WorkerConn{s}, nil
@@ -104,14 +96,11 @@ func (w *WorkerConn) SendResult(id uint64, data []byte, errMsg string) error {
 // object's SHA-256, which is checked against both the reassembled bytes
 // and the requested digest.
 func FetchBundle(addr, digest string) ([]byte, error) {
-	s, err := dial(addr)
+	s, err := dial(addr, FrameFetch, func(a *wire.Appender) { appendFetch(a, fetchPayload{Digest: digest}) })
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	if err := s.send(FrameFetch, func(a *wire.Appender) { appendFetch(a, fetchPayload{Digest: digest}) }); err != nil {
-		return nil, err
-	}
 	var data []byte
 	for {
 		kind, payload, err := s.recv()

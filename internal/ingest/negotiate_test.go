@@ -13,7 +13,7 @@ import (
 // returns the first reply frame.
 func rawOpen(t *testing.T, addr string, kind FrameKind, payload []byte) (FrameKind, []byte) {
 	t.Helper()
-	s, err := dial(addr)
+	s, err := dial(addr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,5 +154,51 @@ func TestWriteFrameMarksUploadDead(t *testing.T) {
 	}
 	if got := s.ctrs.accepted.Load(); got != before {
 		t.Fatalf("dead upload was acked (accepted %d -> %d)", before, got)
+	}
+}
+
+// TestErrorFrameToServerRejected pins that no peer may send ERROR to
+// the server: wherever one arrives, the session ends and counts it
+// rejected, and an upload answers it with a protocol error.
+func TestErrorFrameToServerRejected(t *testing.T) {
+	s := startServer(t, nil)
+	var hello, worker, submitter wire.Appender
+	appendHello(&hello, helloPayload{Version: protoVersion, Tenant: "sphere-n", SizeHint: 64})
+	appendAttach(&worker, attachPayload{Version: protoVersion, Role: roleWorker, Slots: 1})
+	appendAttach(&submitter, attachPayload{Version: protoVersion, Role: roleSubmitter})
+	for i, tc := range []struct {
+		what    string
+		kind    FrameKind // the opening frame, or 0 to open with the ERROR
+		payload []byte
+	}{
+		{"opening", 0, nil},
+		{"upload", FrameHello, hello.Buf},
+		{"worker", FrameAttach, worker.Buf},
+		{"submitter", FrameAttach, submitter.Buf},
+	} {
+		ss, err := dial(s.Addr(), tc.kind, func(a *wire.Appender) { a.Raw(tc.payload) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if err := ss.send(FrameError, func(a *wire.Appender) {
+			appendError(a, ServerError{Code: CodeProtocol, Msg: "from a client"})
+		}); err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		// Read until the server closes the session.
+		var rej *ServerError
+		for {
+			if _, _, err = ss.recv(); err != nil {
+				errors.As(err, &rej)
+				break
+			}
+		}
+		ss.Close()
+		if tc.kind == FrameHello && (rej == nil || rej.Code != CodeProtocol) {
+			t.Errorf("%s: ended with %v, want a protocol error", tc.what, err)
+		}
+		if n := s.Counters().Rejected; n != uint64(i+1) {
+			t.Errorf("%s: %d sessions rejected, want %d", tc.what, n, i+1)
+		}
 	}
 }

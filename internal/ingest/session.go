@@ -39,14 +39,29 @@ func newSession(conn net.Conn, timeout time.Duration) *session {
 	return &session{conn: conn, br: bufio.NewReader(conn), timeout: timeout}
 }
 
-// dial connects to an ingest server. It is the one place a client end
-// is made.
-func dial(addr string) (*session, error) {
+// dial connects to an ingest server and writes the opening frame build
+// appends under kind: an ATTACH must be answered by a v3 WELCOME (open),
+// a FETCH by the object itself. Kind 0 writes nothing, for a Client,
+// which says HELLO when it uploads. dial is the one place a client end
+// is made, and it leaves no connection open when it fails.
+func dial(addr string, kind FrameKind, build func(*wire.Appender)) (*session, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: dial: %w", err)
 	}
-	return newSession(conn, 0), nil
+	s := newSession(conn, 0)
+	switch kind {
+	case 0:
+	case FrameFetch:
+		err = s.send(kind, build)
+	default:
+		_, err = s.open(kind, build)
+	}
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // Close severs the connection.
@@ -73,14 +88,16 @@ func (s *session) send(kind FrameKind, build func(*wire.Appender)) error {
 	return nil
 }
 
-// recv reads the next frame. An ERROR frame comes back as a
-// *ServerError.
+// recv reads the next frame. On a client end an ERROR frame comes back
+// as a *ServerError. No peer may send ERROR to a server end, which gets
+// the frame as it comes, so its session refuses it as it refuses any
+// unexpected frame.
 func (s *session) recv() (FrameKind, []byte, error) {
 	kind, payload, err := readFrame(s.br)
 	if err != nil {
 		return 0, nil, fmt.Errorf("ingest: recv: %w", err)
 	}
-	if kind == FrameError {
+	if kind == FrameError && s.timeout == 0 {
 		e, err := decodeError(payload)
 		if err != nil {
 			return 0, nil, err

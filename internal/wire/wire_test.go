@@ -120,6 +120,8 @@ func TestCursorErrors(t *testing.T) {
 		{"uvarint empty", nil, func(c *Cursor) error { _, err := c.Uvarint(); return err }, ErrTruncated},
 		{"uvarint unterminated", []byte{0x80, 0x80}, func(c *Cursor) error { _, err := c.Uvarint(); return err }, ErrTruncated},
 		{"uvarint overflow", bytes.Repeat([]byte{0x80}, 11), func(c *Cursor) error { _, err := c.Uvarint(); return err }, ErrCorrupt},
+		{"uvarint padded", []byte{0x80, 0x00}, func(c *Cursor) error { _, err := c.Uvarint(); return err }, ErrCorrupt},
+		{"varint padded", []byte{0x81, 0x80, 0x00}, func(c *Cursor) error { _, err := c.Varint(); return err }, ErrCorrupt},
 		{"byte empty", nil, func(c *Cursor) error { _, err := c.Byte(); return err }, ErrTruncated},
 		{"raw overrun", []byte{1}, func(c *Cursor) error { _, err := c.Raw(2); return err }, ErrTruncated},
 		{"raw negative", []byte{1}, func(c *Cursor) error { _, err := c.Raw(-1); return err }, ErrTruncated},
