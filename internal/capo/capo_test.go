@@ -57,7 +57,7 @@ func TestKernelReadDeterministicPerSeed(t *testing.T) {
 		if res.Ret != 32 || res.CopyAddr != 64 || len(res.CopyData) != 32 {
 			t.Fatalf("read result = %+v", res)
 		}
-		if !bytes.Equal(m.LoadBytes(64, 32), res.CopyData) {
+		if !bytes.Equal(m.AppendBytes(nil, 64, 32), res.CopyData) {
 			t.Fatal("memory does not hold the copied data")
 		}
 		return res.CopyData

@@ -131,13 +131,15 @@ func ReadPC(c *wire.Cursor) (int, error) {
 // AppendImage encodes a checkpoint memory image as a length-prefixed
 // blob of its bytes.
 func AppendImage(a *wire.Appender, m *mem.Memory) {
-	a.Blob(m.LoadBytes(0, m.Size()))
+	a.Uvarint(m.Size())
+	a.Buf = m.AppendBytes(a.Buf, 0, m.Size())
 }
 
-// ReadImage decodes what AppendImage wrote. The memory is
+// ReadImage decodes what AppendImage wrote, into m when m is a memory
+// of the image's size and into a new memory otherwise. The memory is
 // word-addressed, so an image that is not a whole number of words could
 // only re-encode longer; it is corruption under c's sentinel.
-func ReadImage(c *wire.Cursor) (*mem.Memory, error) {
+func ReadImage(c *wire.Cursor, m *mem.Memory) (*mem.Memory, error) {
 	img, err := c.View()
 	if err != nil {
 		return nil, err
@@ -145,7 +147,9 @@ func ReadImage(c *wire.Cursor) (*mem.Memory, error) {
 	if len(img)%mem.WordSize != 0 {
 		return nil, c.Corruptf("checkpoint memory image of %d bytes is not a whole number of words", len(img))
 	}
-	m := mem.New(uint64(len(img)))
+	if m == nil || m.Size() != uint64(len(img)) {
+		m = mem.New(uint64(len(img)))
+	}
 	m.StoreBytes(0, img)
 	return m, nil
 }

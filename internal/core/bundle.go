@@ -266,16 +266,17 @@ func appendSnapshot(a *wire.Appender, s *capo.Snapshot) {
 	a.Blob(s.Output)
 }
 
-// readSnapshot decodes what appendSnapshot wrote into s.
-func readSnapshot(c *wire.Cursor, threads int, s *capo.Snapshot) error {
+// readSnapshot decodes what appendSnapshot wrote into s, reusing the
+// memory image and per-thread slices s already holds.
+func (d *BundleDecoder) readSnapshot(c *wire.Cursor, threads int, s *capo.Snapshot) error {
 	var err error
-	if s.Mem, err = capo.ReadImage(c); err != nil {
+	if s.Mem, err = capo.ReadImage(c, s.Mem); err != nil {
 		return err
 	}
-	s.Contexts = make([]isa.Context, threads)
-	s.Exited = make([]bool, threads)
-	s.SigRegs = make([][isa.NumRegs]uint64, threads)
-	s.SigPC = make([]int, threads)
+	s.Contexts = resize(s.Contexts, threads)
+	s.Exited = resize(s.Exited, threads)
+	s.SigRegs = resize(s.SigRegs, threads)
+	s.SigPC = resize(s.SigPC, threads)
 	for t := 0; t < threads; t++ {
 		if s.Contexts[t], err = capo.ReadContext(c); err != nil {
 			return err
@@ -298,6 +299,6 @@ func readSnapshot(c *wire.Cursor, threads int, s *capo.Snapshot) error {
 	if s.HandlerOK, err = c.Bool(); err != nil {
 		return err
 	}
-	s.Output, err = c.Blob()
+	s.Output, err = d.blob(c)
 	return err
 }

@@ -50,7 +50,9 @@ const outRefMinLen = 32
 func (b *Bundle) marshalV2(method byte, auto bool) []byte {
 	body := wire.GetAppender()
 	b.appendBodyV2(body)
-	a := wire.AppenderOf(make([]byte, 0, 16+len(body.Buf)))
+	// The block grows the header's buffer once, to the framed size; an
+	// LZ body is a fraction of the raw one.
+	a := wire.AppenderOf(make([]byte, 0, 9))
 	a.Raw(bundleMagic[:])
 	a.Byte(bundleVersionV2)
 	flagsPos := a.Len()

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/capo"
+	"repro/internal/chunk"
 	"repro/internal/machine"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -177,25 +179,103 @@ func TestBundleVersionNegotiation(t *testing.T) {
 	})
 }
 
+// checkpointedSigRecording records racefree on 4 threads and 4 cores
+// with signatures and a checkpoint every 500 instructions.
+func checkpointedSigRecording(t testing.TB) *Bundle {
+	t.Helper()
+	spec, _ := workload.ByName("racefree")
+	b, err := Record(spec.Build(4), recordCfg(5, func(c *machine.Config) {
+		c.Threads = 4
+		c.CaptureSignatures = true
+		c.CheckpointEveryInstrs = 500
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.IntervalCheckpoints) < 3 || b.SigLogs == nil {
+		t.Fatalf("recording has %d checkpoints and signatures %v, want several checkpoints and signatures",
+			len(b.IntervalCheckpoints), b.SigLogs != nil)
+	}
+	return b
+}
+
 // TestBundleDecoderSteadyStateAllocs pins the mmap-decode story: a
 // reused BundleDecoder in alias mode decodes a bundle with no
-// allocations once its storage is warm.
+// allocations once its storage is warm, checkpoint images and
+// signature logs included.
 func TestBundleDecoderSteadyStateAllocs(t *testing.T) {
-	b := recordNamed(t, "counter-4t2c")
-	for _, f := range []Format{FormatV1, FormatV2Raw, FormatV2LZ} {
-		data := marshalAs(b, f)
-		d := &BundleDecoder{}
-		if _, err := d.Decode(data); err != nil {
-			t.Fatalf("%v: %v", f, err)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
+	for name, b := range map[string]*Bundle{
+		"counter-4t2c":      recordNamed(t, "counter-4t2c"),
+		"checkpointed-sigs": checkpointedSigRecording(t),
+	} {
+		for _, f := range []Format{FormatV1, FormatV2Raw, FormatV2LZ} {
+			data := marshalAs(b, f)
+			d := &BundleDecoder{}
 			if _, err := d.Decode(data); err != nil {
+				t.Fatalf("%s %v: %v", name, f, err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := d.Decode(data); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s %v: %.1f allocs/op steady-state", name, f, allocs)
+			if allocs != 0 {
+				t.Errorf("%s %v: %.1f allocs/op steady-state, want 0", name, f, allocs)
+			}
+		}
+	}
+}
+
+// TestBundleDecoderReuse runs one decoder per format over bundles whose
+// shapes differ: A is checkpointed and carries signatures; B has
+// neither and another program's memory size, as have C's checkpoint
+// images; T is a tail of A; S is A without checkpoints and with no
+// chunks, so no signatures, on its last thread. Each decode must equal
+// UnmarshalBundle of the same bytes, so nothing a bundle lacks leaks in
+// from an earlier one, and must re-marshal to those bytes.
+func TestBundleDecoderReuse(t *testing.T) {
+	a := checkpointedSigRecording(t)
+	b := recordNamed(t, "counter-4t2c")
+	c := recordNamed(t, "counter-ckpt")
+	tail, err := TailAt(a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := *a
+	s.IntervalCheckpoints = nil
+	s.ChunkLogs = append([]*chunk.Log(nil), a.ChunkLogs...)
+	s.ChunkLogs[3] = &chunk.Log{}
+	s.SigLogs = append([][]capo.SigPair(nil), a.SigLogs...)
+	s.SigLogs[3] = nil
+	if b.IntervalCheckpoints != nil || b.SigLogs != nil {
+		t.Fatal("B has checkpoints or signatures")
+	}
+	if a.IntervalCheckpoints[0].Mem.Size() == c.IntervalCheckpoints[0].Mem.Size() {
+		t.Fatal("A and C have checkpoint images of one size")
+	}
+	seq := []struct {
+		name string
+		b    *Bundle
+	}{{"A", a}, {"B", b}, {"A", a}, {"C", c}, {"T", tail}, {"A", a}, {"S", &s}, {"A", a}}
+	for _, f := range []Format{FormatV1, FormatV2Raw, FormatV2LZ} {
+		d := &BundleDecoder{}
+		for i, step := range seq {
+			data := marshalAs(step.b, f)
+			got, err := d.Decode(data)
+			if err != nil {
+				t.Fatalf("%v step %d (%s): %v", f, i, step.name, err)
+			}
+			want, err := UnmarshalBundle(data)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%v: %.1f allocs/op steady-state", f, allocs)
-		if allocs != 0 {
-			t.Errorf("%v: %.1f allocs/op steady-state, want 0", f, allocs)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v step %d (%s): reused decode differs from UnmarshalBundle", f, i, step.name)
+			}
+			if !bytes.Equal(got.Marshal(), data) {
+				t.Errorf("%v step %d (%s): reused decode does not re-marshal to its bytes", f, i, step.name)
+			}
 		}
 	}
 }
@@ -256,6 +336,52 @@ func FuzzWireV2Header(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, again) {
 			t.Fatal("re-encode round trip is not stable")
+		}
+	})
+}
+
+// codecRecording records fft the way the analyze benchmark records its
+// fixtures: 4 threads on 4 cores, signatures, a checkpoint every 20,000
+// instructions.
+func codecRecording(tb testing.TB) *Bundle {
+	tb.Helper()
+	spec, _ := workload.ByName("fft")
+	b, err := Record(spec.Build(4), recordCfg(1, func(c *machine.Config) {
+		c.Threads = 4
+		c.CaptureSignatures = true
+		c.CheckpointEveryInstrs = 20000
+	}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+var codecSink []byte
+
+// BenchmarkBundleCodec marshals a checkpointed, signature-carrying
+// recording and decodes it with a reused decoder.
+func BenchmarkBundleCodec(b *testing.B) {
+	rec := codecRecording(b)
+	data := rec.Marshal()
+	b.Logf("%d instructions, %d checkpoints, %d bytes", rec.RecordStats.Retired, len(rec.IntervalCheckpoints), len(data))
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			codecSink = rec.Marshal()
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		var d BundleDecoder
+		if _, err := d.Decode(data); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.Decode(data); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

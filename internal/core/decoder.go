@@ -12,23 +12,31 @@ import (
 
 // BundleDecoder decodes bundles into reusable storage: the Bundle, the
 // per-thread chunk logs (and their entry arrays), the input log's
-// record slice and data arena, the decompression buffer and the output
-// buffer all persist across Decode calls. Steady-state decoding — the
-// replay service draining a queue of recordings, or the codec
-// benchmark — allocates nothing.
+// record slice and data arena, the signature-log slices, the interval
+// checkpoints and the tail snapshot (memory images of an unchanged
+// size, per-thread slices, chunk positions), the decompression buffer
+// and the output buffer all persist across Decode calls. Steady-state
+// decoding — the replay service draining a queue of recordings, or the
+// codec benchmark — allocates nothing, checkpointed and
+// signature-carrying bundles included.
 //
 // The returned bundle is valid until the next Decode and aliases both
-// the decoder's storage and, for zero-copy fields (the input-log data
-// arena of a raw-block v2 bundle, or of any v1 bundle), the input
-// bytes themselves. Callers decoding out of an mmap must keep the
-// mapping alive for as long as they use the bundle; callers that need
-// an owning bundle use UnmarshalBundle, which copies.
+// the decoder's storage and, for zero-copy fields (signature pairs,
+// checkpoint output and the input-log data arena, viewed in the
+// decompression buffer of an LZ-block v2 bundle and in the input bytes
+// of any other), the input bytes themselves. Callers decoding out of
+// an mmap must keep the mapping alive for as long as they use the
+// bundle; callers that need an owning bundle use UnmarshalBundle,
+// which copies.
 type BundleDecoder struct {
 	bundle Bundle
 	logs   []chunk.Log
 	input  capo.LogDecoder
-	body   []byte // block decompression buffer
-	copies bool   // one-shot ownership mode (UnmarshalBundle)
+	sigs   [][]capo.SigPair   // Bundle.SigLogs
+	ckpts  []*capo.Checkpoint // Bundle.IntervalCheckpoints' storage
+	tail   capo.Snapshot      // Bundle.Checkpoint
+	body   []byte             // block decompression buffer
+	copies bool               // one-shot ownership mode (UnmarshalBundle)
 }
 
 // Decode parses data in any supported format (the header version byte
@@ -274,10 +282,34 @@ func (d *BundleDecoder) readFinalState(c *wire.Cursor, b *Bundle) error {
 	return nil
 }
 
+// resize returns s with n elements, reusing its array when it has room.
+// The elements' values are left for the caller to overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// blob reads a length-prefixed field the bundle keeps: an owned copy in
+// ownership mode, a view of the input otherwise, capped so an append
+// cannot write past it. Empty is nil either way.
+func (d *BundleDecoder) blob(c *wire.Cursor) ([]byte, error) {
+	if d.copies {
+		return c.Blob()
+	}
+	v, err := c.View()
+	if len(v) == 0 {
+		return nil, err
+	}
+	return v[:len(v):len(v)], nil
+}
+
 // readSigLogs decodes the per-thread signature-pair section shared by
-// both layouts.
+// both layouts. A thread without pairs gets a nil log.
 func (d *BundleDecoder) readSigLogs(c *wire.Cursor, b *Bundle) error {
-	b.SigLogs = make([][]capo.SigPair, b.Threads)
+	d.sigs = resize(d.sigs, b.Threads)
+	b.SigLogs = d.sigs
 	for t := 0; t < b.Threads; t++ {
 		n, err := c.Uvarint()
 		if err != nil {
@@ -290,16 +322,21 @@ func (d *BundleDecoder) readSigLogs(c *wire.Cursor, b *Bundle) error {
 			return fmt.Errorf("%w: thread %d has %d signature pairs for %d chunks",
 				ErrCorruptBundle, t, n, b.ChunkLogs[t].Len())
 		}
+		pairs := d.sigs[t][:0]
 		for i := uint64(0); i < n; i++ {
 			var p capo.SigPair
-			if p.Read, err = c.Blob(); err != nil {
+			if p.Read, err = d.blob(c); err != nil {
 				return err
 			}
-			if p.Write, err = c.Blob(); err != nil {
+			if p.Write, err = d.blob(c); err != nil {
 				return err
 			}
-			b.SigLogs[t] = append(b.SigLogs[t], p)
+			pairs = append(pairs, p)
 		}
+		if n == 0 {
+			pairs = nil
+		}
+		d.sigs[t] = pairs
 	}
 	return nil
 }
@@ -312,10 +349,10 @@ func (d *BundleDecoder) readCheckpointSections(c *wire.Cursor, b *Bundle, hasIva
 		return fmt.Errorf("%w: missing checkpoint flag", ErrCorruptBundle)
 	}
 	if hasCkpt == 1 {
-		b.Checkpoint = &capo.Snapshot{}
-		if err := readSnapshot(c, b.Threads, b.Checkpoint); err != nil {
+		if err := d.readSnapshot(c, b.Threads, &d.tail); err != nil {
 			return err
 		}
+		b.Checkpoint = &d.tail
 	} else if hasCkpt != 0 {
 		return fmt.Errorf("%w: bad checkpoint flag %d", ErrCorruptBundle, hasCkpt)
 	}
@@ -332,10 +369,14 @@ func (d *BundleDecoder) readCheckpointSections(c *wire.Cursor, b *Bundle, hasIva
 		return fmt.Errorf("%w: implausible interval checkpoint count %d", ErrCorruptBundle, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		ck := &capo.Checkpoint{}
-		if err := readSnapshot(c, b.Threads, &ck.Snapshot); err != nil {
+		if i == uint64(len(d.ckpts)) {
+			d.ckpts = append(d.ckpts, &capo.Checkpoint{})
+		}
+		ck := d.ckpts[i]
+		if err := d.readSnapshot(c, b.Threads, &ck.Snapshot); err != nil {
 			return err
 		}
+		ck.ChunkPos = ck.ChunkPos[:0]
 		for t := 0; t < b.Threads; t++ {
 			p, err := c.Uvarint()
 			if err != nil {
@@ -359,8 +400,8 @@ func (d *BundleDecoder) readCheckpointSections(c *wire.Cursor, b *Bundle, hasIva
 		if ck.RetiredAt, err = c.Uvarint(); err != nil {
 			return err
 		}
-		b.IntervalCheckpoints = append(b.IntervalCheckpoints, ck)
 	}
+	b.IntervalCheckpoints = d.ckpts[:n:n]
 	return nil
 }
 

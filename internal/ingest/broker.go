@@ -14,8 +14,8 @@ package ingest
 // is safe because every job is a pure function of the bundle it names;
 // duplicate results are discarded by ID. A re-dispatch goes to another
 // worker, never back to the one still holding the job. A worker may
-// answer only the jobs in flight on it: a result under any other ID ends
-// its session.
+// answer only the jobs in flight on it, each in at most MaxUploadBytes:
+// a result under any other ID, or a larger one, ends its session.
 
 import (
 	"errors"
@@ -277,7 +277,8 @@ func (b *broker) handleAttach(ss *session, payload []byte) *ServerError {
 // runWorker feeds jobs to an attached worker and routes its results.
 // The feeder goroutine pulls from the board; the session goroutine
 // (this one) reads the worker's results. A result for a job that is not
-// in flight on this worker ends the session before any of it is kept.
+// in flight on this worker, or one that grows past MaxUploadBytes, ends
+// the session before the offending chunk is kept.
 func (b *broker) runWorker(fc *fleetConn) {
 	b.wg.Add(1)
 	go func() {
@@ -295,7 +296,7 @@ func (b *broker) runWorker(fc *fleetConn) {
 	}()
 	defer b.workerGone(fc)
 	for {
-		r, err := fc.result(func(id uint64) bool { return b.inFlight(fc, id) })
+		r, err := fc.result(func(id uint64) bool { return b.inFlight(fc, id) }, b.s.cfg.MaxUploadBytes)
 		if err != nil {
 			if errors.Is(err, ErrFrame) {
 				b.s.ctrs.rejected.Add(1)

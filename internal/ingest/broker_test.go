@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // TestBrokerRejectsUndispatchedResult is the regression test for a
@@ -213,5 +215,70 @@ func TestBrokerSubmitWakesFreeWorker(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the free worker was not fed the pending job")
+	}
+}
+
+// TestBrokerBoundsResultReassembly is the regression test for unbounded
+// RESULT reassembly. A 1-slot worker sends five non-last 256 KiB chunks
+// for its job under a 1 MiB MaxUploadBytes: the broker must end that
+// worker's session at the fifth, count it rejected and requeue its job,
+// which an honest worker then completes.
+func TestBrokerBoundsResultReassembly(t *testing.T) {
+	s := startServer(t, func(c *Config) { c.MaxUploadBytes = 1 << 20 })
+	sub, err := DialSubmitter(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if err := sub.Submit(7, []byte("job")); err != nil {
+		t.Fatal(err)
+	}
+	hog, err := DialWorker(s.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hog.Close()
+	id, _, err := hog.NextJob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := make([]byte, resultChunkSize)
+	for i := range 5 {
+		err := hog.send(FrameResult, func(a *wire.Appender) { appendResult(a, resultPayload{ID: id, Data: chunk}) })
+		if err != nil && i < 4 {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+	}
+	ended := make(chan error, 1)
+	go func() {
+		_, _, err := hog.NextJob()
+		ended <- err
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the session of a worker reassembling 1.25 MiB under a 1 MiB cap was not ended")
+	}
+	if n := s.Counters().Rejected; n != 1 {
+		t.Errorf("%d sessions rejected, want the oversized result's 1", n)
+	}
+
+	honest, err := DialWorker(s.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer honest.Close()
+	go func() {
+		id, body, err := honest.NextJob()
+		if err == nil {
+			honest.SendResult(id, append([]byte("ok:"), body...), "")
+		}
+	}()
+	gotID, data, _, err := sub.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotID != 7 || string(data) != "ok:job" {
+		t.Errorf("submitter got job %d = %q, want job 7 = %q", gotID, data, "ok:job")
 	}
 }

@@ -9,6 +9,7 @@ package ingest
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 
 	"repro/internal/wire"
 )
@@ -42,7 +43,7 @@ func (s *Submitter) Submit(id uint64, body []byte) error {
 // the worker-side error message (empty on success). Results arrive in
 // completion order, not submission order.
 func (s *Submitter) Next() (id uint64, data []byte, errMsg string, err error) {
-	r, err := s.result(nil)
+	r, err := s.result(nil, math.MaxInt)
 	if err != nil {
 		return 0, nil, "", err
 	}

@@ -10,6 +10,7 @@ package ingest
 // results, the chunking needed to stay under maxFramePayload).
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -22,10 +23,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // block. The CRC covers the on-wire block bytes (method byte included),
 // so corruption is caught before decompression runs on hostile input.
 func appendDataZ(a *wire.Appender, data []byte) {
-	var blk wire.Appender
-	wire.AppendBlock(&blk, data)
-	a.U32(crc32.Checksum(blk.Buf, castagnoli))
-	a.Raw(blk.Buf)
+	at := a.Len()
+	a.U32(0) // the CRC, once the block is in place
+	wire.AppendBlock(a, data)
+	binary.LittleEndian.PutUint32(a.Buf[at:], crc32.Checksum(a.Buf[at+4:], castagnoli))
 }
 
 // decodeDataZ undoes appendDataZ, returning the raw stream bytes. A

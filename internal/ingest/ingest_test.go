@@ -69,15 +69,15 @@ func TestStorePutGetDedupe(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("quickrec stream bytes")
-	d1, existed, err := st.Put(data)
+	sum := sha256.Sum256(data)
+	d1, existed, err := st.Put(data, sum)
 	if err != nil || existed {
 		t.Fatalf("first put: %s existed=%v err=%v", d1, existed, err)
 	}
-	sum := sha256.Sum256(data)
 	if want := hexDigest(sum); d1 != want {
 		t.Fatalf("digest %s, want %s", d1, want)
 	}
-	d2, existed, err := st.Put(data)
+	d2, existed, err := st.Put(data, sum)
 	if err != nil || !existed || d2 != d1 {
 		t.Fatalf("second put: %s existed=%v err=%v", d2, existed, err)
 	}

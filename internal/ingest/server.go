@@ -36,7 +36,8 @@ type Config struct {
 	// Credit is the per-session in-flight byte allowance granted at
 	// WELCOME; the shard returns credit as it consumes DATA frames.
 	Credit int
-	// MaxUploadBytes caps one upload's assembled size.
+	// MaxUploadBytes caps one upload's assembled size, and one fleet
+	// job result's.
 	MaxUploadBytes int
 	// Verifiers is the background verifier pool size.
 	Verifiers int
@@ -423,7 +424,7 @@ func (s *Server) finishUpload(up *upload, want [digestSize]byte) *ServerError {
 		return &ServerError{Code: CodeDigestMismatch,
 			Msg: fmt.Sprintf("upload hashed to %x, client declared %x", got, want)}
 	}
-	digest, existed, err := s.store.Put(up.buf.Buf)
+	digest, existed, err := s.store.Put(up.buf.Buf, got)
 	if err != nil {
 		// Store faults (disk full, permissions) are retryable from the
 		// client's point of view: nothing was made addressable.

@@ -148,8 +148,9 @@ func (s *session) sendResult(id uint64, data []byte, errMsg string) error {
 // result reads RESULT frames until one job's last chunk arrives and
 // returns that job's whole result. accept, when non-nil, vets each
 // chunk's ID before a byte of it is kept; an ID it refuses is an
-// ErrFrame.
-func (s *session) result(accept func(id uint64) bool) (resultPayload, error) {
+// ErrFrame, and so is a chunk that would take its job's reassembled
+// bytes past limit.
+func (s *session) result(accept func(id uint64) bool, limit int) (resultPayload, error) {
 	for {
 		kind, payload, err := s.recv()
 		if err != nil {
@@ -165,7 +166,11 @@ func (s *session) result(accept func(id uint64) bool) (resultPayload, error) {
 		if accept != nil && !accept(r.ID) {
 			return r, fmt.Errorf("%w: result for job %d, which is not in flight here", ErrFrame, r.ID)
 		}
-		if p, ok := s.partial[r.ID]; ok {
+		p, ok := s.partial[r.ID]
+		if len(r.Data) > limit-len(p) {
+			return r, fmt.Errorf("%w: result for job %d exceeds %d bytes", ErrFrame, r.ID, limit)
+		}
+		if ok {
 			r.Data = append(p, r.Data...)
 			delete(s.partial, r.ID)
 		}

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -38,11 +37,12 @@ func (s *Store) objectPath(digest string) string {
 	return filepath.Join(s.dir, "objects", digest[:2], digest+".qstream")
 }
 
-// Put stores data under its SHA-256 and returns the hex digest. existed
+// Put stores data under sum, which must be its SHA-256, and returns the
+// hex digest. The server has already checked an upload's digest when it
+// stores it, so the store does not hash the bytes again. existed
 // reports that an identical bundle was already present (the write was
 // skipped — content addressing deduplicates).
-func (s *Store) Put(data []byte) (digest string, existed bool, err error) {
-	sum := sha256.Sum256(data)
+func (s *Store) Put(data []byte, sum [digestSize]byte) (digest string, existed bool, err error) {
 	digest = hex.EncodeToString(sum[:])
 	path := s.objectPath(digest)
 	if _, err := os.Stat(path); err == nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 )
 
 // WordSize is the access granularity in bytes.
@@ -87,16 +88,18 @@ func (m *Memory) span(addr, n uint64) []uint64 {
 	return m.words[idx : idx+need]
 }
 
-// LoadBytes copies n bytes starting at the aligned address addr into a new
-// slice. n need not be word-aligned; the tail of the final word is
-// truncated. Used by the kernel model for write(2)-style syscalls and to
-// serialize memory images.
-func (m *Memory) LoadBytes(addr, n uint64) []byte {
+// AppendBytes appends the n bytes starting at the aligned address addr
+// to dst and returns the extended slice. n need not be word-aligned; the
+// tail of the final word is truncated. Image encoders use it to write a
+// memory straight into their output.
+func (m *Memory) AppendBytes(dst []byte, addr, n uint64) []byte {
 	if n == 0 {
-		return []byte{}
+		return dst
 	}
 	ws := m.span(addr, n)
-	out := make([]byte, n)
+	at := len(dst)
+	dst = slices.Grow(dst, int(n))[:at+int(n)]
+	out := dst[at:]
 	full := n / WordSize
 	for i, w := range ws[:full] {
 		binary.LittleEndian.PutUint64(out[i*WordSize:], w)
@@ -104,7 +107,7 @@ func (m *Memory) LoadBytes(addr, n uint64) []byte {
 	for b := full * WordSize; b < n; b++ {
 		out[b] = byte(ws[full] >> (8 * (b % WordSize)))
 	}
-	return out
+	return dst
 }
 
 // StoreBytes writes p starting at the aligned address addr. A partial

@@ -71,9 +71,12 @@ func TestBytesRoundTrip(t *testing.T) {
 	m := New(256)
 	data := []byte("hello, quickrec world! 0123456789")
 	m.StoreBytes(8, data)
-	got := m.LoadBytes(8, uint64(len(data)))
+	got := m.AppendBytes(nil, 8, uint64(len(data)))
 	if !bytes.Equal(got, data) {
 		t.Errorf("round trip: got %q, want %q", got, data)
+	}
+	if got := m.AppendBytes([]byte("dst:"), 8, uint64(len(data))); string(got) != "dst:"+string(data) {
+		t.Errorf("append after existing bytes: got %q", got)
 	}
 }
 
@@ -94,7 +97,7 @@ func TestBytesProperty(t *testing.T) {
 		m := New(2048)
 		addr := uint64(offWords%16) * WordSize
 		m.StoreBytes(addr, data)
-		return bytes.Equal(m.LoadBytes(addr, uint64(len(data))), data)
+		return bytes.Equal(m.AppendBytes(nil, addr, uint64(len(data))), data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -217,8 +220,8 @@ func TestBytesMatchByteLoop(t *testing.T) {
 	for _, addr := range []uint64{0, 8, 24, 128, size - 72} {
 		for n := 0; n <= 64; n++ {
 			got, want := patterned(size), patterned(size)
-			if g, w := got.LoadBytes(addr, uint64(n)), refLoadBytes(want, addr, uint64(n)); !bytes.Equal(g, w) {
-				t.Fatalf("LoadBytes(%d, %d) = %x, want %x", addr, n, g, w)
+			if g, w := got.AppendBytes(nil, addr, uint64(n)), refLoadBytes(want, addr, uint64(n)); !bytes.Equal(g, w) {
+				t.Fatalf("AppendBytes(nil, %d, %d) = %x, want %x", addr, n, g, w)
 			}
 			got.StoreBytes(addr, data[:n])
 			refStoreBytes(want, addr, data[:n])
@@ -252,32 +255,35 @@ func TestBytesPanicLikeByteLoop(t *testing.T) {
 	for _, c := range cases {
 		m := New(64)
 		p := make([]byte, c.n)
-		load, refLoad := panicMsg(func() { m.LoadBytes(c.addr, uint64(c.n)) }), panicMsg(func() { refLoadBytes(m, c.addr, uint64(c.n)) })
+		load, refLoad := panicMsg(func() { m.AppendBytes(nil, c.addr, uint64(c.n)) }), panicMsg(func() { refLoadBytes(m, c.addr, uint64(c.n)) })
 		if load != refLoad {
-			t.Errorf("%s: LoadBytes panics %v, byte loop %v", c.name, load, refLoad)
+			t.Errorf("%s: AppendBytes panics %v, byte loop %v", c.name, load, refLoad)
 		}
 		store, refStore := panicMsg(func() { m.StoreBytes(c.addr, p) }), panicMsg(func() { refStoreBytes(m, c.addr, p) })
 		if store != refStore {
 			t.Errorf("%s: StoreBytes panics %v, byte loop %v", c.name, store, refStore)
 		}
 	}
-	if panicMsg(func() { New(64).LoadBytes(3, 5) }) == nil {
-		t.Error("unaligned LoadBytes did not panic")
+	if panicMsg(func() { New(64).AppendBytes(nil, 3, 5) }) == nil {
+		t.Error("unaligned AppendBytes did not panic")
 	}
 	if panicMsg(func() { New(64).StoreBytes(56, make([]byte, 9)) }) == nil {
 		t.Error("StoreBytes past the end did not panic")
 	}
 }
 
-// BenchmarkMemoryImage round-trips a 1 MiB image through LoadBytes and
-// StoreBytes, the path checkpoint images and remote replay results take.
+// BenchmarkMemoryImage round-trips a 1 MiB image through AppendBytes
+// and StoreBytes, the path checkpoint images and remote replay results
+// take.
 func BenchmarkMemoryImage(b *testing.B) {
 	const size = 1 << 20
 	m := patterned(size)
+	img := make([]byte, 0, size)
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.StoreBytes(0, m.LoadBytes(0, size))
+		img = m.AppendBytes(img[:0], 0, size)
+		m.StoreBytes(0, img)
 	}
 }

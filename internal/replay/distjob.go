@@ -83,7 +83,10 @@ func encodeIntervalResult(r *Result, final bool) []byte {
 		a.Bool(true)
 		size := r.FinalMem.Size()
 		a.Uvarint(size)
-		wire.AppendBlock(&a, r.FinalMem.LoadBytes(0, size))
+		img := wire.GetAppender()
+		img.Buf = r.FinalMem.AppendBytes(img.Buf, 0, size)
+		wire.AppendBlock(&a, img.Buf)
+		wire.PutAppender(img)
 	} else {
 		a.Bool(false)
 	}

@@ -225,7 +225,7 @@ func decodeCheckpoint(data []byte, threads int) (*capo.Checkpoint, error) {
 	if cp.RetiredAt, err = rd.Uvarint(); err != nil {
 		return nil, err
 	}
-	if cp.Mem, err = capo.ReadImage(&rd.Cursor); err != nil {
+	if cp.Mem, err = capo.ReadImage(&rd.Cursor, nil); err != nil {
 		return nil, err
 	}
 	for t := 0; t < threads; t++ {

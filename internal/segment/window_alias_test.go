@@ -102,7 +102,7 @@ func TestWindowWriterDoesNotAliasCallerBuffers(t *testing.T) {
 	if len(st.Checkpoints) != 1 {
 		t.Fatalf("%d checkpoints salvaged, want 1", len(st.Checkpoints))
 	}
-	if img := st.Checkpoints[0].Mem.LoadBytes(0, 8); !bytes.Equal(img, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+	if img := st.Checkpoints[0].Mem.AppendBytes(nil, 0, 8); !bytes.Equal(img, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("salvaged checkpoint memory image %x mutated", img)
 	}
 	if out := st.Final.Output; !bytes.Equal(out, []byte("final output")) {

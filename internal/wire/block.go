@@ -1,5 +1,7 @@
 package wire
 
+import "encoding/binary"
+
 // Block framing: the one choke point through which every codec gets
 // optional compression. A block is
 //
@@ -29,13 +31,11 @@ const (
 func AppendBlock(a *Appender, data []byte) byte {
 	s := GetAppender()
 	s.Buf = lzAppend(s.Buf, data)
-	method := BlockRaw
+	method, payload := BlockRaw, data
 	if s.Len() < len(data) {
-		method = BlockLZ
-		appendBlockFrame(a, data, s.Buf, method)
-	} else {
-		appendBlockFrame(a, data, data, method)
+		method, payload = BlockLZ, s.Buf
 	}
+	appendBlockFrame(a, data, payload, method)
 	PutAppender(s)
 	return method
 }
@@ -56,7 +56,10 @@ func AppendBlockMethod(a *Appender, data []byte, method byte) {
 	}
 }
 
+// appendBlockFrame grows a once to hold the frame, so a container that
+// starts with its header alone ends up sized to the framed block.
 func appendBlockFrame(a *Appender, orig, payload []byte, method byte) {
+	a.Grow(1 + 2*binary.MaxVarintLen64 + len(payload))
 	a.Byte(method)
 	a.Uvarint(uint64(len(orig)))
 	a.Blob(payload)

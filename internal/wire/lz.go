@@ -1,6 +1,10 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+	"sync"
+)
 
 // Deterministic byte-oriented LZ77 for block payloads. The format must
 // never change once recordings are stored, so this is deliberately a
@@ -25,7 +29,9 @@ import "encoding/binary"
 // windows. That is enough for the short-range redundancy the v2 bundle
 // layout leaves behind (adjacent columns, per-thread chunk logs);
 // long-range structural duplication is removed by the layout itself
-// before bytes reach this layer.
+// before bytes reach this layer. The parse is part of the format, since
+// stored digests cover encoded bytes: TestLZMatchesReference holds the
+// encoder to the original byte-at-a-time one, token for token.
 
 const (
 	lzMinMatch  = 4
@@ -42,6 +48,13 @@ func lzLoad32(src []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(src[i:])
 }
 
+// lzTable maps each window hash to the last position it was seen at.
+type lzTable [lzTableSize]int32
+
+// lzTables recycles hash tables, so an encode costs what its input
+// costs rather than a fresh 128 KiB table per call.
+var lzTables = sync.Pool{New: func() any { return new(lzTable) }}
+
 // lzAppend appends the token stream for src onto dst. Output is a pure
 // function of src.
 func lzAppend(dst []byte, src []byte) []byte {
@@ -54,19 +67,19 @@ func lzAppend(dst []byte, src []byte) []byte {
 		a.Raw(src)
 		return a.Buf
 	}
-	table := make([]int32, lzTableSize)
+	table := lzTables.Get().(*lzTable)
+	// Every hash starts at position 0, and the parse may match there:
+	// the format was defined by an encoder that zeroed a fresh table.
+	clear(table[:])
 	lit := 0 // start of the pending literal run
 	i := 1   // position 0 can never match (no earlier bytes)
 	for i+lzMinMatch <= len(src) {
 		cur := lzLoad32(src, i)
 		h := lzHash(cur)
-		j := int(table[h])
+		j := int(table[h]) // always < i
 		table[h] = int32(i)
-		if j < i && lzLoad32(src, j) == cur {
-			l := lzMinMatch
-			for i+l < len(src) && src[j+l] == src[i+l] {
-				l++
-			}
+		if lzLoad32(src, j) == cur {
+			l := lzMatchLen(src, j, i)
 			a.Uvarint(uint64(i - lit))
 			a.Raw(src[lit:i])
 			a.Uvarint(uint64(l))
@@ -77,11 +90,30 @@ func lzAppend(dst []byte, src []byte) []byte {
 		}
 		i++
 	}
+	lzTables.Put(table)
 	if lit < len(src) || lit == 0 {
 		a.Uvarint(uint64(len(src) - lit))
 		a.Raw(src[lit:])
 	}
 	return a.Buf
+}
+
+// lzMatchLen returns the length of the match between the positions j <
+// i of src, whose first lzMinMatch bytes are known equal. It compares
+// 8 bytes at a time: the lowest set bit of the XOR of two words marks
+// the first byte that differs.
+func lzMatchLen(src []byte, j, i int) int {
+	l := lzMinMatch
+	for i+l+8 <= len(src) {
+		if x := binary.LittleEndian.Uint64(src[j+l:]) ^ binary.LittleEndian.Uint64(src[i+l:]); x != 0 {
+			return l + bits.TrailingZeros64(x)/8
+		}
+		l += 8
+	}
+	for i+l < len(src) && src[j+l] == src[i+l] {
+		l++
+	}
+	return l
 }
 
 // lzExpand decodes a token stream into exactly rawLen bytes appended to
@@ -119,13 +151,13 @@ func lzExpand(out []byte, s *Cursor, rawLen int) ([]byte, error) {
 		if dist == 0 || dist > uint64(len(out)) {
 			return nil, s.corruptf("match distance %d out of range", dist)
 		}
+		// A match that overlaps its own output repeats its first dist
+		// bytes; each copy doubles what the next one may take.
 		j, n := len(out)-int(dist), int(matchLen)
-		if int(dist) >= n {
-			out = append(out, out[j:j+n]...)
-		} else {
-			for k := 0; k < n; k++ { // overlapping: RLE-style byte copy
-				out = append(out, out[j+k])
-			}
+		for n > 0 {
+			k := min(n, len(out)-j)
+			out = append(out, out[j:j+k]...)
+			n -= k
 		}
 	}
 	if err := s.Done(); err != nil {

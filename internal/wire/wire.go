@@ -19,7 +19,8 @@
 // record-stream flush and replay decode paths from allocating per item.
 //
 // Decoders that retain a field beyond the decode call must use Blob
-// (copying); View is for transient parsing only.
+// (copying); View is for transient parsing only, unless the decoder
+// documents that its result aliases the input, and caps what it keeps.
 package wire
 
 import (
