@@ -1,15 +1,17 @@
 // Command quickconform runs the record/replay conformance matrix:
 // metamorphic properties over the workload catalogue plus systematic
-// single-fault corruption of serialized chunk and input logs, asserting
-// that every material fault is detected explicitly — at decode, replay
-// or verify — and never accepted silently.
+// single-fault corruption in twelve fault classes — eight corrupt the
+// serialized chunk and input logs, four tear or bit-flip the segmented
+// stream and the flight-recorder window a crashed recorder leaves
+// behind — asserting that every material fault is detected explicitly
+// and never accepted silently.
 //
 // Usage:
 //
 //	quickconform                          # the full acceptance matrix
-//	quickconform -workloads counter,fuzz:7 -cores 1,2 -mutations 6
+//	quickconform -workloads counter,fuzz-7 -cores 1,2 -mutations 6
 //	quickconform -faults bit-flip,drop -seed 3
-//	quickconform -crash                   # add the stream crash/torn-write sweep
+//	quickconform -faults torn-write,window-corrupt
 //	quickconform -list                    # show fault classes and exit
 //
 // The process exits 0 when the matrix passes (no silent divergence, no
@@ -29,15 +31,14 @@ import (
 
 func main() {
 	var (
-		workloads = flag.String("workloads", "", "comma-separated workload names; fuzz:<seed> generates a program (default: acceptance set)")
+		workloads = flag.String("workloads", "", "comma-separated workload names; fuzz-<seed> generates a program (default: acceptance set)")
 		cores     = flag.String("cores", "", "comma-separated core counts to sweep (default 1,2,4)")
 		threads   = flag.Int("threads", 0, "threads per workload (default 4)")
 		faults    = flag.String("faults", "", "comma-separated fault classes (default all; see -list)")
-		mutations = flag.Int("mutations", 0, "material faults to place per matrix cell (default 12)")
+		mutations = flag.Int("mutations", 0, "material faults, or random stream cuts and flips, per matrix cell (default 12)")
 		reroll    = flag.Int("reroll", 0, "site re-roll budget per mutation slot (default 24)")
 		seed      = flag.Uint64("seed", 1, "seed for schedules and injection sites; 0 is a valid seed")
 		skipMeta  = flag.Bool("skip-meta", false, "skip the metamorphic property pass")
-		crash     = flag.Bool("crash", false, "also sweep recorder crashes over segmented streams (torn writes + bit flips)")
 		list      = flag.Bool("list", false, "list fault classes and exit")
 	)
 	flag.Parse()
@@ -47,8 +48,6 @@ func main() {
 		for _, c := range harness.AllFaults() {
 			fmt.Printf("  %s\n", c)
 		}
-		fmt.Println("stream fault classes (swept with -crash):")
-		fmt.Printf("  %s\n  %s\n", harness.FaultTornWrite, harness.FaultStreamCorrupt)
 		return
 	}
 
@@ -84,18 +83,6 @@ func main() {
 	rep, err := quickrec.Conformance(cfg)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *crash {
-		ccfg := quickrec.CrashConfig{
-			Workloads: cfg.Workloads, Cores: cfg.Cores, Threads: cfg.Threads, Seed: cfg.Seed,
-		}
-		crep, err := quickrec.CrashConformance(ccfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		// Merge the stream cells into the triage table so torn-write and
-		// stream-corrupt coverage prints alongside the log fault classes.
-		rep.Cells = append(rep.Cells, crep.Cells...)
 	}
 	fmt.Print(rep.String())
 	if !rep.OK() {

@@ -1,8 +1,7 @@
 // Package dispatch is the one parallel-execution layer every fan-out
 // path in the system rides: interval replay, race screening and
-// confirmation, concurrent-pair enumeration, and the ingest verifier
-// pool all describe their work as an index-addressed Spec and hand it
-// to an Executor. Work is always index-based — a task count plus
+// confirmation, and concurrent-pair enumeration all describe their work
+// as an index-addressed Spec and hand it to an Executor. Work is always index-based — a task count plus
 // functions of the task index — and results are collected into
 // pre-sized slices, so output order is fixed by index, never by
 // goroutine (or remote worker) completion order. That convention is

@@ -131,24 +131,6 @@ func TestJobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJobResultRoundTrip(t *testing.T) {
-	for _, r := range []JobResult{
-		{Err: "", Payload: []byte{9, 8}},
-		{Err: "replay: divergence on thread 1", Payload: nil},
-	} {
-		a := wire.GetAppender()
-		AppendJobResult(a, r)
-		got, err := DecodeJobResult(a.Buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Err != r.Err || string(got.Payload) != string(r.Payload) {
-			t.Fatalf("round trip %+v -> %+v", r, got)
-		}
-		wire.PutAppender(a)
-	}
-}
-
 func TestDecodeJobRejectsGarbage(t *testing.T) {
 	bad := [][]byte{
 		nil,

@@ -78,54 +78,14 @@ func DecodeJob(data []byte) (Job, error) {
 	return j, nil
 }
 
-// JobResult is the envelope a worker returns for one job: either an
-// error message (the task failed deterministically on the worker) or a
-// kind-specific result payload for Spec.Absorb.
-type JobResult struct {
-	Err     string // non-empty: the task failed; Payload is empty
-	Payload []byte
-}
-
-// AppendJobResult encodes r.
-func AppendJobResult(a *wire.Appender, r JobResult) {
-	a.String(r.Err)
-	a.Blob(r.Payload)
-}
-
-// DecodeJobResult decodes one JobResult. The payload aliases data.
-func DecodeJobResult(data []byte) (JobResult, error) {
-	var r JobResult
-	c := wire.CursorOf(data)
-	e, err := c.View()
-	if err != nil {
-		return r, fmt.Errorf("dispatch: result error: %w", err)
-	}
-	r.Err = string(e)
-	p, err := c.View()
-	if err != nil {
-		return r, fmt.Errorf("dispatch: result payload: %w", err)
-	}
-	r.Payload = p
-	if err := c.Done(); err != nil {
-		return r, fmt.Errorf("dispatch: result trailer: %w", err)
-	}
-	return r, nil
-}
-
 // RemoteError is a task failure that happened on a fleet worker,
-// reconstructed from the result envelope. The original typed error
-// (BoundaryError, DivergenceError, ...) does not survive the wire; its
-// rendered message does, so earliest-error selection still reports the
-// same text a local run would.
+// reconstructed from the error field of its RESULT frame. The original
+// typed error (BoundaryError, DivergenceError, ...) does not survive the
+// wire; its rendered message does, so earliest-error selection still
+// reports the same text a local run would.
 type RemoteError struct {
-	Worker string // worker identity, when known
-	Msg    string
+	Msg string
 }
 
 // Error implements error.
-func (e *RemoteError) Error() string {
-	if e.Worker != "" {
-		return fmt.Sprintf("dispatch: remote task failed on %s: %s", e.Worker, e.Msg)
-	}
-	return "dispatch: remote task failed: " + e.Msg
-}
+func (e *RemoteError) Error() string { return "dispatch: remote task failed: " + e.Msg }

@@ -97,16 +97,7 @@ func (c *Client) Execute(spec dispatch.Spec) error {
 			record(i, &dispatch.RemoteError{Msg: errMsg})
 			continue
 		}
-		res, err := dispatch.DecodeJobResult(data)
-		if err != nil {
-			record(i, err)
-			continue
-		}
-		if res.Err != "" {
-			record(i, &dispatch.RemoteError{Msg: res.Err})
-			continue
-		}
-		if err := spec.Absorb(i, res.Payload); err != nil {
+		if err := spec.Absorb(i, data); err != nil {
 			record(i, err)
 		}
 	}

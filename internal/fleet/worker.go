@@ -9,7 +9,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/races"
 	"repro/internal/replay"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -67,14 +66,12 @@ func (w *Worker) Run() error {
 		go func(id uint64, body []byte) {
 			defer jobs.Done()
 			defer func() { <-sem }()
-			payload, jerr := w.exec(body)
-			var res wire.Appender
-			r := dispatch.JobResult{Payload: payload}
-			if jerr != nil {
-				r = dispatch.JobResult{Err: jerr.Error()}
+			payload, err := w.exec(body)
+			msg := ""
+			if err != nil {
+				payload, msg = nil, err.Error()
 			}
-			dispatch.AppendJobResult(&res, r)
-			wc.SendResult(id, res.Buf, "")
+			wc.SendResult(id, payload, msg)
 		}(id, body)
 	}
 }

@@ -11,15 +11,19 @@ import (
 	"repro/internal/workload"
 )
 
+// streamClasses are the fault classes that damage a segmented stream.
+var streamClasses = []FaultClass{FaultTornWrite, FaultStreamCorrupt, FaultWindowTorn, FaultWindowCorrupt}
+
 func TestCrashSweepSmall(t *testing.T) {
-	cfg := CrashConfig{
-		Workloads:  []string{"counter"},
-		Cores:      []int{2},
-		RandomCuts: 6,
-		BitFlips:   6,
-		Seed:       3,
+	cfg := Config{
+		Workloads:         []string{"counter"},
+		Cores:             []int{2},
+		Faults:            streamClasses,
+		MutationsPerClass: 6,
+		Seed:              3,
+		SkipMetamorphic:   true,
 	}
-	rep, err := CrashSweep(cfg)
+	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +103,7 @@ func TestWindowedCrashServerWorkloads(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			prog := progs[name]
 			mcfg := recordConfig(2, threads, 21)
-			mcfg.FlushEveryChunks = 8
+			mcfg.FlushEveryChunks = streamFlushEveryChunks
 			mcfg.CheckpointEveryInstrs = 2000
 			if name == "sigserver" {
 				mcfg.SignalPeriodInstrs = 700
@@ -124,7 +128,10 @@ func TestWindowedCrashServerWorkloads(t *testing.T) {
 			if len(offs) < 3 {
 				t.Fatalf("window dump has only %d segments", len(offs))
 			}
-			maxSteps := full.RecordStats.Retired*4 + 100_000
+			_, maxSteps, err := replayPristine(prog, full)
+			if err != nil {
+				t.Fatal(err)
+			}
 			// Crash points inside the open interval: just before the final
 			// segment and torn through it.
 			for _, cut := range []int{offs[len(offs)-2], (offs[len(offs)-2] + offs[len(offs)-1]) / 2} {
@@ -149,14 +156,21 @@ func TestWindowedCrashServerWorkloads(t *testing.T) {
 	}
 }
 
-// TestCrashSweepAcceptance runs the full acceptance matrix: every
-// segment boundary plus ≥100 random intra-segment cuts across three
-// workloads × 1/2/4 cores, with zero silent outcomes.
+// TestCrashSweepAcceptance runs the stream classes over the acceptance
+// matrix: every segment boundary plus ≥100 random intra-segment cuts
+// across four workloads × 1/2/4 cores, with every fault detected and
+// zero silent outcomes.
 func TestCrashSweepAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rep, err := CrashSweep(DefaultCrashConfig())
+	rep, err := Run(Config{
+		Workloads:       []string{"counter", "pingpong", "ioheavy", "reqserver"},
+		Cores:           []int{1, 2, 4},
+		Faults:          streamClasses,
+		Seed:            1,
+		SkipMetamorphic: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +183,7 @@ func TestCrashSweepAcceptance(t *testing.T) {
 			t.Fatalf("%s × %d × %s: %d of %d detected", c.Workload, c.Cores, c.Class, c.Detected(), c.Injected)
 		}
 		if c.Class == FaultTornWrite {
-			randomCuts += DefaultCrashConfig().RandomCuts
+			randomCuts += rep.Config.MutationsPerClass
 		}
 	}
 	if randomCuts < 100 {

@@ -13,17 +13,21 @@
 //     recordings survive serialization, and replay itself is
 //     deterministic.
 //
-//   - Systematic single-fault injection into serialized chunk logs and
-//     Capo input logs: bit flips, truncations, record drops, duplicates,
-//     reorderings, chunk-counter lies, header length-field lies and
-//     payload corruption. Every *material* fault must surface as an
-//     explicit error at one of three detection points — decode, replay
-//     (*replay.DivergenceError) or verify — and never as a silent
-//     replay success. A mutation that provably does not change the
-//     execution (MRR logs are conservative over-approximations, so some
-//     perturbations are legal alternative serializations) is classified
-//     as benign by replaying it and comparing against the *original*
-//     reference state.
+//   - Systematic single-fault injection, in twelve fault classes. Eight
+//     corrupt serialized chunk logs and Capo input logs: bit flips,
+//     truncations, record drops, duplicates, reorderings, chunk-counter
+//     lies, header length-field lies and payload corruption. Every
+//     *material* fault must surface as an explicit error at one of
+//     three detection points — decode, replay (*replay.DivergenceError)
+//     or verify — and never as a silent replay success. A mutation that
+//     provably does not change the execution (MRR logs are conservative
+//     over-approximations, so some perturbations are legal alternative
+//     serializations) is classified as benign by replaying it and
+//     comparing against the *original* reference state. The other four
+//     tear or bit-flip the segmented stream a crashed recorder leaves
+//     behind, unbounded or through a flight-recorder window: salvage
+//     must fail with a typed error or recover a replayable prefix (or
+//     window suffix) of the pristine stream's own replay.
 //
 // The matrix runner sweeps workloads × core counts × fault classes and
 // produces a triage Report; cmd/quickconform is its CLI.
@@ -31,7 +35,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/isa"
@@ -42,7 +45,7 @@ import (
 
 // Config parameterises a conformance run.
 type Config struct {
-	// Workloads names catalogue workloads; an entry "fuzz:<seed>"
+	// Workloads names catalogue workloads; an entry "fuzz-<seed>"
 	// generates a random program from that seed instead.
 	Workloads []string
 	// Cores lists the core counts to sweep.
@@ -52,7 +55,9 @@ type Config struct {
 	// Faults lists the fault classes to inject (default AllFaults).
 	Faults []FaultClass
 	// MutationsPerClass is the number of material faults to place per
-	// (workload, cores, class) cell (default 12).
+	// (workload, cores, class) cell: random cuts or bit flips for a
+	// stream class, a torn class also cutting at every segment boundary
+	// (default 12).
 	MutationsPerClass int
 	// RerollBudget bounds the attempts to find a material, non-benign
 	// injection site for each mutation slot (default 24).
@@ -70,7 +75,7 @@ type Config struct {
 // class.
 func DefaultConfig() Config {
 	return Config{
-		Workloads:         []string{"counter", "pingpong", "ioheavy", "repcopy", "fuzz:11"},
+		Workloads:         []string{"counter", "pingpong", "ioheavy", "repcopy", "fuzz-11"},
 		Cores:             []int{1, 2, 4},
 		Threads:           4,
 		Faults:            AllFaults(),
@@ -104,23 +109,6 @@ func (c *Config) fill() {
 	// substituting 1 would make two distinct configurations alias.
 }
 
-// buildProgram resolves a workload name — catalogue entry or
-// "fuzz:<seed>" — into a program.
-func buildProgram(name string, threads int) (*isa.Program, error) {
-	if rest, ok := strings.CutPrefix(name, "fuzz:"); ok {
-		var seed uint64
-		if _, err := fmt.Sscanf(rest, "%d", &seed); err != nil {
-			return nil, fmt.Errorf("harness: bad fuzz workload %q: %w", name, err)
-		}
-		return workload.RandomProgram(seed, threads), nil
-	}
-	spec, ok := workload.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown workload %q", name)
-	}
-	return spec.Build(threads), nil
-}
-
 // recordConfig builds the machine configuration for one matrix cell.
 func recordConfig(cores, threads int, seed uint64) machine.Config {
 	cfg := machine.DefaultConfig()
@@ -144,9 +132,9 @@ func Run(cfg Config) (*Report, error) {
 	cfg.fill()
 	rep := &Report{Config: cfg}
 	for _, name := range cfg.Workloads {
-		prog, err := buildProgram(name, cfg.Threads)
+		prog, err := workload.ProgramByName(name, cfg.Threads)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: %w", err)
 		}
 		for _, cores := range cfg.Cores {
 			if err := runCell(cfg, rep, name, prog, cores); err != nil {
@@ -158,7 +146,9 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // runCell records one (workload, cores) point, checks the metamorphic
-// properties, and sweeps every fault class against the recording.
+// properties, and sweeps every fault class against the recording. The
+// stream classes damage a segmented stream recording of the same point,
+// made only when one of them is selected.
 func runCell(cfg Config, rep *Report, name string, prog *isa.Program, cores int) error {
 	mcfg := recordConfig(cores, cfg.Threads, cfg.Seed)
 	rec, err := core.Record(prog, mcfg)
@@ -166,72 +156,43 @@ func runCell(cfg Config, rep *Report, name string, prog *isa.Program, cores int)
 		return fmt.Errorf("recording failed: %w", err)
 	}
 	if !cfg.SkipMetamorphic {
-		for _, pr := range checkMetamorphic(prog, mcfg, rec) {
-			rep.Meta = append(rep.Meta, MetaResult{
-				Workload: name, Cores: cores, Property: pr.Property, Err: pr.Err,
-			})
-		}
-		if pr := checkParallelReplay(prog, mcfg); pr != nil {
-			rep.Meta = append(rep.Meta, MetaResult{
-				Workload: name, Cores: cores, Property: pr.Property, Err: pr.Err,
-			})
-		}
-		if pr := checkDistributed(prog, mcfg); pr != nil {
-			rep.Meta = append(rep.Meta, MetaResult{
-				Workload: name, Cores: cores, Property: pr.Property, Err: pr.Err,
-			})
-		}
-		for _, pr := range checkWindowed(prog, mcfg) {
-			rep.Meta = append(rep.Meta, MetaResult{
-				Workload: name, Cores: cores, Property: pr.Property, Err: pr.Err,
-			})
-		}
-		if pr := checkRaceExpectation(name, prog, mcfg); pr != nil {
-			rep.Meta = append(rep.Meta, MetaResult{
-				Workload: name, Cores: cores, Property: pr.Property, Err: pr.Err,
-			})
-		}
+		checkProperties(properties{rep: rep, workload: name, cores: cores}, prog, mcfg, rec)
 	}
-	// One pristine replay bounds the step budget for mutated replays and
-	// pins the reference the benign/silent classification compares against.
-	rr, err := core.Replay(prog, rec)
+	_, maxSteps, err := replayPristine(prog, rec)
 	if err != nil {
-		return fmt.Errorf("pristine replay failed: %w", err)
+		return err
 	}
-	if err := core.Verify(rec, rr); err != nil {
-		return fmt.Errorf("pristine verify failed: %w", err)
-	}
-	maxSteps := rr.Steps*4 + 100_000
 	origKey := scheduleKey(rec)
+	streams := map[bool]*stream{} // by windowed
 
 	for ci, class := range cfg.Faults {
 		m := &mutator{rng: cfg.Seed ^ hashCell(name, cores, ci)}
 		cell := Cell{Workload: name, Cores: cores, Class: class}
+		inject := func() (Outcome, string) { return injectOnce(prog, rec, origKey, maxSteps, class, m) }
+		if sf, ok := streamFaults[class]; ok {
+			s := streams[sf.windowed]
+			if s == nil {
+				if s, err = recordStream(prog, mcfg, sf.windowed); err != nil {
+					return err
+				}
+				streams[sf.windowed] = s
+			}
+			if sf.torn {
+				for _, n := range s.offs {
+					cell.tally(s.cut(prog, n))
+				}
+				inject = func() (Outcome, string) { return s.cut(prog, 1+m.pick(len(s.data)-1)) }
+			} else {
+				inject = func() (Outcome, string) {
+					pos := m.pick(len(s.data))
+					return s.flip(prog, pos, m.pick(8))
+				}
+			}
+		}
 		for slot := 0; slot < cfg.MutationsPerClass; slot++ {
 			placed := false
-			for attempt := 0; attempt < cfg.RerollBudget; attempt++ {
-				out, detail := injectOnce(prog, rec, origKey, maxSteps, class, m)
-				switch out {
-				case OutcomeInert:
-					continue // perturbation changed nothing semantically; new site
-				case OutcomeBenign:
-					cell.Benign++
-					continue // legal alternative serialization; new site
-				case OutcomeDecode:
-					cell.Decode++
-				case OutcomeReplay:
-					cell.Replay++
-				case OutcomeVerify:
-					cell.Verify++
-				case OutcomeSilent:
-					cell.Silent++
-					if len(cell.SilentExamples) < 4 {
-						cell.SilentExamples = append(cell.SilentExamples, detail)
-					}
-				}
-				cell.Injected++
-				placed = true
-				break
+			for attempt := 0; attempt < cfg.RerollBudget && !placed; attempt++ {
+				placed = cell.tally(inject())
 			}
 			if !placed {
 				cell.Unplaced++
@@ -240,6 +201,21 @@ func runCell(cfg Config, rep *Report, name string, prog *isa.Program, cores int)
 		rep.Cells = append(rep.Cells, cell)
 	}
 	return nil
+}
+
+// replayPristine replays and verifies an undamaged recording. Its
+// result is the reference damaged copies are judged against, and four
+// times its steps plus 100,000 is the step budget of their replays, so
+// a lied chunk counter cannot hang the harness.
+func replayPristine(prog *isa.Program, b *core.Bundle) (*replay.Result, uint64, error) {
+	rr, err := core.Replay(prog, b)
+	if err != nil {
+		return nil, 0, fmt.Errorf("pristine replay failed: %w", err)
+	}
+	if err := core.Verify(b, rr); err != nil {
+		return nil, 0, fmt.Errorf("pristine verify failed: %w", err)
+	}
+	return rr, rr.Steps*4 + 100_000, nil
 }
 
 // hashCell derives a per-cell RNG stream from the matrix coordinates.

@@ -10,7 +10,7 @@ import (
 // metamorphic properties.
 func TestRunSmallMatrix(t *testing.T) {
 	cfg := Config{
-		Workloads:         []string{"counter", "fuzz:7"},
+		Workloads:         []string{"counter", "fuzz-7"},
 		Cores:             []int{1, 2},
 		Threads:           3,
 		MutationsPerClass: 4,
@@ -40,8 +40,9 @@ func TestRunSmallMatrix(t *testing.T) {
 		t.Errorf("metamorphic results: got %d, want %d", got, wantMeta)
 	}
 
-	// Every fault class must actually land material injections somewhere
-	// in the matrix; a class that never places is a dead test dimension.
+	// Every fault class, the stream classes included, must actually land
+	// material injections somewhere in the matrix; a class that never
+	// places is a dead test dimension.
 	perClass := map[FaultClass]int{}
 	for _, c := range rep.Cells {
 		perClass[c.Class] += c.Injected
@@ -94,18 +95,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-func TestBuildProgramErrors(t *testing.T) {
-	if _, err := buildProgram("no-such-workload", 2); err == nil {
-		t.Errorf("unknown workload: want error")
-	}
-	if _, err := buildProgram("fuzz:not-a-number", 2); err == nil {
-		t.Errorf("bad fuzz seed: want error")
-	}
-	if p, err := buildProgram("fuzz:42", 2); err != nil || p == nil {
-		t.Errorf("fuzz:42: got (%v, %v)", p, err)
-	}
-}
-
 func TestConfigFill(t *testing.T) {
 	var c Config
 	c.fill()
@@ -129,6 +118,9 @@ func TestConfigFill(t *testing.T) {
 }
 
 func TestFaultByName(t *testing.T) {
+	if n := len(AllFaults()); n != 12 {
+		t.Errorf("AllFaults lists %d classes, want 12", n)
+	}
 	for _, class := range AllFaults() {
 		got, ok := FaultByName(string(class))
 		if !ok || got != class {

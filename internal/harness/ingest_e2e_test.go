@@ -2,13 +2,13 @@ package harness
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/workload"
 )
 
 // localExpectation is the client-side ground truth for one stream: what
@@ -28,13 +28,7 @@ func expectLocally(t *testing.T, stream []byte) localExpectation {
 	if err != nil {
 		t.Fatalf("local salvage: %v", err)
 	}
-	// The harness spells random programs "fuzz:<seed>"; recorded manifests
-	// carry the program's own "fuzz-<seed>" name.
-	name := sv.Bundle.ProgramName
-	if rest, ok := strings.CutPrefix(name, "fuzz-"); ok {
-		name = "fuzz:" + rest
-	}
-	prog, err := buildProgram(name, sv.Bundle.Threads)
+	prog, err := workload.ProgramByName(sv.Bundle.ProgramName, sv.Bundle.Threads)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,66 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/races"
+	"repro/internal/replay"
 	"repro/internal/signature"
 	"repro/internal/workload"
 )
 
-// PropertyResult is one metamorphic property's outcome; Err is empty on
-// success.
-type PropertyResult struct {
-	Property string
-	Err      string
+// properties records one matrix point's metamorphic property outcomes
+// into the report.
+type properties struct {
+	rep      *Report
+	workload string
+	cores    int
+}
+
+// add records one property's outcome; a nil err is a pass.
+func (p properties) add(prop string, err error) {
+	r := MetaResult{Workload: p.workload, Cores: p.cores, Property: prop}
+	if err != nil {
+		r.Err = err.Error()
+	}
+	p.rep.Meta = append(p.rep.Meta, r)
+}
+
+// checkProperties checks every metamorphic property at one matrix point
+// against the recording rec made under cfg.
+func checkProperties(p properties, prog *isa.Program, cfg machine.Config, rec *core.Bundle) {
+	checkMetamorphic(p, prog, cfg, rec)
+	p.add(PropParallelReplay, checkParallelReplay(prog, cfg))
+	p.add(PropDistributed, checkDistributed(prog, cfg))
+	checkWindowed(p, prog, cfg)
+	if spec, ok := workload.ByName(p.workload); ok && spec.RaceExpectation != "" {
+		p.add(PropRaceExpectation, checkRaceExpectation(spec, prog, cfg))
+	}
+}
+
+// sameReplay compares two replays of one execution field by field:
+// memory checksum, output, step, chunk and input counts, final contexts
+// and final memory.
+func sameReplay(a, b *replay.Result) error {
+	if a.MemChecksum != b.MemChecksum {
+		return fmt.Errorf("memory checksums differ: %#x vs %#x", a.MemChecksum, b.MemChecksum)
+	}
+	if !bytes.Equal(a.Output, b.Output) {
+		return fmt.Errorf("outputs differ: %d vs %d bytes", len(a.Output), len(b.Output))
+	}
+	if a.Steps != b.Steps || a.ChunksExecuted != b.ChunksExecuted || a.InputsApplied != b.InputsApplied {
+		return fmt.Errorf("counters differ: steps %d/%d chunks %d/%d inputs %d/%d",
+			a.Steps, b.Steps, a.ChunksExecuted, b.ChunksExecuted, a.InputsApplied, b.InputsApplied)
+	}
+	if len(a.FinalContexts) != len(b.FinalContexts) {
+		return fmt.Errorf("final contexts differ: %d vs %d threads", len(a.FinalContexts), len(b.FinalContexts))
+	}
+	for t := range a.FinalContexts {
+		if a.FinalContexts[t] != b.FinalContexts[t] {
+			return fmt.Errorf("thread %d final context differs", t)
+		}
+	}
+	if !a.FinalMem.Equal(b.FinalMem) {
+		return fmt.Errorf("final memory images differ")
+	}
+	return nil
 }
 
 // Metamorphic property names.
@@ -57,17 +108,8 @@ const (
 //     registered encoding, the input log under both framings, and every
 //     captured signature. The per-codec version of serialization closure:
 //     it localizes a wire-format asymmetry to the codec that has it.
-func checkMetamorphic(prog *isa.Program, cfg machine.Config, rec *core.Bundle) []PropertyResult {
-	var out []PropertyResult
-	add := func(prop string, err error) {
-		pr := PropertyResult{Property: prop}
-		if err != nil {
-			pr.Err = err.Error()
-		}
-		out = append(out, pr)
-	}
-
-	add(PropRecordDeterminism, func() error {
+func checkMetamorphic(p properties, prog *isa.Program, cfg machine.Config, rec *core.Bundle) {
+	p.add(PropRecordDeterminism, func() error {
 		again, err := core.Record(prog, cfg)
 		if err != nil {
 			return fmt.Errorf("second recording failed: %w", err)
@@ -79,7 +121,7 @@ func checkMetamorphic(prog *isa.Program, cfg machine.Config, rec *core.Bundle) [
 		return nil
 	}())
 
-	add(PropReplayFidelity, func() error {
+	p.add(PropReplayFidelity, func() error {
 		rr, err := core.Replay(prog, rec)
 		if err != nil {
 			return err
@@ -87,7 +129,7 @@ func checkMetamorphic(prog *isa.Program, cfg machine.Config, rec *core.Bundle) [
 		return core.Verify(rec, rr)
 	}())
 
-	add(PropSerializationClosure, func() error {
+	p.add(PropSerializationClosure, func() error {
 		data := rec.Marshal()
 		loaded, err := core.UnmarshalBundle(data)
 		if err != nil {
@@ -103,7 +145,7 @@ func checkMetamorphic(prog *isa.Program, cfg machine.Config, rec *core.Bundle) [
 		return core.Verify(loaded, rr)
 	}())
 
-	add(PropReencodeIdentity, func() error {
+	p.add(PropReencodeIdentity, func() error {
 		for _, enc := range []chunk.Encoding{chunk.Fixed{}, chunk.Var{}, chunk.Delta{}} {
 			for t, l := range rec.ChunkLogs {
 				blob := l.Marshal(enc)
@@ -164,7 +206,7 @@ func checkMetamorphic(prog *isa.Program, cfg machine.Config, rec *core.Bundle) [
 		return nil
 	}())
 
-	add(PropReplayDeterminism, func() error {
+	p.add(PropReplayDeterminism, func() error {
 		r1, err := core.Replay(prog, rec)
 		if err != nil {
 			return err
@@ -173,24 +215,8 @@ func checkMetamorphic(prog *isa.Program, cfg machine.Config, rec *core.Bundle) [
 		if err != nil {
 			return err
 		}
-		if r1.MemChecksum != r2.MemChecksum {
-			return fmt.Errorf("memory checksums differ: %#x vs %#x", r1.MemChecksum, r2.MemChecksum)
-		}
-		if !bytes.Equal(r1.Output, r2.Output) {
-			return fmt.Errorf("outputs differ: %d vs %d bytes", len(r1.Output), len(r2.Output))
-		}
-		if r1.Steps != r2.Steps {
-			return fmt.Errorf("step counts differ: %d vs %d", r1.Steps, r2.Steps)
-		}
-		for t := range r1.FinalContexts {
-			if r1.FinalContexts[t] != r2.FinalContexts[t] {
-				return fmt.Errorf("thread %d final context differs", t)
-			}
-		}
-		return nil
+		return sameReplay(r1, r2)
 	}())
-
-	return out
 }
 
 // checkParallelReplay pins the parallel replay engine's defining
@@ -199,56 +225,32 @@ func checkMetamorphic(prog *isa.Program, cfg machine.Config, rec *core.Bundle) [
 // replay — state, output, counters, everything. The conformance
 // recording is made without checkpoints, so the property records its own
 // flight-recorder bundle under the same config.
-func checkParallelReplay(prog *isa.Program, cfg machine.Config) *PropertyResult {
-	pr := &PropertyResult{Property: PropParallelReplay}
-	err := func() error {
-		// Cadence low enough that even the short conformance workloads
-		// partition into several intervals; a workload too small to cross
-		// it even once still gets the 1-vs-4 comparison (both serial),
-		// which keeps the Workers plumbing honest without failing
-		// vacuously.
-		cfg.CheckpointEveryInstrs = 500
-		rec, err := core.Record(prog, cfg)
-		if err != nil {
-			return fmt.Errorf("checkpointed recording failed: %w", err)
-		}
-		serial, err := core.ReplayWorkers(prog, rec, 1)
-		if err != nil {
-			return fmt.Errorf("serial replay: %w", err)
-		}
-		par, err := core.ReplayWorkers(prog, rec, 4)
-		if err != nil {
-			return fmt.Errorf("parallel replay: %w", err)
-		}
-		if serial.MemChecksum != par.MemChecksum {
-			return fmt.Errorf("memory checksums differ: %#x vs %#x", serial.MemChecksum, par.MemChecksum)
-		}
-		if !bytes.Equal(serial.Output, par.Output) {
-			return fmt.Errorf("outputs differ: %d vs %d bytes", len(serial.Output), len(par.Output))
-		}
-		if serial.Steps != par.Steps || serial.ChunksExecuted != par.ChunksExecuted ||
-			serial.InputsApplied != par.InputsApplied {
-			return fmt.Errorf("counters differ: steps %d/%d chunks %d/%d inputs %d/%d",
-				serial.Steps, par.Steps, serial.ChunksExecuted, par.ChunksExecuted,
-				serial.InputsApplied, par.InputsApplied)
-		}
-		for t := range serial.FinalContexts {
-			if serial.FinalContexts[t] != par.FinalContexts[t] {
-				return fmt.Errorf("thread %d final context differs", t)
-			}
-		}
-		if !serial.FinalMem.Equal(par.FinalMem) {
-			return fmt.Errorf("final memory images differ")
-		}
-		if err := core.Verify(rec, par); err != nil {
-			return fmt.Errorf("parallel replay fails verification: %w", err)
-		}
-		return nil
-	}()
+func checkParallelReplay(prog *isa.Program, cfg machine.Config) error {
+	// Cadence low enough that even the short conformance workloads
+	// partition into several intervals; a workload too small to cross
+	// it even once still gets the 1-vs-4 comparison (both serial),
+	// which keeps the Workers plumbing honest without failing
+	// vacuously.
+	cfg.CheckpointEveryInstrs = 500
+	rec, err := core.Record(prog, cfg)
 	if err != nil {
-		pr.Err = err.Error()
+		return fmt.Errorf("checkpointed recording failed: %w", err)
 	}
-	return pr
+	serial, err := core.ReplayWorkers(prog, rec, 1)
+	if err != nil {
+		return fmt.Errorf("serial replay: %w", err)
+	}
+	par, err := core.ReplayWorkers(prog, rec, 4)
+	if err != nil {
+		return fmt.Errorf("parallel replay: %w", err)
+	}
+	if err := sameReplay(serial, par); err != nil {
+		return err
+	}
+	if err := core.Verify(rec, par); err != nil {
+		return fmt.Errorf("parallel replay fails verification: %w", err)
+	}
+	return nil
 }
 
 // checkDistributed pins the fleet executor's defining property:
@@ -259,89 +261,65 @@ func checkParallelReplay(prog *isa.Program, cfg machine.Config) *PropertyResult 
 // cell, records its own checkpointed signature-capturing bundle under
 // the cell's config, and compares the fleet replay and race report
 // against serial ones field by field.
-func checkDistributed(prog *isa.Program, cfg machine.Config) *PropertyResult {
-	pr := &PropertyResult{Property: PropDistributed}
-	err := func() error {
-		cfg.CheckpointEveryInstrs = 500
-		cfg.CaptureSignatures = true
-		rec, err := core.Record(prog, cfg)
-		if err != nil {
-			return fmt.Errorf("checkpointed recording failed: %w", err)
-		}
-		dir, err := os.MkdirTemp("", "quickrec-fleet-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		scfg := ingest.DefaultConfig()
-		scfg.StoreDir = dir
-		scfg.Shards = 1
-		scfg.Verifiers = 1
-		srv, err := ingest.NewServer(scfg)
-		if err != nil {
-			return fmt.Errorf("fleet server: %w", err)
-		}
-		go srv.Serve()
-		defer srv.Close()
-		for i := 0; i < 2; i++ {
-			go (&fleet.Worker{Addr: srv.Addr(), Slots: 2}).Run()
-		}
-		client, err := fleet.Dial(srv.Addr())
-		if err != nil {
-			return fmt.Errorf("fleet dial: %w", err)
-		}
-		defer client.Close()
-
-		serial, err := core.ReplayWorkers(prog, rec, 1)
-		if err != nil {
-			return fmt.Errorf("serial replay: %w", err)
-		}
-		dist, err := client.Replay(prog, rec)
-		if err != nil {
-			return fmt.Errorf("distributed replay: %w", err)
-		}
-		if serial.MemChecksum != dist.MemChecksum {
-			return fmt.Errorf("memory checksums differ: %#x vs %#x", serial.MemChecksum, dist.MemChecksum)
-		}
-		if !bytes.Equal(serial.Output, dist.Output) {
-			return fmt.Errorf("outputs differ: %d vs %d bytes", len(serial.Output), len(dist.Output))
-		}
-		if serial.Steps != dist.Steps || serial.ChunksExecuted != dist.ChunksExecuted ||
-			serial.InputsApplied != dist.InputsApplied {
-			return fmt.Errorf("counters differ: steps %d/%d chunks %d/%d inputs %d/%d",
-				serial.Steps, dist.Steps, serial.ChunksExecuted, dist.ChunksExecuted,
-				serial.InputsApplied, dist.InputsApplied)
-		}
-		for t := range serial.FinalContexts {
-			if serial.FinalContexts[t] != dist.FinalContexts[t] {
-				return fmt.Errorf("thread %d final context differs", t)
-			}
-		}
-		if !serial.FinalMem.Equal(dist.FinalMem) {
-			return fmt.Errorf("final memory images differ")
-		}
-		if err := core.Verify(rec, dist); err != nil {
-			return fmt.Errorf("distributed replay fails verification: %w", err)
-		}
-
-		sRep, err := races.Detect(prog, rec)
-		if err != nil {
-			return fmt.Errorf("serial race detection: %w", err)
-		}
-		dRep, err := client.Races(prog, rec)
-		if err != nil {
-			return fmt.Errorf("distributed race detection: %w", err)
-		}
-		if !reflect.DeepEqual(sRep, dRep) {
-			return fmt.Errorf("race reports differ: serial %d races / %d candidates, distributed %d / %d",
-				len(sRep.Races), len(sRep.Candidates), len(dRep.Races), len(dRep.Candidates))
-		}
-		return nil
-	}()
+func checkDistributed(prog *isa.Program, cfg machine.Config) error {
+	cfg.CheckpointEveryInstrs = 500
+	cfg.CaptureSignatures = true
+	rec, err := core.Record(prog, cfg)
 	if err != nil {
-		pr.Err = err.Error()
+		return fmt.Errorf("checkpointed recording failed: %w", err)
 	}
-	return pr
+	dir, err := os.MkdirTemp("", "quickrec-fleet-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	scfg := ingest.DefaultConfig()
+	scfg.StoreDir = dir
+	scfg.Shards = 1
+	scfg.Verifiers = 1
+	srv, err := ingest.NewServer(scfg)
+	if err != nil {
+		return fmt.Errorf("fleet server: %w", err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	for i := 0; i < 2; i++ {
+		go (&fleet.Worker{Addr: srv.Addr(), Slots: 2}).Run()
+	}
+	client, err := fleet.Dial(srv.Addr())
+	if err != nil {
+		return fmt.Errorf("fleet dial: %w", err)
+	}
+	defer client.Close()
+
+	serial, err := core.ReplayWorkers(prog, rec, 1)
+	if err != nil {
+		return fmt.Errorf("serial replay: %w", err)
+	}
+	dist, err := client.Replay(prog, rec)
+	if err != nil {
+		return fmt.Errorf("distributed replay: %w", err)
+	}
+	if err := sameReplay(serial, dist); err != nil {
+		return err
+	}
+	if err := core.Verify(rec, dist); err != nil {
+		return fmt.Errorf("distributed replay fails verification: %w", err)
+	}
+
+	sRep, err := races.Detect(prog, rec)
+	if err != nil {
+		return fmt.Errorf("serial race detection: %w", err)
+	}
+	dRep, err := client.Races(prog, rec)
+	if err != nil {
+		return fmt.Errorf("distributed race detection: %w", err)
+	}
+	if !reflect.DeepEqual(sRep, dRep) {
+		return fmt.Errorf("race reports differ: serial %d races / %d candidates, distributed %d / %d",
+			len(sRep.Races), len(sRep.Candidates), len(dRep.Races), len(dRep.Candidates))
+	}
+	return nil
 }
 
 // checkWindowed pins the flight-recorder ring's defining properties by
@@ -358,16 +336,7 @@ func checkDistributed(prog *isa.Program, cfg machine.Config) *PropertyResult {
 //   - window-size-monotone: a window large enough to never evict is the
 //     unbounded stream — its salvaged bundle is byte-identical — and a
 //     smaller window never costs more stream bytes than a larger one.
-func checkWindowed(prog *isa.Program, cfg machine.Config) []PropertyResult {
-	var out []PropertyResult
-	add := func(prop string, err error) {
-		pr := PropertyResult{Property: prop}
-		if err != nil {
-			pr.Err = err.Error()
-		}
-		out = append(out, pr)
-	}
-
+func checkWindowed(p properties, prog *isa.Program, cfg machine.Config) {
 	// Same low cadence as the parallel-replay property, so even short
 	// conformance workloads cross several checkpoints and actually evict.
 	cfg.CheckpointEveryInstrs = 500
@@ -385,12 +354,12 @@ func checkWindowed(prog *isa.Program, cfg machine.Config) []PropertyResult {
 	}
 	if err != nil {
 		err = fmt.Errorf("windowed recording failed: %w", err)
-		add(PropWindowedTail, err)
-		add(PropWindowMonotone, err)
-		return out
+		p.add(PropWindowedTail, err)
+		p.add(PropWindowMonotone, err)
+		return
 	}
 
-	add(PropWindowedTail, func() error {
+	p.add(PropWindowedTail, func() error {
 		sw, err := core.SalvageStream(bufW.Bytes())
 		if err != nil {
 			return fmt.Errorf("salvage of clean windowed stream: %w", err)
@@ -436,14 +405,8 @@ func checkWindowed(prog *isa.Program, cfg machine.Config) []PropertyResult {
 		if err != nil {
 			return fmt.Errorf("serial replay of unbounded tail: %w", err)
 		}
-		if rw.MemChecksum != rt.MemChecksum || !bytes.Equal(rw.Output, rt.Output) || rw.Steps != rt.Steps {
-			return fmt.Errorf("windowed replay (checksum %#x, %d bytes out, %d steps) != tail replay (%#x, %d, %d)",
-				rw.MemChecksum, len(rw.Output), rw.Steps, rt.MemChecksum, len(rt.Output), rt.Steps)
-		}
-		for t := range rw.FinalContexts {
-			if rw.FinalContexts[t] != rt.FinalContexts[t] {
-				return fmt.Errorf("thread %d final context differs from tail replay", t)
-			}
+		if err := sameReplay(rw, rt); err != nil {
+			return fmt.Errorf("windowed replay differs from tail replay: %w", err)
 		}
 		// Parallel replay of the windowed bundle partitions from the
 		// window base at the retained interior checkpoints.
@@ -451,8 +414,8 @@ func checkWindowed(prog *isa.Program, cfg machine.Config) []PropertyResult {
 		if err != nil {
 			return fmt.Errorf("parallel replay from window base: %w", err)
 		}
-		if pw.MemChecksum != rw.MemChecksum || !bytes.Equal(pw.Output, rw.Output) || pw.Steps != rw.Steps {
-			return fmt.Errorf("parallel replay from window base diverges from serial")
+		if err := sameReplay(pw, rw); err != nil {
+			return fmt.Errorf("parallel replay from window base differs from serial: %w", err)
 		}
 		if err := core.Verify(wb, pw); err != nil {
 			return fmt.Errorf("windowed bundle fails verification: %w", err)
@@ -460,7 +423,7 @@ func checkWindowed(prog *isa.Program, cfg machine.Config) []PropertyResult {
 		return nil
 	}())
 
-	add(PropWindowMonotone, func() error {
+	p.add(PropWindowMonotone, func() error {
 		su, err := core.SalvageStream(bufU.Bytes())
 		if err != nil {
 			return fmt.Errorf("salvage of unbounded stream: %w", err)
@@ -485,50 +448,37 @@ func checkWindowed(prog *isa.Program, cfg machine.Config) []PropertyResult {
 		}
 		return nil
 	}())
-
-	return out
 }
 
-// checkRaceExpectation runs the offline race detector against workloads
-// with a declared race status (Spec.RaceExpectation): a "racy" workload
-// must yield at least one confirmed race, a "racefree" one exactly zero.
-// The conformance recording is made without signature capture, so the
-// property records its own capture-enabled bundle under the same config.
-// Returns nil for unclassified workloads (including fuzz programs).
-func checkRaceExpectation(name string, prog *isa.Program, cfg machine.Config) *PropertyResult {
-	spec, ok := workload.ByName(name)
-	if !ok || spec.RaceExpectation == "" {
-		return nil
-	}
-	pr := &PropertyResult{Property: PropRaceExpectation}
-	err := func() error {
-		cfg.CaptureSignatures = true
-		rec, err := core.Record(prog, cfg)
-		if err != nil {
-			return fmt.Errorf("signature-capture recording failed: %w", err)
-		}
-		rep, err := races.Detect(prog, rec)
-		if err != nil {
-			return err
-		}
-		switch spec.RaceExpectation {
-		case "racy":
-			if len(rep.Races) == 0 {
-				return fmt.Errorf("racy workload: %d candidate pairs but no confirmed races",
-					len(rep.Candidates))
-			}
-		case "racefree":
-			if len(rep.Races) != 0 {
-				return fmt.Errorf("race-free workload: %d confirmed races (first: %+v)",
-					len(rep.Races), rep.Races[0])
-			}
-		default:
-			return fmt.Errorf("unknown race expectation %q", spec.RaceExpectation)
-		}
-		return nil
-	}()
+// checkRaceExpectation runs the offline race detector against a
+// workload with a declared race status (Spec.RaceExpectation): a "racy"
+// workload must yield at least one confirmed race, a "racefree" one
+// exactly zero. The conformance recording is made without signature
+// capture, so the property records its own capture-enabled bundle under
+// the same config.
+func checkRaceExpectation(spec workload.Spec, prog *isa.Program, cfg machine.Config) error {
+	cfg.CaptureSignatures = true
+	rec, err := core.Record(prog, cfg)
 	if err != nil {
-		pr.Err = err.Error()
+		return fmt.Errorf("signature-capture recording failed: %w", err)
 	}
-	return pr
+	rep, err := races.Detect(prog, rec)
+	if err != nil {
+		return err
+	}
+	switch spec.RaceExpectation {
+	case "racy":
+		if len(rep.Races) == 0 {
+			return fmt.Errorf("racy workload: %d candidate pairs but no confirmed races",
+				len(rep.Candidates))
+		}
+	case "racefree":
+		if len(rep.Races) != 0 {
+			return fmt.Errorf("race-free workload: %d confirmed races (first: %+v)",
+				len(rep.Races), rep.Races[0])
+		}
+	default:
+		return fmt.Errorf("unknown race expectation %q", spec.RaceExpectation)
+	}
+	return nil
 }

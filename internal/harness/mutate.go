@@ -18,7 +18,8 @@ type FaultClass string
 // input-log blob and go through the real decoder; structural classes
 // corrupt the decoded form directly (their serialized form always
 // re-decodes, so decode-stage detection is not available to them by
-// construction).
+// construction). Stream classes damage the segmented stream a crashed
+// recorder leaves behind, unbounded or windowed, and go through salvage.
 const (
 	// FaultBitFlip flips one bit anywhere in a serialized log blob.
 	FaultBitFlip FaultClass = "bit-flip"
@@ -43,6 +44,19 @@ const (
 	// syscall result, copied data, syscall number, or a signal's delivery
 	// position.
 	FaultPayload FaultClass = "payload"
+	// FaultTornWrite kills the stream writer mid-write: the stream is cut
+	// at a segment boundary or at an arbitrary intra-segment offset.
+	FaultTornWrite FaultClass = "torn-write"
+	// FaultStreamCorrupt flips one bit somewhere in the stream, as disk
+	// or transport corruption would.
+	FaultStreamCorrupt FaultClass = "stream-corrupt"
+	// FaultWindowTorn tears a flight-recorder window dump: recording ran
+	// with RetainCheckpoints, and the rendered ring is cut at a segment
+	// boundary or an arbitrary offset mid-dump.
+	FaultWindowTorn FaultClass = "window-torn"
+	// FaultWindowCorrupt flips one bit in a flight-recorder window dump,
+	// inside or outside the epochs the window retained.
+	FaultWindowCorrupt FaultClass = "window-corrupt"
 )
 
 // AllFaults returns every fault class, in report order.
@@ -50,6 +64,7 @@ func AllFaults() []FaultClass {
 	return []FaultClass{
 		FaultBitFlip, FaultTruncate, FaultLenLie,
 		FaultDrop, FaultDuplicate, FaultReorder, FaultSizeLie, FaultPayload,
+		FaultTornWrite, FaultStreamCorrupt, FaultWindowTorn, FaultWindowCorrupt,
 	}
 }
 
@@ -67,7 +82,7 @@ func FaultByName(name string) (FaultClass, bool) {
 type Outcome int
 
 // Injection outcomes. Inert and Benign mutations are re-rolled by the
-// matrix runner; the other four are terminal classifications.
+// matrix runner; the others are terminal classifications.
 const (
 	// OutcomeInert: the mutation did not change replay semantics at all
 	// (e.g. a bit flip confined to a field replay ignores).
@@ -91,8 +106,7 @@ const (
 	// failure the harness exists to catch.
 	OutcomeSilent
 	// OutcomePrefix: a torn stream salvaged to a consistent prefix that
-	// replayed as a verified prefix of the original execution — the
-	// crash sweep's good outcome (see CrashSweep).
+	// replayed as a verified prefix of the original execution.
 	OutcomePrefix
 	// OutcomeWindow: a torn flight-recorder window salvaged to a
 	// replayable suffix anchored at its surviving base checkpoint — the

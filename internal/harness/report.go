@@ -20,12 +20,12 @@ type Cell struct {
 	Replay   int
 	Verify   int
 	Silent   int
-	// Prefix counts torn streams salvaged to a verified prefix replay —
-	// the crash sweep's detection point (zero for bundle-mutation cells).
+	// Prefix counts torn streams salvaged to a verified prefix replay
+	// (zero outside torn-write cells).
 	Prefix int
 	// Window counts torn flight-recorder windows salvaged to a
 	// replayable suffix anchored at the surviving base checkpoint — the
-	// windowed variant of Prefix (zero outside the windowed crash cells).
+	// windowed variant of Prefix (zero outside window-torn cells).
 	Window int
 	// Benign counts mutations that replayed to exactly the original
 	// execution (legal alternative serializations); they are re-rolled
@@ -42,6 +42,35 @@ type Cell struct {
 // divergence, verification failure, and verified prefix (or windowed
 // suffix) salvage.
 func (c Cell) Detected() int { return c.Decode + c.Replay + c.Verify + c.Prefix + c.Window }
+
+// tally counts one classified injection into the cell and reports
+// whether it was material; inert and benign ones are re-rolled.
+func (c *Cell) tally(out Outcome, detail string) bool {
+	switch out {
+	case OutcomeInert:
+		return false
+	case OutcomeBenign:
+		c.Benign++
+		return false
+	case OutcomeDecode:
+		c.Decode++
+	case OutcomeReplay:
+		c.Replay++
+	case OutcomeVerify:
+		c.Verify++
+	case OutcomePrefix:
+		c.Prefix++
+	case OutcomeWindow:
+		c.Window++
+	default:
+		c.Silent++
+		if len(c.SilentExamples) < 4 {
+			c.SilentExamples = append(c.SilentExamples, detail)
+		}
+	}
+	c.Injected++
+	return true
+}
 
 // MetaResult is one metamorphic property's outcome at one matrix point.
 type MetaResult struct {
@@ -125,7 +154,7 @@ func (r *Report) String() string {
 	}
 
 	t := report.Table{
-		Title:   "Fault-injection coverage (single-fault log mutations)",
+		Title:   "Fault-injection coverage (single-fault log and stream corruptions)",
 		Columns: []string{"workload", "cores", "fault", "injected", "decode", "replay", "verify", "prefix", "window", "benign*", "silent"},
 	}
 	for _, c := range r.Cells {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/workload"
 )
 
 // ShootoutResult is one codec's row in the serialization shootout: how
@@ -138,7 +139,7 @@ func shootoutCodecs() []shootoutCodec {
 // (codecs are deterministic); the throughput columns are best-of-runs
 // like the rest of the bench harness.
 func MeasureShootout(name string, threads, cores, runs int) ([]ShootoutResult, error) {
-	prog, err := buildProgram(name, threads)
+	prog, err := workload.ProgramByName(name, threads)
 	if err != nil {
 		return nil, err
 	}

@@ -18,16 +18,15 @@ const (
 	fuzzFetch
 	fuzzDataZ
 	fuzzDispatchJob
-	fuzzDispatchResult
 	fuzzKinds
 )
 
 // FuzzJobFrame throws arbitrary bytes at every v3 payload codec — the
 // fleet job plane (ATTACH/JOB/RESULT/FETCH), the compressed data plane
-// (DATAZ), and the dispatch job/result envelopes that ride inside JOB
-// and RESULT bodies. Invariants: no panic, malformed input yields a
-// typed error, and any payload that decodes survives an encode→decode
-// round trip with its values intact.
+// (DATAZ), and the dispatch job envelope that rides inside JOB bodies.
+// Invariants: no panic, malformed input yields a typed error, and any
+// payload that decodes survives an encode→decode round trip with its
+// values intact.
 func FuzzJobFrame(f *testing.F) {
 	seed := func(sel byte, build func(a *wire.Appender)) {
 		var a wire.Appender
@@ -61,9 +60,6 @@ func FuzzJobFrame(f *testing.F) {
 			Kind: dispatch.JobReplayInterval, Digest: strings.Repeat("cd", digestSize),
 			Payload: []byte("interval params"),
 		})
-	})
-	seed(fuzzDispatchResult, func(a *wire.Appender) {
-		dispatch.AppendJobResult(a, dispatch.JobResult{Payload: []byte("interval state")})
 	})
 	// Hostile shapes: truncated varints, a CRC over nothing, huge lengths.
 	f.Add(byte(fuzzJob), []byte{0xff})
@@ -143,17 +139,6 @@ func FuzzJobFrame(f *testing.F) {
 			got, err := dispatch.DecodeJob(a.Buf)
 			if err != nil || got.Kind != j.Kind || got.Digest != j.Digest || !bytes.Equal(got.Payload, j.Payload) {
 				t.Fatalf("dispatch job round trip: %+v, %v", got, err)
-			}
-		case fuzzDispatchResult:
-			r, err := dispatch.DecodeJobResult(data)
-			if err != nil {
-				return
-			}
-			var a wire.Appender
-			dispatch.AppendJobResult(&a, r)
-			got, err := dispatch.DecodeJobResult(a.Buf)
-			if err != nil || got.Err != r.Err || !bytes.Equal(got.Payload, r.Payload) {
-				t.Fatalf("dispatch result round trip: %+v, %v", got, err)
 			}
 		}
 	})

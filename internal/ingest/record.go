@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // RecordWorkloadStream records the named catalogue workload (or
@@ -15,7 +16,7 @@ import (
 // cadence and flight-recorder checkpoints so the server's verification
 // replay can partition it across workers.
 func RecordWorkloadStream(name string, threads int, seed uint64) ([]byte, error) {
-	prog, err := programByName(name, threads)
+	prog, err := workload.ProgramByName(name, threads)
 	if err != nil {
 		return nil, err
 	}

@@ -139,7 +139,9 @@ func NewServer(cfg Config) (*Server, error) {
 		verdicts: newVerdictBoard(),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	s.verifier = newVerifierPool(cfg.Verifiers, cfg.ReplayWorkers, s.verdicts)
+	s.verifier = newVerifierPool(cfg.Verifiers, s.verdicts, func(j verifyJob) Verdict {
+		return verifyBundle(j, cfg.ReplayWorkers)
+	})
 	s.broker = newBroker(s, cfg.JobTimeout)
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{ch: make(chan shardMsg, cfg.QueueDepth)}

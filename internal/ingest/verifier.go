@@ -5,8 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dispatch"
-	"repro/internal/isa"
 	"repro/internal/workload"
 )
 
@@ -17,17 +15,15 @@ type verifyJob struct {
 	data   []byte
 }
 
-// verifierPool drains stored uploads in the background: a single
-// drainer goroutine repeatedly grabs the pending batch and fans it out
-// through the dispatch layer, where each task salvages the stream,
-// rebuilds the recorded program from the manifest's name, replays it
-// with the checkpoint-partitioned parallel replayer, and publishes a
-// verdict. The queue is an in-memory list fed by shard workers —
-// enqueue never blocks the ingest data path; the measured queue depth
-// is the backlog signal.
+// verifierPool verifies stored uploads in the background: each of its
+// goroutines takes one queued job at a time, runs verify on it (the
+// server passes verifyBundle) and publishes the verdict, so a queued
+// upload waits only for a free verifier. The queue is an in-memory list
+// fed by shard workers — enqueue never blocks the ingest data path; the
+// measured queue depth is the backlog signal.
 type verifierPool struct {
-	workers int
-	replayW int // Workers passed to core.ReplayWorkers
+	verify   func(verifyJob) Verdict
+	verdicts *verdictBoard
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -35,18 +31,17 @@ type verifierPool struct {
 	stop  bool
 	busy  int
 
-	wg       sync.WaitGroup
-	verdicts *verdictBoard
+	wg sync.WaitGroup
 }
 
-func newVerifierPool(workers, replayWorkers int, board *verdictBoard) *verifierPool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &verifierPool{workers: workers, replayW: replayWorkers, verdicts: board}
+func newVerifierPool(workers int, board *verdictBoard, verify func(verifyJob) Verdict) *verifierPool {
+	p := &verifierPool{verify: verify, verdicts: board}
 	p.cond = sync.NewCond(&p.mu)
-	p.wg.Add(1)
-	go p.run()
+	workers = max(workers, 1)
+	p.wg.Add(workers)
+	for range workers {
+		go p.run()
+	}
 	return p
 }
 
@@ -55,7 +50,7 @@ func (p *verifierPool) enqueue(j verifyJob) {
 	p.mu.Lock()
 	p.queue = append(p.queue, j)
 	p.mu.Unlock()
-	p.cond.Signal()
+	p.cond.Broadcast() // waitIdle shares the cond, so wake every waiter
 }
 
 // depth returns the number of bundles waiting (not counting in-flight).
@@ -83,44 +78,29 @@ func (p *verifierPool) close() {
 	p.wg.Wait()
 }
 
-// run is the drainer: it owns no per-job goroutines of its own — each
-// drained batch goes through the same executor abstraction as every
-// other parallel path, bounded by the pool's worker count.
+// run is one verifier: it takes jobs one at a time until the pool is
+// closed and its queue drained.
 func (p *verifierPool) run() {
 	defer p.wg.Done()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
-		p.mu.Lock()
 		for len(p.queue) == 0 && !p.stop {
 			p.cond.Wait()
 		}
-		if len(p.queue) == 0 && p.stop {
-			p.mu.Unlock()
+		if len(p.queue) == 0 {
 			return
 		}
-		batch := p.queue
-		p.queue = nil
-		p.busy += len(batch)
+		j := p.queue[0]
+		p.queue[0] = verifyJob{} // the consumed slot must not pin the bundle's bytes
+		p.queue = p.queue[1:]
+		p.busy++
 		p.mu.Unlock()
-
-		dispatch.Local{Workers: p.workers}.Execute(dispatch.Spec{
-			Tasks: len(batch),
-			Run: func(i int) error {
-				p.verdicts.publish(verifyBundle(batch[i], p.replayW))
-				p.mu.Lock()
-				p.busy--
-				p.mu.Unlock()
-				p.cond.Broadcast() // wake waitIdle as well as the drainer
-				return nil
-			},
-		})
+		p.verdicts.publish(p.verify(j))
+		p.mu.Lock()
+		p.busy--
+		p.cond.Broadcast() // wake waitIdle
 	}
-}
-
-// programByName rebuilds the recorded program from a bundle's manifest
-// name: catalogue workloads resolve through the suite, fuzz programs
-// ("fuzz-<seed>") regenerate from their seed.
-func programByName(name string, threads int) (*isa.Program, error) {
-	return workload.ProgramByName(name, threads)
 }
 
 // verifyBundle is the whole per-bundle pipeline: salvage, rebuild,
@@ -137,7 +117,7 @@ func verifyBundle(j verifyJob, replayWorkers int) Verdict {
 	b := sv.Bundle
 	v.Program = b.ProgramName
 	v.Threads = b.Threads
-	prog, err := programByName(b.ProgramName, b.Threads)
+	prog, err := workload.ProgramByName(b.ProgramName, b.Threads)
 	if err != nil {
 		v.Status = StatusUnverifiable
 		v.Detail = err.Error()

@@ -205,6 +205,22 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestProgramByName pins the one resolver every name goes through: a
+// catalogue name, or "fuzz-<seed>" — the name a random program's
+// recordings carry, and the only spelling of one.
+func TestProgramByName(t *testing.T) {
+	for _, name := range []string{"no-such-workload", "fuzz-not-a-number", "fuzz:42"} {
+		if _, err := workload.ProgramByName(name, 2); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+	for _, name := range []string{"counter", "fuzz-42"} {
+		if p, err := workload.ProgramByName(name, 2); err != nil || p == nil || p.Name != name {
+			t.Errorf("%s: got (%v, %v)", name, p, err)
+		}
+	}
+}
+
 func TestSuiteDescriptionsComplete(t *testing.T) {
 	for _, s := range workload.Suite() {
 		if s.Name == "" || s.Description == "" || s.Build == nil || (s.Kind != "splash" && s.Kind != "micro" && s.Kind != "app") {

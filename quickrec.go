@@ -318,7 +318,11 @@ func Trace(prog *Program, rec *Recording, tid int, from, to uint64) ([]TraceEntr
 // ConformanceConfig parameterises a Conformance run; the zero value
 // (filled with defaults) is the acceptance matrix run with seed 0 —
 // every Seed value is honored as-is, zero included. Workload entries
-// are catalogue names, or "fuzz:<seed>" for a generated program.
+// are catalogue names, or "fuzz-<seed>" for a generated program, the
+// name its recordings carry. Faults selects among the twelve fault
+// classes (all by default): eight corrupt the serialized logs, and
+// torn-write, stream-corrupt, window-torn and window-corrupt damage the
+// segmented stream and the flight-recorder window.
 type ConformanceConfig = harness.Config
 
 // ConformanceReport is a conformance run's findings: metamorphic
@@ -331,8 +335,9 @@ type ConformanceReport = harness.Report
 // metamorphic properties (record twice → identical bytes, replay
 // reproduces the recorded state, recordings survive serialization,
 // replay is deterministic) plus systematic single-fault corruption of
-// the serialized logs, asserting every material fault is detected
-// explicitly — at decode, replay or verify — and never accepted
+// the serialized logs and of the segmented stream, asserting every
+// material fault is detected explicitly — at decode, replay or verify,
+// or as a salvaged prefix that replays as one — and never accepted
 // silently. The returned error covers misconfiguration only; detection
 // findings live in the report. cmd/quickconform is the CLI face.
 func Conformance(cfg ConformanceConfig) (*ConformanceReport, error) { return harness.Run(cfg) }
@@ -436,14 +441,3 @@ func Salvage(data []byte) (*Salvaged, error) { return core.SalvageStream(data) }
 // TruncatedReplay describes where a best-effort prefix replay of a
 // Partial recording ran out of log.
 type TruncatedReplay = replay.TruncatedReplay
-
-// CrashConfig parameterises CrashConformance; the zero value (filled
-// with defaults) is the acceptance sweep.
-type CrashConfig = harness.CrashConfig
-
-// CrashConformance sweeps simulated recorder crashes over segmented
-// streams: cuts at every segment boundary, random intra-segment torn
-// writes, and single-bit corruption. Every crash point must produce an
-// explicit typed decode error or a verified prefix replay — never a
-// silent wrong replay. Findings land in a ConformanceReport.
-func CrashConformance(cfg CrashConfig) (*ConformanceReport, error) { return harness.CrashSweep(cfg) }
