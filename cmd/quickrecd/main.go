@@ -1,7 +1,7 @@
 // Command quickrecd is the recording-as-a-service ingest daemon: it
 // accepts segmented log streams from fleets of concurrent recorders
-// over TCP, shards sessions by replay-sphere (tenant) ID, lands each
-// upload as a content-addressed crash-consistent bundle, and verifies
+// over TCP, shards sessions by replay-sphere (tenant) ID, appends each
+// upload to a content-addressed, crash-consistent pack, and verifies
 // stored bundles in the background by salvage plus deterministic
 // replay.
 //
@@ -78,7 +78,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	cfg := ingest.DefaultConfig()
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
-	store := fs.String("store", "", "content-addressed bundle store directory")
+	store := fs.String("store", "", "bundle store directory: one append-only pack, objects.qpack (a directory holding an old objects/ tree is refused)")
 	shards := fs.Int("shards", cfg.Shards, "ingest shard workers (tenants hash onto shards)")
 	queue := fs.Int("queue", cfg.QueueDepth, "per-shard queue depth (backpressure bound)")
 	credit := fs.Int("credit", cfg.Credit, "per-session in-flight byte credit")

@@ -2,6 +2,7 @@ package capo
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,65 @@ func TestByteHelpersRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// logPort is a CopyPort over memory that logs every call it serves.
+type logPort struct {
+	m   *mem.Memory
+	log []string
+}
+
+func (p *logPort) Load(addr uint64) uint64 {
+	v := p.m.Load(addr)
+	p.log = append(p.log, fmt.Sprintf("load %#x = %#x", addr, v))
+	return v
+}
+
+func (p *logPort) Store(addr, val uint64) {
+	p.log = append(p.log, fmt.Sprintf("store %#x = %#x", addr, val))
+	p.m.Store(addr, val)
+}
+
+// refStoreBytes is StoreBytes as a byte loop: it merges every byte of p
+// into its loaded word.
+func refStoreBytes(port CopyPort, addr uint64, p []byte) {
+	for off := 0; off < len(p); off += 8 {
+		wordAddr := addr + uint64(off)
+		w := port.Load(wordAddr)
+		for b := 0; b < 8 && off+b < len(p); b++ {
+			shift := uint(8 * b)
+			w &^= uint64(0xff) << shift
+			w |= uint64(p[off+b]) << shift
+		}
+		port.Store(wordAddr, w)
+	}
+}
+
+// TestStoreBytesMatchesByteLoop holds StoreBytes to the byte loop's
+// port calls, in order, and to its final memory: each call is a
+// modelled cache access, so storing whole words must not change the
+// sequence.
+func TestStoreBytesMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	image := make([]byte, 1024)
+	for n := 0; n <= 40; n++ {
+		for _, addr := range []uint64{0, 8, 64, 120, 512} {
+			rng.Read(image)
+			data := make([]byte, n)
+			rng.Read(data)
+			got, want := &logPort{m: mem.New(1024)}, &logPort{m: mem.New(1024)}
+			got.m.StoreBytes(0, image)
+			want.m.StoreBytes(0, image)
+			StoreBytes(got, addr, data)
+			refStoreBytes(want, addr, data)
+			if fmt.Sprint(got.log) != fmt.Sprint(want.log) {
+				t.Fatalf("len %d at %#x: port calls\n%v\nwant\n%v", n, addr, got.log, want.log)
+			}
+			if !bytes.Equal(got.m.AppendBytes(nil, 0, 1024), want.m.AppendBytes(nil, 0, 1024)) {
+				t.Fatalf("len %d at %#x: memory differs from the byte loop's", n, addr)
+			}
+		}
 	}
 }
 

@@ -72,18 +72,25 @@ func AppendBytes(dst []byte, port CopyPort, addr, n uint64) []byte {
 }
 
 // StoreBytes writes p into user memory through the port, preserving
-// neighbouring bytes in partial final words.
+// neighbouring bytes in a partial final word. Every word is loaded
+// before it is stored, whole words too: each port call is a modelled
+// cache access, so the call sequence is the copy's cost.
 func StoreBytes(port CopyPort, addr uint64, p []byte) {
-	for off := 0; off < len(p); off += 8 {
-		wordAddr := addr + uint64(off)
-		w := port.Load(wordAddr)
-		for b := 0; b < 8 && off+b < len(p); b++ {
-			shift := uint(8 * b)
-			w &^= uint64(0xff) << shift
-			w |= uint64(p[off+b]) << shift
-		}
-		port.Store(wordAddr, w)
+	off := 0
+	for ; off+8 <= len(p); off += 8 {
+		port.Load(addr + uint64(off))
+		port.Store(addr+uint64(off), binary.LittleEndian.Uint64(p[off:]))
 	}
+	if off == len(p) {
+		return
+	}
+	wordAddr := addr + uint64(off)
+	w := port.Load(wordAddr)
+	for b, v := range p[off:] {
+		shift := uint(8 * b)
+		w = w&^(uint64(0xff)<<shift) | uint64(v)<<shift
+	}
+	port.Store(wordAddr, w)
 }
 
 // Result describes a handled syscall to the machine model.

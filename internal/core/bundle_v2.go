@@ -48,8 +48,11 @@ const (
 const outRefMinLen = 32
 
 func (b *Bundle) marshalV2(method byte, auto bool) []byte {
-	body := wire.GetAppender()
-	b.appendBodyV2(body)
+	// The body gets its own buffer, sized by appendBodyV2: a pooled one
+	// would be regrown past the pool's cap and dropped, and the pool
+	// keeps serving the block's token scratch instead.
+	var body wire.Appender
+	b.appendBodyV2(&body)
 	// The block grows the header's buffer once, to the framed size; an
 	// LZ body is a fraction of the raw one.
 	a := wire.AppenderOf(make([]byte, 0, 9))
@@ -63,7 +66,6 @@ func (b *Bundle) marshalV2(method byte, auto bool) []byte {
 	} else {
 		wire.AppendBlockMethod(&a, body.Buf, method)
 	}
-	wire.PutAppender(body)
 	flags := b.flagBits()
 	if used == wire.BlockLZ {
 		flags |= bflagCompressed

@@ -130,6 +130,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
+		store.Close()
 		return nil, fmt.Errorf("ingest: listen: %w", err)
 	}
 	s := &Server{
@@ -185,7 +186,7 @@ func (s *Server) Serve() error {
 func (s *Server) WaitIdle() { s.verifier.waitIdle() }
 
 // Close stops accepting, tears down live sessions, drains the shards
-// and verifier pool, and returns. Safe to call once.
+// and verifier pool, closes the store, and returns. Safe to call once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -205,6 +206,9 @@ func (s *Server) Close() error {
 	s.shardWG.Wait()
 	s.broker.close()
 	s.verifier.close()
+	if cerr := s.store.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 
