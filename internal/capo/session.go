@@ -136,9 +136,10 @@ func (s *Session) NextSeq(tid int) int {
 	return n
 }
 
-// RecordSyscall logs a completed system call.
-func (s *Session) RecordSyscall(tid int, ts, sysno, ret, addr uint64, data []byte) {
-	s.record(Record{
+// RecordSyscall logs a completed system call and returns the encoded
+// size of its record: the bytes it adds to the thread's input CBUF.
+func (s *Session) RecordSyscall(tid int, ts, sysno, ret, addr uint64, data []byte) int {
+	return s.record(Record{
 		Kind: KindSyscall, Thread: tid, Seq: s.NextSeq(tid), TS: ts,
 		Sysno: sysno, Ret: ret, Addr: addr, Data: data,
 	})
@@ -152,15 +153,16 @@ func (s *Session) RecordSignal(tid int, ts, signo, retired, repDone uint64) {
 	})
 }
 
-// record appends r to the input log and charges its encoded size to the
-// thread's input CBUF.
-func (s *Session) record(r Record) {
+// record appends r to the input log, charges its encoded size to the
+// thread's input CBUF and returns that size.
+func (s *Session) record(r Record) int {
 	s.input.Append(r)
 	s.scratch.Reset()
 	appendRecord(&s.scratch, r)
 	n := s.scratch.Len()
 	s.inputBytes += uint64(n)
 	s.fill(&s.inputFill[r.Thread], n, FlushInput)
+	return n
 }
 
 // ChunkLog returns thread tid's chunk log.

@@ -62,8 +62,9 @@ func TestT2CoversSuite(t *testing.T) {
 }
 
 // TestF1HeadlineShape pins the paper's central claims: the recording
-// hardware is negligible and the software stack averages near 13% on the
-// SPLASH suite.
+// hardware is negligible and the software stack dominates it. With
+// syscalls buffered in the thread's input CBUF, the stack's SPLASH
+// average must also stay below the paper's ~13%.
 func TestF1HeadlineShape(t *testing.T) {
 	out := runExp(t, "F1")
 	re := regexp.MustCompile(`hw-only (\d+\.\d)%, full stack (\d+\.\d)%`)
@@ -76,8 +77,8 @@ func TestF1HeadlineShape(t *testing.T) {
 	if hw > 1.5 {
 		t.Errorf("hardware overhead %v%% not negligible", hw)
 	}
-	if full < 5 || full > 30 {
-		t.Errorf("full-stack average %v%% outside the paper's ballpark (~13%%)", full)
+	if full < 5 || full >= 13 {
+		t.Errorf("full-stack average %v%% not below the paper's ~13%% (and at least 5%%)", full)
 	}
 	if full < hw*3 {
 		t.Errorf("software stack (%v%%) should clearly dominate hardware (%v%%)", full, hw)

@@ -445,8 +445,14 @@ func (m *Machine) chargeFull(comp perf.Component, cycles uint64) {
 	}
 }
 
-func (m *Machine) onCbufFlush(capo.FlushKind) {
+// onCbufFlush charges a CBUF drain. Threads fill their input CBUFs
+// without entering the RSM driver (handleSyscall), so draining one
+// crosses into it.
+func (m *Machine) onCbufFlush(kind capo.FlushKind) {
 	m.chargeFull(perf.CompRecCbufFlush, m.cfg.Perf.RecCbufFlush)
+	if kind == capo.FlushInput {
+		m.chargeFull(perf.CompRecDriver, m.cfg.Perf.RecSyscallExtra)
+	}
 }
 
 // Kernel exposes the simulated OS (for tests and the CLI).

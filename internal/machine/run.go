@@ -200,6 +200,13 @@ func (m *Machine) retireHaltedThread(coreID int) {
 
 // handleSyscall processes a syscall trap on coreID. It returns true when
 // the thread completed the call and continues running on this core.
+//
+// Capo3 buffers syscalls the way rr does: a call whose input record
+// holds its whole effect is logged by the thread itself, into its own
+// input CBUF, without entering the RSM driver. Only a call that blocks,
+// exits or reschedules the thread, or changes the signal state the RSM
+// keeps, crosses into the driver, after the kernel has handled it. A
+// full input CBUF drains through a crossing too (onCbufFlush).
 func (m *Machine) handleSyscall(coreID int) bool {
 	tid := m.running[coreID]
 	core := m.cores[coreID]
@@ -212,7 +219,6 @@ func (m *Machine) handleSyscall(coreID int) bool {
 		rec.SetEnabled(false)
 	}
 	m.acct.Add(perf.CompKernel, pp.SyscallBase)
-	m.chargeFull(perf.CompRecDriver, pp.RecSyscallExtra)
 
 	sysno, a1, a2, a3, _ := core.SyscallArgs()
 	res := m.kernel.Handle(tid, m.acct.Total(), sysno, a1, a2, a3, m.ports[coreID])
@@ -222,6 +228,11 @@ func (m *Machine) handleSyscall(coreID int) bool {
 	}
 	for _, w := range res.Woken {
 		m.wake(w)
+	}
+	crosses := res.Exit || res.Block || res.Reschedule ||
+		sysno == capo.SysSigHandler || sysno == capo.SysSigReturn
+	if crosses {
+		m.chargeFull(perf.CompRecDriver, pp.RecSyscallExtra)
 	}
 
 	switch {
@@ -262,7 +273,12 @@ func (m *Machine) handleSyscall(coreID int) bool {
 			if sysno == capo.SysWrite {
 				m.lastWriteTS = ts
 			}
-			m.session.RecordSyscall(tid, ts, sysno, res.Ret, res.CopyAddr, res.CopyData)
+			n := m.session.RecordSyscall(tid, ts, sysno, res.Ret, res.CopyAddr, res.CopyData)
+			if !crosses {
+				// The thread copies the record's header words into its
+				// CBUF; its data words were charged above.
+				m.chargeFull(perf.CompRecInputCopy, pp.RecInputPerWord*uint64((n-len(res.CopyData)+7)/8))
+			}
 		}
 		if rec != nil {
 			rec.SetEnabled(true)
