@@ -9,7 +9,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"slices"
 )
 
@@ -184,24 +183,23 @@ func (l *Layout) AllocWords(n uint64) uint64 { return l.Alloc(n * WordSize) }
 // Size returns the total bytes the layout spans.
 func (l *Layout) Size() uint64 { return l.brk }
 
-// Checksum returns an FNV-1a hash over the full memory image. Two memories
-// with identical contents produce identical checksums; the replayer uses
-// this to validate that replay converged to the recorded final state.
+// Checksum returns an FNV-1a hash over the full memory image, each word
+// taken as its 8 little-endian bytes. Two memories with identical
+// contents produce identical checksums; the replayer uses this to
+// validate that replay converged to the recorded final state.
 func (m *Memory) Checksum() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, w := range m.words {
-		buf[0] = byte(w)
-		buf[1] = byte(w >> 8)
-		buf[2] = byte(w >> 16)
-		buf[3] = byte(w >> 24)
-		buf[4] = byte(w >> 32)
-		buf[5] = byte(w >> 40)
-		buf[6] = byte(w >> 48)
-		buf[7] = byte(w >> 56)
-		h.Write(buf[:])
+		for range WordSize {
+			h = (h ^ w&0xff) * prime64
+			w >>= 8
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // Snapshot returns a deep copy of the memory image (including the
