@@ -1,9 +1,12 @@
 // Package capo models Capo3, the QuickRec software stack: a kernel-level
-// Replay Sphere Manager (RSM) that owns recording sessions, intercepts
-// every kernel crossing of recorded threads, logs all input
-// nondeterminism (syscall results, data copied into user memory, signal
-// delivery points), and drains per-thread log buffers (CBUFs) to a
-// user-space logging daemon.
+// Replay Sphere Manager (RSM) that owns recording sessions, logs all
+// input nondeterminism (syscall results, data copied into user memory,
+// signal delivery points), and drains per-thread log buffers (CBUFs) to
+// a user-space logging daemon. As in rr's syscall buffering, a thread
+// logs a syscall whose record holds its whole effect into its own CBUF;
+// the machine charges an RSM driver crossing only for a call that
+// blocks, exits, yields or changes signal state, and for an input CBUF
+// drain.
 //
 // The kernel itself is simulated (syscall semantics, futexes, scheduling
 // hooks live here), but the recording logic is exactly what a real

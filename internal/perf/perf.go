@@ -14,7 +14,12 @@
 //   - the software stack adds ~13% on average, dominated by input
 //     logging (per-byte copy cost) and driver entry/exit on syscalls.
 //
-// EXPERIMENTS.md records measured-vs-target values for each experiment.
+// The constants are frozen. The machine buffers syscalls the way rr
+// does: only a call that blocks, exits, yields or changes signal state,
+// or an input CBUF drain, pays RecSyscallExtra. The SPLASH average is
+// then 8.2%, against 16.3% when every syscall crosses the driver as in
+// the paper's Capo3. EXPERIMENTS.md records measured-vs-target values
+// for each experiment.
 package perf
 
 // Params holds the cycle costs of every modelled event.
@@ -35,8 +40,8 @@ type Params struct {
 	SignalDeliver uint64 // signal frame setup
 
 	// Recording software stack (Capo3) costs, added when a session is on.
-	RecSyscallExtra uint64 // RSM driver interception per kernel crossing
-	RecInputPerWord uint64 // logging copy of input data per 64-bit word
+	RecSyscallExtra uint64 // RSM driver entry and exit per crossing
+	RecInputPerWord uint64 // logging copy of an input record per 64-bit word
 	RecCbufFlush    uint64 // flushing one CBUF to the logging daemon
 	RecSwitchExtra  uint64 // RSM bookkeeping per context switch
 	RecSignalExtra  uint64 // RSM bookkeeping per signal delivery
