@@ -426,7 +426,7 @@ func cmdRace(args []string) error {
 	in := fs.String("i", "", "recording file (made with record -sigs)")
 	asJSON := fs.Bool("json", false, "emit the full report as JSON")
 	workers := fs.Int("workers", 0, "screen and confirm on this many workers (0/1 = serial, -1 = all CPUs)")
-	remote := fs.String("remote", "", "distribute screening and confirmation across the fleet workers attached to this quickrecd server")
+	remote := fs.String("remote", "", "ship the traced interval replays to the fleet workers attached to this quickrecd server (screening and confirmation run here)")
 	fs.Parse(args)
 	rec, done, err := loadRecording(fs, *in)
 	if err != nil {

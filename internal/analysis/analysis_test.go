@@ -127,7 +127,7 @@ func TestConcurrentPairs(t *testing.T) {
 	l1.Append(chunk.Entry{Size: 10, TS: 10, Reason: chunk.ReasonFlush})
 	l1.Append(chunk.Entry{Size: 10, TS: 30, Reason: chunk.ReasonFlush})
 
-	pairs := ConcurrentPairs([]*chunk.Log{l0, l1})
+	pairs := ConcurrentPairs([]*chunk.Log{l0, l1}, 0)
 	want := map[ChunkPair]bool{
 		{ThreadA: 0, ChunkA: 0, ThreadB: 1, ChunkB: 0}: true,
 		{ThreadA: 0, ChunkA: 1, ThreadB: 1, ChunkB: 1}: true,
@@ -157,7 +157,7 @@ func TestConcurrentPairsSerialized(t *testing.T) {
 	logs := []*chunk.Log{l0, l1}
 
 	got := map[ChunkPair]bool{}
-	for _, p := range ConcurrentPairs(logs) {
+	for _, p := range ConcurrentPairs(logs, 0) {
 		if got[p] {
 			t.Fatalf("duplicate pair %+v", p)
 		}

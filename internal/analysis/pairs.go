@@ -24,18 +24,12 @@ type ChunkPair struct {
 // the other begins. A chunk that ends exactly where another begins is
 // ordered before it, not concurrent with it.
 // Per-thread intervals are ascending, so each thread pair is a linear
-// merge rather than a quadratic scan.
-func ConcurrentPairs(logs []*chunk.Log) []ChunkPair {
-	return ConcurrentPairsWorkers(logs, 0)
-}
-
-// ConcurrentPairsWorkers is ConcurrentPairs with the thread-pair merges
-// fanned out over a bounded worker pool (0 or 1 workers: serial,
-// negative: runtime.GOMAXPROCS(0)). Each thread pair's merge is
-// independent, and the per-pair results are concatenated in the same
-// (a, b)-lexicographic order the serial scan produces, so the output is
-// identical for every worker count.
-func ConcurrentPairsWorkers(logs []*chunk.Log, workers int) []ChunkPair {
+// merge rather than a quadratic scan. The thread-pair merges fan out
+// over a bounded worker pool (0 or 1 workers: serial, negative:
+// runtime.GOMAXPROCS(0)); each is independent, and their results are
+// concatenated in (a, b)-lexicographic order, so the output is identical
+// for every worker count.
+func ConcurrentPairs(logs []*chunk.Log, workers int) []ChunkPair {
 	spans := spansOf(logs)
 	type job struct{ a, b int }
 	var jobs []job

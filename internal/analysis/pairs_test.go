@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/chunk"
@@ -17,7 +18,7 @@ func mkLog(tid int, tss ...uint64) *chunk.Log {
 
 func pairSet(logs ...*chunk.Log) map[ChunkPair]bool {
 	out := map[ChunkPair]bool{}
-	for _, p := range ConcurrentPairs(logs) {
+	for _, p := range ConcurrentPairs(logs, 0) {
 		out[p] = true
 	}
 	return out
@@ -54,8 +55,17 @@ func bruteForcePairs(logs []*chunk.Log) map[ChunkPair]bool {
 	return out
 }
 
+// assertSameAsBruteForce checks the serial enumeration against the
+// oracle, and the parallel enumerations against the serial one, order
+// included.
 func assertSameAsBruteForce(t *testing.T, logs ...*chunk.Log) map[ChunkPair]bool {
 	t.Helper()
+	serial := ConcurrentPairs(logs, 0)
+	for _, workers := range []int{3, -1} {
+		if par := ConcurrentPairs(logs, workers); !slices.Equal(par, serial) {
+			t.Errorf("%d workers enumerate %v, serial %v", workers, par, serial)
+		}
+	}
 	got := pairSet(logs...)
 	want := bruteForcePairs(logs)
 	if len(got) != len(want) {

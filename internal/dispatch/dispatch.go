@@ -12,8 +12,10 @@
 // A Spec optionally carries a remote form of each task: Job(i) encodes
 // the task as a wire envelope referencing a content-addressed bundle,
 // and Absorb(i, result) merges the remote result payload into slot i.
-// Local executors ignore the remote form and call Run; the fleet
-// executor (internal/fleet) ignores Run and ships the envelopes.
+// Two fan-outs carry it, interval replay and the race detector's traced
+// intervals; the rest run on a Local executor only. Local executors
+// ignore the remote form and call Run; the fleet executor
+// (internal/fleet) ignores Run and ships the envelopes.
 //
 // Error selection is deterministic everywhere: when tasks fail, the
 // executor returns the error of the lowest-indexed failing task, and it

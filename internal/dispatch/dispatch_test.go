@@ -114,7 +114,7 @@ func TestSerialEarlyStops(t *testing.T) {
 func TestJobRoundTrip(t *testing.T) {
 	jobs := []Job{
 		{Kind: JobReplayInterval, Digest: "ab12", Payload: []byte{1, 2, 3}},
-		{Kind: JobScreenBlock, Digest: "ff", Payload: nil},
+		{Kind: JobReplayInterval, Digest: "ff", Payload: nil},
 		{Kind: JobTraceInterval, Digest: "0123456789abcdef", Payload: []byte("params")},
 	}
 	for _, j := range jobs {
@@ -136,6 +136,7 @@ func TestDecodeJobRejectsGarbage(t *testing.T) {
 		nil,
 		{0},                 // kind 0
 		{9, 0, 0},           // unknown kind
+		{2, 2, 'f', 'f', 0}, // the retired screen-block kind, well formed otherwise
 		{1},                 // missing digest
 		{1, 2, 'a'},         // digest blob truncated
 		{1, 1, 'a', 5, 'x'}, // payload blob truncated

@@ -7,15 +7,14 @@ import (
 )
 
 // Job kinds. The dispatch layer does not interpret them — they select
-// which domain codec (replay interval, race screening, traced race
-// interval) a fleet worker routes the payload through.
+// which domain codec (replay interval, traced race interval) a fleet
+// worker routes the payload through. Kind 2 is retired: DecodeJob
+// refuses it like any unknown kind, so a job of an older submitter fails
+// instead of reaching the wrong codec.
 const (
 	// JobReplayInterval replays one checkpoint-partitioned interval of a
 	// recording (payload: interval index + expected interval count).
 	JobReplayInterval uint8 = 1
-	// JobScreenBlock screens one fixed-size block of Lamport-concurrent
-	// chunk pairs against their Bloom signatures.
-	JobScreenBlock uint8 = 2
 	// JobTraceInterval replays one checkpoint interval with access
 	// tracing, filtered to the race candidates' chunks (payload: interval
 	// index, interval count and candidate count; result: the interval's
@@ -52,7 +51,7 @@ func DecodeJob(data []byte) (Job, error) {
 	if err != nil {
 		return j, fmt.Errorf("dispatch: job kind: %w", err)
 	}
-	if kind < JobReplayInterval || kind > JobTraceInterval {
+	if kind != JobReplayInterval && kind != JobTraceInterval {
 		return j, fmt.Errorf("dispatch: unknown job kind %d", kind)
 	}
 	j.Kind = kind

@@ -122,7 +122,7 @@ func All() []Experiment {
 		{"A8", "Checkpoint-partitioned parallel replay speedup", A8},
 		{"A9", "Flight-recorder retention window: salvage quality and cost vs K", A9},
 		{"A10", "Serialization shootout: bundle wire formats vs stdlib strawmen", A10},
-		{"A11", "Fleet replay/screen cost vs worker count", A11},
+		{"A11", "Fleet replay/race-detection cost vs worker count", A11},
 	}
 }
 

@@ -361,7 +361,7 @@ func TestA10ShootoutHeadline(t *testing.T) {
 
 func TestA11FleetScaling(t *testing.T) {
 	out := runExp(t, "A11")
-	if !strings.Contains(out, "Fleet replay/screen cost") {
+	if !strings.Contains(out, "Fleet replay/race-detection cost") {
 		t.Fatalf("A11 output missing title:\n%s", out)
 	}
 	for _, name := range []string{"fft", "water", "racy"} {

@@ -24,8 +24,9 @@ import (
 var a11WorkerCounts = []int{1, 2, 4}
 
 // A11 measures the remote-fleet executor: a recording is uploaded once
-// per fleet size, then replayed and race-screened through a loopback
-// ingest server with N attached workers. Every distributed run must be
+// per fleet size, then replayed and race-detected through a loopback
+// ingest server with N attached workers (race detection ships only its
+// traced interval replays; screening and confirmation stay local). Every distributed run must be
 // bit-identical to the serial local one (that is the dispatch layer's
 // contract, enforced per cell by the conformance harness); the only
 // thing allowed to vary with N is wall time. The "xlocal" columns give
@@ -43,7 +44,7 @@ var a11WorkerCounts = []int{1, 2, 4}
 func A11(cfg Config, w io.Writer) error {
 	threads := cfg.maxThreads()
 	t := report.Table{
-		Title: fmt.Sprintf("Fleet replay/screen cost vs worker count (%d threads, 1 slot/worker)", threads),
+		Title: fmt.Sprintf("Fleet replay/race-detection cost vs worker count (%d threads, 1 slot/worker)", threads),
 		Columns: []string{"benchmark", "workers", "intervals", "replay ms", "xlocal",
 			"races ms", "xlocal", "verified"},
 	}

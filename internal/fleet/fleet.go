@@ -23,8 +23,8 @@ import (
 
 // Client is a connection to a fleet server's job broker, usable as a
 // dispatch.Executor. Not safe for concurrent Executes; sequential use
-// across multiple Execute calls (replay, then screen, then confirm) is
-// the intended shape.
+// across multiple Execute calls (a replay, then a race detection) is the
+// intended shape.
 type Client struct {
 	addr   string
 	sub    *ingest.Submitter
@@ -126,10 +126,10 @@ func (c *Client) Replay(prog *isa.Program, b *core.Bundle) (*replay.Result, erro
 	return core.ReplayDistributed(prog, b, c, digest)
 }
 
-// Races runs the two-phase race detector across the fleet: screening
-// blocks and checkpoint intervals ship as jobs, each interval traced
-// once by one worker, and the client confirms races over the merged
-// traces. The Report is bit-identical to races.Detect.
+// Races runs the two-phase race detector across the fleet: the client
+// screens, one trace job per checkpoint interval ships, each interval
+// traced once by one worker, and the client confirms races over the
+// merged traces. The Report is bit-identical to races.Detect.
 func (c *Client) Races(prog *isa.Program, b *core.Bundle) (*races.Report, error) {
 	digest, err := c.Upload(b)
 	if err != nil {

@@ -254,11 +254,10 @@ func TestBoundaryMemoryMismatchSameEverywhere(t *testing.T) {
 // TestDistAllocs pins the allocations and allocated bytes of the fleet
 // dispatch path end to end — upload, job framing, bundle fetch and
 // result chunking — on a loopback broker with two in-process workers,
-// the smallest fleet where distribution is real. Recordings run 4
+// the smallest fleet where distribution is real. The recording runs 4
 // threads on 4 cores at seed 1. Workers rebuild the program from the
-// catalogue name, so both stages record catalogue workloads as they
-// are. Each ceiling is 25% above the largest of five plain runs on
-// go1.24.0.
+// catalogue name, so it records the catalogue workload as it is. The
+// ceiling is 25% above the largest of five plain runs on go1.24.0.
 func TestDistAllocs(t *testing.T) {
 	srv := startServer(t)
 	for i := 0; i < 2; i++ {
@@ -269,52 +268,28 @@ func TestDistAllocs(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer client.Close()
-	record := func(name string, mut func(*machine.Config)) (*core.Bundle, *isa.Program) {
-		spec, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("%s workload missing from catalogue", name)
-		}
-		prog := spec.Build(4)
-		cfg := machine.DefaultConfig()
-		cfg.Mode = machine.ModeFull
-		cfg.Cores, cfg.Threads = 4, 4
-		cfg.Seed, cfg.KernelSeed = 1, 1001
-		mut(&cfg)
-		rec, err := core.Record(prog, cfg)
-		if err != nil {
-			t.Fatalf("record %s: %v", name, err)
-		}
-		return rec, prog
+	spec, ok := workload.ByName("counter")
+	if !ok {
+		t.Fatal("counter workload missing from catalogue")
 	}
-	counter, counterProg := record("counter", func(c *machine.Config) { c.CheckpointEveryInstrs = 2000 })
-	racy, _ := record("racy", func(c *machine.Config) { c.CaptureSignatures = true })
-	for _, c := range []struct {
-		stage               string
-		maxAllocs, maxBytes uint64
-		run                 func() error
-	}{
-		// A dozen-plus checkpoint intervals, one replay job each.
-		{"replay:dist", 1284, 3_706_000, func() error {
-			_, err := client.Replay(counterProg, counter)
-			return err
-		}},
-		{"screen:dist", 2365, 1_182_110, func() error {
-			digest, err := client.Upload(racy)
-			if err == nil {
-				_, err = races.ScreenExec(racy, client, digest)
+	prog := spec.Build(4)
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.ModeFull
+	cfg.Cores, cfg.Threads = 4, 4
+	cfg.Seed, cfg.KernelSeed = 1, 1001
+	cfg.CheckpointEveryInstrs = 2000 // a dozen-plus intervals, one replay job each
+	rec, err := core.Record(prog, cfg)
+	if err != nil {
+		t.Fatalf("record counter: %v", err)
+	}
+	t.Run("replay:dist", func(t *testing.T) {
+		allocpin.Check(t, 1284, 3_706_000, func() {
+			if _, err := client.Replay(prog, rec); err != nil {
+				t.Fatal(err)
 			}
-			return err
-		}},
-	} {
-		t.Run(c.stage, func(t *testing.T) {
-			allocpin.Check(t, c.maxAllocs, c.maxBytes, func() {
-				if err := c.run(); err != nil {
-					t.Fatal(err)
-				}
-				// The first upload's background verification ends
-				// inside the warm-up run.
-				srv.WaitIdle()
-			})
+			// The first upload's background verification ends inside
+			// the warm-up run.
+			srv.WaitIdle()
 		})
-	}
+	})
 }

@@ -28,14 +28,13 @@ type Worker struct {
 	cache map[string]*bundleEntry
 }
 
-// bundleEntry caches one digest's materialized bundle, its interval
-// partition, and the trace-job server that screens it once beside that
-// partition. The once gate means concurrent jobs naming the same digest
-// fetch and partition it exactly once; a failed load is evicted, so the
-// next job for the digest fetches again.
+// bundleEntry caches one digest's interval partition and the trace-job
+// server that screens the bundle once beside that partition. The once
+// gate means concurrent jobs naming the same digest fetch and partition
+// it exactly once; a failed load is evicted, so the next job for the
+// digest fetches again.
 type bundleEntry struct {
 	once   sync.Once
-	b      *core.Bundle
 	jobber *replay.IntervalRunner
 	tracer *races.TraceJobs
 	err    error
@@ -89,8 +88,6 @@ func (w *Worker) exec(body []byte) ([]byte, error) {
 	switch job.Kind {
 	case dispatch.JobReplayInterval:
 		return e.jobber.Exec(job.Payload)
-	case dispatch.JobScreenBlock:
-		return races.ExecScreenJob(e.b, job.Payload)
 	case dispatch.JobTraceInterval:
 		return e.tracer.Exec(job.Payload)
 	}
@@ -144,7 +141,7 @@ func (w *Worker) load(digest string) *bundleEntry {
 			e.err = err
 			return
 		}
-		e.b, e.jobber, e.tracer = b, jobber, races.NewTraceJobs(b, jobber)
+		e.jobber, e.tracer = jobber, races.NewTraceJobs(b, jobber)
 	})
 	if e.err != nil {
 		w.mu.Lock()

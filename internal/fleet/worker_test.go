@@ -51,7 +51,7 @@ func TestWorkerLoadRetriesAfterFailure(t *testing.T) {
 	if e.err != nil {
 		t.Fatalf("load after upload still fails: %v", e.err)
 	}
-	if e.b == nil || e.b.ProgramName != rec.ProgramName {
-		t.Fatalf("load after upload materialized %+v", e.b)
+	if e.jobber == nil || e.tracer == nil {
+		t.Fatalf("load after upload materialized %+v", e)
 	}
 }

@@ -254,9 +254,8 @@ func checkParallelReplay(prog *isa.Program, cfg machine.Config) error {
 }
 
 // checkDistributed pins the fleet executor's defining property:
-// shipping a recording's replay intervals, screening blocks and traced
-// race intervals to remote workers produces results bit-identical
-// to serial local runs. The property stands up a loopback fleet — an
+// shipping a recording's replay intervals and traced race intervals to
+// remote workers produces results bit-identical to serial local runs. The property stands up a loopback fleet — an
 // ingest server with its job broker plus two in-process workers — per
 // cell, records its own checkpointed signature-capturing bundle under
 // the cell's config, and compares the fleet replay and race report

@@ -21,7 +21,8 @@ var ErrStepLimit = errors.New("machine: step limit exceeded")
 
 // ErrFault reports that the program did something the machine cannot
 // execute: a PC outside the program, a word access that is unaligned or
-// beyond memory, or a syscall the kernel cannot serve (see mem.Fault).
+// beyond memory, a syscall the kernel cannot serve, or a sigreturn
+// outside a signal handler (see mem.Fault).
 // The error text carries the fault's description.
 var ErrFault = errors.New("machine: execution fault")
 
@@ -221,6 +222,11 @@ func (m *Machine) handleSyscall(coreID int) bool {
 	m.acct.Add(perf.CompKernel, pp.SyscallBase)
 
 	sysno, a1, a2, a3, _ := core.SyscallArgs()
+	if sysno == capo.SysSigReturn && !th.sigMasked {
+		// No signal frame to restore: resuming at the zero frame would
+		// restart the thread at PC 0 with cleared registers.
+		panic(mem.Faultf("machine: thread %d: sigreturn outside a signal handler", tid))
+	}
 	res := m.kernel.Handle(tid, m.acct.Total(), sysno, a1, a2, a3, m.ports[coreID])
 	m.acct.Add(perf.CompKernel, pp.CopyPerWord*uint64(res.WordsTouched))
 	if len(res.CopyData) > 0 {

@@ -60,6 +60,12 @@ var faultPrograms = []struct{ name, fault, src string }{
         syscall
         halt
 `},
+	{"sigreturn-outside-handler", "sigreturn outside a signal handler", `
+.threads 1
+        li   r10, 12           ; sigreturn with no signal delivered
+        syscall
+        halt
+`},
 }
 
 // unalignedFutexSrc waits on an unaligned futex word. Futex words need no

@@ -68,26 +68,21 @@ func DetectWorkers(prog *isa.Program, b *core.Bundle, workers int) (*Report, err
 	return detectExec(prog, b, workers, nil, "")
 }
 
-// DetectExec is Detect with screening blocks and the traced interval
-// replays dispatched through an executor: a fleet executor ships them as
-// jobs referencing the bundle by digest, each worker traces the
-// intervals it is sent, and the dispatcher merges the interval traces
-// and confirms the address slices itself. The report is bit-identical to
-// a local run: the job tilings are fixed protocol constants, the trace
-// merge reproduces the serial event order, and the final race list is
-// totally ordered.
+// DetectExec is Detect with the traced interval replays dispatched
+// through an executor: a fleet executor ships them as jobs referencing
+// the bundle by digest, and each worker traces the intervals it is sent.
+// Screening, the trace merge and confirmation run in the caller's
+// process. The report is bit-identical to a local run: the interval
+// partition is a pure function of the bundle, the trace merge reproduces
+// the serial event order, and the final race list is totally ordered.
 func DetectExec(prog *isa.Program, b *core.Bundle, exec dispatch.Executor, digest string) (*Report, error) {
 	return detectExec(prog, b, 0, exec, digest)
 }
 
-// detectExec runs both phases; a nil exec means the local pool bounded
-// by workers.
+// detectExec runs both phases; a nil exec traces on the local pool
+// bounded by workers.
 func detectExec(prog *isa.Program, b *core.Bundle, workers int, exec dispatch.Executor, digest string) (*Report, error) {
-	screenBy := exec
-	if screenBy == nil {
-		screenBy = dispatch.Local{Workers: workers}
-	}
-	cands, pairs, err := screenExec(b, workers, screenBy, digest)
+	cands, pairs, err := screen(b, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -132,9 +127,8 @@ type candidateSet struct {
 	n      int
 }
 
-// newCandidateSet indexes cands, whose chunk indices must lie inside b's
-// chunk logs: screening derives them from the logs, and Absorb rejects a
-// remote block that names any other pair.
+// newCandidateSet indexes cands, whose chunk indices lie inside b's
+// chunk logs: screening derives them from the logs.
 func newCandidateSet(b *core.Bundle, cands []Candidate) *candidateSet {
 	cs := &candidateSet{
 		chunks: make(replay.ChunkFilter, len(b.ChunkLogs)),

@@ -1,145 +1,23 @@
 package races
 
-// Remote race-detection jobs: the wire forms of one screening block
-// (JobScreenBlock) and one traced replay interval (JobTraceInterval).
-// Both payloads carry only tiling coordinates plus a cross-check count —
-// a fleet worker holding the same bundle re-derives the pair list, the
-// candidate set and the interval partition deterministically, so the two
-// sides agree on what block bi or interval i means without shipping the
-// analysis state. Every decoder bounds what it allocates by the bytes it
-// was given and reports malformed input as an error wrapping
-// wire.ErrCorrupt or wire.ErrTruncated.
+// Remote race-detection jobs: the wire form of one traced replay interval
+// (JobTraceInterval). Its payload carries only the interval coordinates
+// plus a cross-check count — a fleet worker holding the same bundle
+// re-derives the candidate set and the interval partition
+// deterministically, so the two sides agree on what interval i means
+// without shipping the analysis state. Every decoder bounds what it
+// allocates by the bytes it was given and reports malformed input as an
+// error wrapping wire.ErrCorrupt or wire.ErrTruncated.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sync"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/replay"
 	"repro/internal/wire"
 )
-
-// encodeScreenJob packs one screening block's parameters: the block
-// index and the dispatcher's concurrent-pair count, which the worker
-// checks against its own enumeration.
-func encodeScreenJob(block, totalPairs int) []byte {
-	var a wire.Appender
-	a.Uvarint(uint64(block))
-	a.Uvarint(uint64(totalPairs))
-	return a.Buf
-}
-
-func decodeScreenJob(data []byte) (block, totalPairs int, err error) {
-	c := wire.CursorOf(data)
-	bi, err := c.Uvarint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("races: screen job block: %w", err)
-	}
-	np, err := c.Uvarint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("races: screen job pair count: %w", err)
-	}
-	if err := c.Done(); err != nil {
-		return 0, 0, fmt.Errorf("races: screen job trailer: %w", err)
-	}
-	if np > 1<<32 || bi >= (np+screenBlockSize-1)/screenBlockSize {
-		return 0, 0, fmt.Errorf("races: screen job: %w", c.Corruptf("block %d of %d pairs out of range", bi, np))
-	}
-	return int(bi), int(np), nil
-}
-
-// blockPairs returns block bi's slice of the concurrent-pair list.
-func blockPairs(pairs []analysis.ChunkPair, bi int) []analysis.ChunkPair {
-	lo := bi * screenBlockSize
-	return pairs[lo:min(lo+screenBlockSize, len(pairs))]
-}
-
-// encodeCandidates packs one screening block's result.
-func encodeCandidates(cands []Candidate) []byte {
-	var a wire.Appender
-	a.Uvarint(uint64(len(cands)))
-	for _, c := range cands {
-		a.Int(c.Pair.ThreadA)
-		a.Int(c.Pair.ChunkA)
-		a.Int(c.Pair.ThreadB)
-		a.Int(c.Pair.ChunkB)
-		var flags byte
-		if c.ReadWrite {
-			flags |= 1
-		}
-		if c.WriteRead {
-			flags |= 2
-		}
-		if c.WriteWrite {
-			flags |= 4
-		}
-		a.Byte(flags)
-	}
-	return a.Buf
-}
-
-// candidateBytes is the smallest encoding of one candidate: four
-// one-byte uvarints and the flags.
-const candidateBytes = 5
-
-// decodeCandidates unpacks one screening block's result and checks it
-// against the block: the candidates must be some of block's pairs, in
-// pair order, each with at least one intersection flag set. A worker's
-// result is outside input, and the dispatcher indexes its candidate
-// bitmap with these pairs.
-func decodeCandidates(data []byte, block []analysis.ChunkPair) ([]Candidate, error) {
-	c := wire.CursorOf(data)
-	n, err := c.Uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("races: candidate count: %w", err)
-	}
-	if n > uint64(len(block)) || n > uint64(c.Remaining()/candidateBytes) {
-		return nil, fmt.Errorf("races: candidate count: %w",
-			c.Corruptf("%d candidates for a block of %d pairs in %d bytes", n, len(block), c.Remaining()))
-	}
-	out := make([]Candidate, 0, n)
-	next := 0 // the first block pair the next candidate may name
-	for i := uint64(0); i < n; i++ {
-		var fields [4]int
-		for f := range fields {
-			v, err := c.Uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("races: candidate %d: %w", i, err)
-			}
-			fields[f] = int(v)
-		}
-		pair := analysis.ChunkPair{
-			ThreadA: fields[0], ChunkA: fields[1],
-			ThreadB: fields[2], ChunkB: fields[3],
-		}
-		for next < len(block) && block[next] != pair {
-			next++
-		}
-		if next == len(block) {
-			return nil, fmt.Errorf("races: candidate %d: %w", i, c.Corruptf("pair %+v is not a later pair of the block", pair))
-		}
-		next++
-		flags, err := c.Byte()
-		if err != nil {
-			return nil, fmt.Errorf("races: candidate %d flags: %w", i, err)
-		}
-		if flags == 0 || flags > 7 {
-			return nil, fmt.Errorf("races: candidate %d flags: %w", i, c.Corruptf("flags %#x", flags))
-		}
-		out = append(out, Candidate{
-			Pair:       pair,
-			ReadWrite:  flags&1 != 0,
-			WriteRead:  flags&2 != 0,
-			WriteWrite: flags&4 != 0,
-		})
-	}
-	if err := c.Done(); err != nil {
-		return nil, fmt.Errorf("races: candidate trailer: %w", err)
-	}
-	return out, nil
-}
 
 // encodeTraceJob packs one traced interval's parameters: the interval
 // coordinates and the dispatcher's candidate count, which the worker
@@ -274,28 +152,6 @@ func decodeTrace(data []byte, chunks replay.ChunkFilter, memWords uint64) (*repl
 		return fail("trailer", err)
 	}
 	return tr, nil
-}
-
-// ExecScreenJob is the worker side of a JobScreenBlock: re-derive the
-// concurrent-pair list from the bundle (ConcurrentPairs is a pure
-// function of the chunk logs), cross-check the dispatcher's pair count,
-// and screen the one block. Serial — the fleet's parallelism is across
-// jobs, not inside them.
-func ExecScreenJob(b *core.Bundle, payload []byte) ([]byte, error) {
-	block, totalPairs, err := decodeScreenJob(payload)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := decodeSigLogs(b)
-	if err != nil {
-		return nil, err
-	}
-	pairs := analysis.ConcurrentPairs(b.ChunkLogs)
-	if len(pairs) != totalPairs {
-		return nil, fmt.Errorf("races: job expects %d concurrent pairs, bundle yields %d (bundle mismatch?)",
-			totalPairs, len(pairs))
-	}
-	return encodeCandidates(screenBlock(decoded, pairs, block)), nil
 }
 
 // TraceJobs is the worker side of JobTraceInterval for one bundle: it

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/isa"
@@ -26,11 +25,8 @@ const testDigest = "0123456789abcdef"
 // kind, Absorb — the way fleet.Client runs it, minus the network. It
 // keeps each trace job's interval and result.
 type jobExec struct {
-	b      *core.Bundle
 	ir     *replay.IntervalRunner
 	tracer *TraceJobs
-	// forge, when set, replaces screen block bi's result.
-	forge  func(bi int, result []byte) []byte
 	traced []int          // the interval of each trace job, in shipping order
 	traces map[int][]byte // each interval's trace job result
 }
@@ -45,7 +41,7 @@ func newJobExec(t testing.TB, prog *isa.Program, b *core.Bundle) *jobExec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &jobExec{b: b, ir: ir, tracer: NewTraceJobs(b, ir), traces: map[int][]byte{}}
+	return &jobExec{ir: ir, tracer: NewTraceJobs(b, ir), traces: map[int][]byte{}}
 }
 
 func (e *jobExec) Name() string { return "in-process jobs" }
@@ -61,20 +57,12 @@ func (e *jobExec) Execute(s dispatch.Spec) error {
 		if job, err = dispatch.DecodeJob(env.Buf); err != nil {
 			return err
 		}
-		var out []byte
-		switch job.Kind {
-		case dispatch.JobScreenBlock:
-			out, err = ExecScreenJob(e.b, job.Payload)
-			if e.forge != nil {
-				out = e.forge(i, out)
-			}
-		case dispatch.JobTraceInterval:
-			out, err = e.tracer.Exec(job.Payload)
-			e.traced = append(e.traced, i)
-			e.traces[i] = out
-		default:
-			err = fmt.Errorf("unroutable job kind %d", job.Kind)
+		if job.Kind != dispatch.JobTraceInterval {
+			return fmt.Errorf("unroutable job kind %d", job.Kind)
 		}
+		out, err := e.tracer.Exec(job.Payload)
+		e.traced = append(e.traced, i)
+		e.traces[i] = out
 		if err != nil {
 			return err
 		}
@@ -165,85 +153,33 @@ func TestRemoteDetectTracesEachIntervalOnce(t *testing.T) {
 	}
 }
 
-// TestDetectRejectsForgedCandidates is the regression test for the
-// dispatcher storing whatever a worker's screen result held: a forged
-// pair, or the block's real candidates out of order, must fail the
-// detect with a corruption error instead of reaching the report (or the
-// candidate bitmap, which it would index out of range).
-func TestDetectRejectsForgedCandidates(t *testing.T) {
-	prog := workload.Racy(150, 4)
-	b := record(t, prog, 2, 4, 7)
-	forged := func(int, []byte) []byte {
-		var a wire.Appender
-		a.Uvarint(1)
-		a.Uvarint(99)         // ThreadA
-		a.Uvarint(^uint64(4)) // ChunkA: -5
-		a.Uvarint(1 << 40)    // ThreadB
-		a.Uvarint(0)          // ChunkB
-		a.Byte(1)
-		return a.Buf
-	}
-	reversed := func(bi int, out []byte) []byte {
-		pairs := analysis.ConcurrentPairs(b.ChunkLogs)
-		cands, err := decodeCandidates(out, blockPairs(pairs, bi))
-		if err != nil {
-			t.Fatal(err)
-		}
-		slices.Reverse(cands)
-		return encodeCandidates(cands)
-	}
-	for name, forge := range map[string]func(int, []byte) []byte{"forged pair": forged, "out of order": reversed} {
-		e := newJobExec(t, prog, b)
-		e.forge = forge
-		rep, err := DetectExec(prog, b, e, testDigest)
-		if !errors.Is(err, wire.ErrCorrupt) {
-			t.Errorf("%s: detect returned %v, %+v; want a corruption error", name, err, rep)
-		}
-	}
-}
-
-// TestDecodeBoundsAllocation is the regression test for a four-byte
-// screen result that declared 2^24 candidates and made the decoder
-// preallocate 640 MB before failing. Counts are now bounded by the block
-// and by the bytes present, so no hostile count allocates.
+// TestDecodeBoundsAllocation holds the trace result decoder to
+// allocations bounded by the bytes it was given: a few bytes declaring
+// 2^30 items and events must fail as corrupt before anything is
+// preallocated.
 func TestDecodeBoundsAllocation(t *testing.T) {
-	bomb := binary.AppendUvarint(nil, 1<<24)
-	block := make([]analysis.ChunkPair, screenBlockSize)
-	traceBomb := binary.AppendUvarint(binary.AppendUvarint(nil, 1<<30), 1<<30)
-	for name, decode := range map[string]func() error{
-		"candidates": func() error { _, err := decodeCandidates(bomb, block); return err },
-		"trace": func() error {
-			_, err := decodeTrace(traceBomb, replay.ChunkFilter{{true}}, 1<<20)
-			return err
-		},
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := decode()
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, wire.ErrCorrupt) {
-			t.Errorf("%s: decoding a count bomb returned %v, want a corruption error", name, err)
-		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-			t.Errorf("%s: decoding a count bomb allocated %d bytes", name, n)
-		}
+	bomb := binary.AppendUvarint(binary.AppendUvarint(nil, 1<<30), 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeTrace(bomb, replay.ChunkFilter{{true}}, 1<<20)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("decoding a count bomb returned %v, want a corruption error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("decoding a count bomb allocated %d bytes", n)
 	}
 }
 
-// FuzzRaceJobs holds the race job decoders — screen jobs, screen
-// results, trace jobs and trace results, all bytes from outside the
-// process — to typed errors, and what they accept to encode→decode round
-// trips.
+// FuzzRaceJobs holds the race job decoders — trace jobs and trace
+// results, both bytes from outside the process — to typed errors, and
+// what they accept to encode→decode round trips.
 func FuzzRaceJobs(f *testing.F) {
-	block := []analysis.ChunkPair{{ThreadA: 0, ChunkA: 1, ThreadB: 1, ChunkB: 0}, {ThreadA: 0, ChunkA: 2, ThreadB: 2, ChunkB: 5}, {ThreadA: 1, ChunkA: 3, ThreadB: 3, ChunkB: 7}}
 	chunks := replay.ChunkFilter{make([]bool, 4), make([]bool, 4), make([]bool, 8), make([]bool, 8)}
 	const memWords = 512
-	const kinds = 4
-	f.Add(byte(0), encodeScreenJob(2, 3*screenBlockSize))
-	f.Add(byte(1), encodeCandidates([]Candidate{{Pair: block[0], ReadWrite: true}, {Pair: block[2], WriteRead: true, WriteWrite: true}}))
-	f.Add(byte(1), binary.AppendUvarint(nil, 1<<24)) // the 640 MB preallocation
-	f.Add(byte(2), encodeTraceJob(3, 8, 120))
-	f.Add(byte(3), encodeTrace(&replay.AccessTrace{
+	const kinds = 2
+	f.Add(byte(0), encodeTraceJob(3, 8, 120))
+	f.Add(byte(1), encodeTrace(&replay.AccessTrace{
 		Items: []replay.TraceItem{{TS: 9, Thread: 1, Chunk: 3, Events: 2}, {TS: 12, Thread: 3, Chunk: 8, Events: 3}},
 		Events: []replay.TraceEvent{
 			{Addr: 0x40, PC: 7, Kind: replay.AccessRead}, {Addr: 0x48, PC: 8, Kind: replay.AccessWrite},
@@ -252,6 +188,9 @@ func FuzzRaceJobs(f *testing.F) {
 			{Addr: 1 << 40, PC: 32, Kind: replay.AccessFutexWake}, // past the memory
 		},
 	}))
+	f.Add(byte(1), binary.AppendUvarint(binary.AppendUvarint(nil, 1<<30), 1<<30)) // a count bomb
+	f.Add(byte(0), encodeTraceJob(1<<20-1, 1<<20, 1<<32))                         // every bound at its limit
+	f.Add(byte(0), encodeTraceJob(8, 8, 0))                                       // one interval past the last
 	f.Fuzz(func(t *testing.T, sel byte, data []byte) {
 		failed := func(err error) bool {
 			if err == nil {
@@ -264,22 +203,6 @@ func FuzzRaceJobs(f *testing.F) {
 		}
 		switch sel % kinds {
 		case 0:
-			bi, np, err := decodeScreenJob(data)
-			if failed(err) {
-				return
-			}
-			if bi2, np2, err := decodeScreenJob(encodeScreenJob(bi, np)); err != nil || bi2 != bi || np2 != np {
-				t.Fatalf("screen job round trip: %d/%d, %v", bi2, np2, err)
-			}
-		case 1:
-			cands, err := decodeCandidates(data, block)
-			if failed(err) {
-				return
-			}
-			if got, err := decodeCandidates(encodeCandidates(cands), block); err != nil || !reflect.DeepEqual(got, cands) {
-				t.Fatalf("candidates round trip: %+v, %v", got, err)
-			}
-		case 2:
 			iv, n, nc, err := decodeTraceJob(data)
 			if failed(err) {
 				return
@@ -287,7 +210,7 @@ func FuzzRaceJobs(f *testing.F) {
 			if iv2, n2, nc2, err := decodeTraceJob(encodeTraceJob(iv, n, nc)); err != nil || iv2 != iv || n2 != n || nc2 != nc {
 				t.Fatalf("trace job round trip: %d/%d/%d, %v", iv2, n2, nc2, err)
 			}
-		case 3:
+		case 1:
 			tr, err := decodeTrace(data, chunks, memWords)
 			if failed(err) {
 				return

@@ -6,19 +6,21 @@
 // screened without re-executing anything. A deterministic replay with
 // exact access tracing then confirms or discards each candidate.
 //
-// Phase 1 (Screen): walk the per-thread chunk logs, enumerate
+// Phase 1 (screening): walk the per-thread chunk logs, enumerate
 // Lamport-concurrent chunk pairs on different threads, and test their
 // serialized read/write signatures for intersection. Bloom filters admit
 // false positives but never false negatives, so the candidate set is a
-// superset of the truly conflicting concurrent pairs.
+// superset of the truly conflicting concurrent pairs. Screening is local
+// bookkeeping and always runs in the caller's process.
 //
-// Phase 2 (Detect): replay the recording with access tracing, rebuild
-// the happens-before order from the synchronization accesses (atomics
-// and futexes), and report the exact unordered conflicting access pairs
-// inside candidate chunk pairs — instruction-level race reports with
-// thread, PC and address. Confirmation only ever shrinks the candidate
-// set; the surviving fraction measures the signatures' false-positive
-// rate.
+// Phase 2 (confirmation): replay the recording with access tracing,
+// rebuild the happens-before order from the synchronization accesses
+// (atomics and futexes), and report the exact unordered conflicting
+// access pairs inside candidate chunk pairs — instruction-level race
+// reports with thread, PC and address. Confirmation only ever shrinks
+// the candidate set; the surviving fraction measures the signatures'
+// false-positive rate. The traced replay is the one part an executor
+// may ship to remote workers, one checkpoint interval per job.
 package races
 
 import (
@@ -46,85 +48,36 @@ type Candidate struct {
 	WriteWrite bool `json:"write_write"`
 }
 
-// Screen runs the detector's first phase over a recorded bundle: every
-// Lamport-concurrent cross-thread chunk pair whose signatures intersect
-// becomes a candidate. No re-execution happens; the cost is linear in
-// the log volume plus the number of concurrent pairs. Returns an error
-// (never a panic) when the bundle lacks signature logs or carries
-// corrupt or geometry-mismatched signatures.
-func Screen(b *core.Bundle) ([]Candidate, error) {
-	return ScreenWorkers(b, 0)
-}
-
-// ScreenWorkers is Screen with the concurrent-pair enumeration and the
-// per-block signature intersections fanned out over a bounded worker
-// pool (0 or 1 workers: serial, negative: runtime.GOMAXPROCS(0)).
-// Candidates are collected into per-block slots and concatenated in
-// block (= pair) order, so the result is identical for every worker
-// count.
-func ScreenWorkers(b *core.Bundle, workers int) ([]Candidate, error) {
-	cands, _, err := screen(b, workers)
-	return cands, err
-}
-
-// ScreenExec is Screen with the per-block intersections dispatched
-// through an executor — a fleet executor ships JobScreenBlock envelopes
-// referencing the bundle by digest. The candidate list is identical to
-// every local run: blocks are a fixed-size tiling of the pair list, and
-// the pair list is a pure function of the chunk logs.
-func ScreenExec(b *core.Bundle, exec dispatch.Executor, digest string) ([]Candidate, error) {
-	cands, _, err := screenExec(b, 0, exec, digest)
-	return cands, err
-}
-
-// screen implements Screen/ScreenWorkers and additionally returns the
-// concurrent-pair count so Detect need not re-enumerate the pairs.
-func screen(b *core.Bundle, workers int) ([]Candidate, int, error) {
-	return screenExec(b, workers, dispatch.Local{Workers: workers}, "")
-}
-
-// screenBlockSize tiles the concurrent-pair list into dispatch tasks.
-// The block size is a protocol constant, not a tuning knob: the task
-// list must be the same for every executor so local and fleet runs
-// screen identical blocks.
+// screenBlockSize tiles the concurrent-pair list into local pool tasks.
 const screenBlockSize = 2048
 
-// screenExec runs the screening phase through an executor. workers
-// bounds the client-side pair enumeration (remote executors still
-// enumerate locally — the pair list sizes the job list).
-func screenExec(b *core.Bundle, workers int, exec dispatch.Executor, digest string) ([]Candidate, int, error) {
+// screen runs the detector's first phase over a recorded bundle: every
+// Lamport-concurrent cross-thread chunk pair whose signatures intersect
+// becomes a candidate, and the concurrent-pair count comes back beside
+// them. No re-execution happens; the cost is linear in the log volume
+// plus the number of concurrent pairs. The pair enumeration and the
+// per-block intersections fan out over a bounded worker pool
+// (dispatch.Resolve's convention); candidates are collected into
+// per-block slots and concatenated in block (= pair) order, so the
+// result is identical for every worker count. Returns an error (never a
+// panic) when the bundle lacks signature logs or carries corrupt or
+// geometry-mismatched signatures.
+func screen(b *core.Bundle, workers int) ([]Candidate, int, error) {
 	decoded, err := decodeSigLogs(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	pairs := analysis.ConcurrentPairsWorkers(b.ChunkLogs, workers)
-	nblocks := (len(pairs) + screenBlockSize - 1) / screenBlockSize
-	perBlock := make([][]Candidate, nblocks)
-	err = exec.Execute(dispatch.Spec{
-		Tasks: nblocks,
+	pairs := analysis.ConcurrentPairs(b.ChunkLogs, workers)
+	perBlock := make([][]Candidate, (len(pairs)+screenBlockSize-1)/screenBlockSize)
+	// Run never fails, so neither can the local pool.
+	_ = dispatch.Local{Workers: workers}.Execute(dispatch.Spec{
+		Tasks: len(perBlock),
 		Run: func(bi int) error {
-			perBlock[bi] = screenBlock(decoded, pairs, bi)
-			return nil
-		},
-		Job: func(bi int) (dispatch.Job, error) {
-			return dispatch.Job{
-				Kind:    dispatch.JobScreenBlock,
-				Digest:  digest,
-				Payload: encodeScreenJob(bi, len(pairs)),
-			}, nil
-		},
-		Absorb: func(bi int, data []byte) error {
-			cands, err := decodeCandidates(data, blockPairs(pairs, bi))
-			if err != nil {
-				return err
-			}
-			perBlock[bi] = cands
+			lo := bi * screenBlockSize
+			perBlock[bi] = screenBlock(decoded, pairs[lo:min(lo+screenBlockSize, len(pairs))])
 			return nil
 		},
 	})
-	if err != nil {
-		return nil, 0, err
-	}
 	var out []Candidate
 	for _, cands := range perBlock {
 		out = append(out, cands...)
@@ -133,11 +86,10 @@ func screenExec(b *core.Bundle, workers int, exec dispatch.Executor, digest stri
 }
 
 // screenBlock intersects the signatures of one block of pairs, in pair
-// order. Shared by the local Run path and the worker side of
-// JobScreenBlock, which is what makes the two bit-identical.
-func screenBlock(decoded [][]chunkSigs, pairs []analysis.ChunkPair, bi int) []Candidate {
+// order.
+func screenBlock(decoded [][]chunkSigs, block []analysis.ChunkPair) []Candidate {
 	var out []Candidate
-	for _, pair := range blockPairs(pairs, bi) {
+	for _, pair := range block {
 		sa := decoded[pair.ThreadA][pair.ChunkA]
 		sb := decoded[pair.ThreadB][pair.ChunkB]
 		c := Candidate{

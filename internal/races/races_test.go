@@ -134,7 +134,7 @@ func TestScreenErrorsNotPanics(t *testing.T) {
 	// No signature logs.
 	plain := record(t, prog, 2, 2, 5)
 	plain.SigLogs = nil
-	if _, err := Screen(plain); !errors.Is(err, ErrNoSignatures) {
+	if _, _, err := screen(plain, 0); !errors.Is(err, ErrNoSignatures) {
 		t.Errorf("missing sig logs: got %v, want ErrNoSignatures", err)
 	}
 
@@ -144,7 +144,7 @@ func TestScreenErrorsNotPanics(t *testing.T) {
 		t.Fatal("no sig pairs on thread 0")
 	}
 	b.SigLogs[0][0].Read = []byte("garbage")
-	if _, err := Screen(b); err == nil {
+	if _, _, err := screen(b, 0); err == nil {
 		t.Error("corrupt signature accepted")
 	}
 
@@ -153,14 +153,14 @@ func TestScreenErrorsNotPanics(t *testing.T) {
 	b2 := record(t, prog, 2, 2, 5)
 	odd := signature.New(signature.Config{Bits: 64, Hashes: 1})
 	b2.SigLogs[0][0].Read = odd.Marshal()
-	if _, err := Screen(b2); err == nil {
+	if _, _, err := screen(b2, 0); err == nil {
 		t.Error("geometry mismatch accepted")
 	}
 
 	// Sig/chunk count mismatch.
 	b3 := record(t, prog, 2, 2, 5)
 	b3.SigLogs[0] = b3.SigLogs[0][:len(b3.SigLogs[0])-1]
-	if _, err := Screen(b3); err == nil {
+	if _, _, err := screen(b3, 0); err == nil {
 		t.Error("sig/chunk count mismatch accepted")
 	}
 }
@@ -192,12 +192,12 @@ func TestDetectParallelMatchesSerial(t *testing.T) {
 					mk.name, w, serial, par)
 			}
 		}
-		cands, err := ScreenWorkers(b, 4)
+		cands, _, err := screen(b, 4)
 		if err != nil {
 			t.Fatalf("%s screen workers=4: %v", mk.name, err)
 		}
 		if !reflect.DeepEqual(cands, serial.Candidates) {
-			t.Errorf("%s: ScreenWorkers(4) candidates differ from serial Detect's", mk.name)
+			t.Errorf("%s: screen(4) candidates differ from serial Detect's", mk.name)
 		}
 	}
 }
@@ -222,7 +222,7 @@ func TestScreenAllocs(t *testing.T) {
 	} {
 		t.Run(c.stage, func(t *testing.T) {
 			allocpin.Check(t, c.maxAllocs, c.maxBytes, func() {
-				if _, err := ScreenWorkers(b, c.workers); err != nil {
+				if _, _, err := screen(b, c.workers); err != nil {
 					t.Fatal(err)
 				}
 			})

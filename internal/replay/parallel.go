@@ -55,12 +55,6 @@ func (e *BoundaryError) Error() string {
 	return fmt.Sprintf("replay: interval %d boundary mismatch: %s", e.Interval, e.Reason)
 }
 
-// effectiveWorkers resolves Input.Workers: 0 and 1 mean serial, negative
-// means runtime.GOMAXPROCS(0), anything else is taken as-is.
-func effectiveWorkers(n int) int {
-	return dispatch.Resolve(n)
-}
-
 // interval is one independently replayable slice of the recording.
 type interval struct {
 	index int
@@ -93,7 +87,7 @@ type interval struct {
 func partition(in Input) []*interval {
 	// A remote executor always partitions (the interval list is the job
 	// list); local replay partitions only when Workers asks for it.
-	if in.Exec == nil && effectiveWorkers(in.Workers) < 2 {
+	if in.Exec == nil && dispatch.Resolve(in.Workers) < 2 {
 		return nil
 	}
 	return partitionCuts(in)

@@ -383,9 +383,9 @@ func RacesParallel(prog *Program, rec *Recording, workers int) (*RaceReport, err
 // FleetClient distributes replay and race detection across remote
 // worker processes (quickrecd worker) attached to an ingest server's
 // job broker. Client.Replay and Client.Races upload the recording to
-// the server's content-addressed store once, then ship per-interval
-// and per-block job envelopes naming it by digest; results
-// are bit-identical to the serial Replay and Races for any worker
+// the server's content-addressed store once, then ship one job
+// envelope per checkpoint interval naming it by digest (race detection
+// screens and confirms on the client); results are bit-identical to the serial Replay and Races for any worker
 // count, and a worker that dies or stalls mid-job only costs latency —
 // its jobs are re-dispatched to surviving peers. See
 // docs/INTERNALS.md §17.
