@@ -380,21 +380,22 @@ func TestInputLogAccessors(t *testing.T) {
 
 func TestSessionChunkSinkAndFlushes(t *testing.T) {
 	flushes := map[FlushKind]int{}
-	s := NewSession(SessionConfig{Threads: 2, CbufBytes: 64, Encoding: chunk.Fixed{}},
+	s := NewSession(SessionConfig{Threads: 2, CbufBytes: 12},
 		func(k FlushKind) { flushes[k]++ })
 	sink := s.ChunkSink(0)
 	for i := 0; i < 10; i++ {
 		sink(chunk.Entry{Size: uint64(i + 1), TS: uint64(i), Reason: chunk.ReasonCTROverflow})
 	}
-	// 10 entries x 16 bytes = 160 bytes through a 64-byte CBUF: 2 flushes.
+	// 10 delta-encoded entries x 3 bytes = 30 bytes through a 12-byte
+	// CBUF: 2 flushes.
 	if flushes[FlushChunk] != 2 || s.Flushes(FlushChunk) != 2 {
 		t.Errorf("chunk flushes = %d/%d, want 2", flushes[FlushChunk], s.Flushes(FlushChunk))
 	}
 	if s.ChunkLog(0).Len() != 10 || s.ChunkLog(1).Len() != 0 {
 		t.Errorf("log lens = %d/%d", s.ChunkLog(0).Len(), s.ChunkLog(1).Len())
 	}
-	if s.ChunkBytes() != 160 {
-		t.Errorf("ChunkBytes = %d, want 160", s.ChunkBytes())
+	if s.ChunkBytes() != 30 {
+		t.Errorf("ChunkBytes = %d, want 30", s.ChunkBytes())
 	}
 	if len(s.ChunkLogs()) != 2 {
 		t.Errorf("ChunkLogs = %d, want 2", len(s.ChunkLogs()))
@@ -402,7 +403,7 @@ func TestSessionChunkSinkAndFlushes(t *testing.T) {
 }
 
 func TestSessionInputRecording(t *testing.T) {
-	s := NewSession(SessionConfig{Threads: 2, CbufBytes: 32, Encoding: chunk.Delta{}}, nil)
+	s := NewSession(SessionConfig{Threads: 2, CbufBytes: 32}, nil)
 	s.RecordSyscall(0, 5, SysRead, 64, 100, make([]byte, 64))
 	s.RecordSignal(0, 9, 2, 1234, 0)
 	s.RecordSyscall(1, 6, SysGetTime, 777, 0, nil)
@@ -429,7 +430,7 @@ func TestSessionDeltaSizingUsesPrevEntry(t *testing.T) {
 	// With delta encoding, closely spaced timestamps cost less than the
 	// fixed encoding would; verify the accounting reflects per-thread
 	// delta chains rather than absolute encodes.
-	s := NewSession(SessionConfig{Threads: 1, CbufBytes: 1 << 20, Encoding: chunk.Delta{}}, nil)
+	s := NewSession(SessionConfig{Threads: 1, CbufBytes: 1 << 20}, nil)
 	sink := s.ChunkSink(0)
 	ts := uint64(1 << 40) // huge absolute, tiny deltas
 	for i := 0; i < 100; i++ {
@@ -455,11 +456,6 @@ func TestSessionConfigValidation(t *testing.T) {
 			}()
 			NewSession(cfg, nil)
 		}()
-	}
-	// Nil encoding defaults to Delta.
-	s := NewSession(SessionConfig{Threads: 1, CbufBytes: 10}, nil)
-	if s.Config().Encoding == nil {
-		t.Error("nil encoding not defaulted")
 	}
 }
 

@@ -70,16 +70,6 @@ func (r Record) String() string {
 	return fmt.Sprintf("record{kind=%d}", r.Kind)
 }
 
-// Clone returns a deep copy of the record: Data gets its own backing
-// array, so the copy stays stable even if the caller keeps mutating the
-// original's buffer (the recorder's live syscall-data arena, say).
-func (r Record) Clone() Record {
-	if r.Data != nil {
-		r.Data = append([]byte(nil), r.Data...)
-	}
-	return r
-}
-
 // InputLog is a recording session's complete input log. Records appear in
 // global append order; the per-thread subsequences are ordered by Seq and
 // by TS.

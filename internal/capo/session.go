@@ -21,11 +21,9 @@ type SessionConfig struct {
 	// Threads is the number of recorded threads.
 	Threads int
 	// CbufBytes is the per-thread kernel log buffer size; filling one
-	// costs a flush to the user-space daemon.
+	// costs a flush to the user-space daemon. Chunk entries fill it at
+	// their delta-encoded size, the encoding bundles and streams carry.
 	CbufBytes int
-	// Encoding is the chunk-entry format used for CBUF fill accounting
-	// and final marshalling.
-	Encoding chunk.Encoding
 }
 
 // Session is one recording session: the RSM state for a replay sphere.
@@ -59,9 +57,6 @@ func NewSession(cfg SessionConfig, onFlush func(FlushKind)) *Session {
 	}
 	if cfg.CbufBytes <= 0 {
 		panic("capo: CbufBytes must be positive")
-	}
-	if cfg.Encoding == nil {
-		cfg.Encoding = chunk.Delta{}
 	}
 	s := &Session{
 		cfg:       cfg,
@@ -109,7 +104,7 @@ func (s *Session) SigLogs() [][]SigPair { return s.sigLogs }
 func (s *Session) ChunkSink(tid int) func(chunk.Entry) {
 	return func(e chunk.Entry) {
 		log := s.chunkLogs[tid]
-		s.scratch.Buf = s.cfg.Encoding.Append(s.scratch.Buf[:0], e, s.chunkPrev[tid])
+		s.scratch.Buf = chunk.Delta{}.Append(s.scratch.Buf[:0], e, s.chunkPrev[tid])
 		n := s.scratch.Len()
 		log.Append(e)
 		s.chunkPrev[tid] = &log.Entries[len(log.Entries)-1]
@@ -182,6 +177,3 @@ func (s *Session) ChunkBytes() uint64 { return s.chunkBytes }
 
 // InputBytes returns the encoded input-log volume so far.
 func (s *Session) InputBytes() uint64 { return s.inputBytes }
-
-// Config returns the session configuration.
-func (s *Session) Config() SessionConfig { return s.cfg }

@@ -95,7 +95,7 @@ func TestStageAllocs(t *testing.T) {
 		// opens with a base checkpoint at 20,037 retired instructions.
 		// reqserver reads the clock, whose values are logged, so the
 		// stream size also pins the modelled cycles before each read.
-		{"flight:window", 1438, 6_001_270, func(t *testing.T) func() {
+		{"flight:window", 597, 3_444_850, func(t *testing.T) func() {
 			prog := workload.ReqServer(96, 4, 16, 4)
 			wcfg := cfg
 			wcfg.CheckpointEveryInstrs = 5000

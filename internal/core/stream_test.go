@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/qasm"
 	"repro/internal/segment"
 	"repro/internal/workload"
 )
@@ -178,5 +180,79 @@ func TestPartialBundleMarshalRoundTrip(t *testing.T) {
 	}
 	if !got.Partial {
 		t.Fatal("Partial lost in marshal round trip")
+	}
+}
+
+// faultAfterLoop counts to 20,000 on one thread, then stores to an
+// unaligned address: a run that faults after seven checkpoints.
+const faultAfterLoop = `
+.name fault-after-loop
+.threads 1
+        li   r5, 0
+        li   r8, 20000
+loop:   addi r5, r5, 1
+        blt  r5, r8, loop
+        li   r3, 4101
+        st   [r3+0], r5
+        halt
+`
+
+// TestFailedRunLeavesSalvageableStream pins that a recording ending in a
+// machine error still closes its stream. The unbounded form has written
+// its flushed epochs as it went; a flight-recorder window reaches its
+// writer only at Close, so a failed run that skipped Close left nothing.
+// Each failed stream must salvage as a torn recording that replays from
+// its start (the window base, for K=2) until the logs run out.
+func TestFailedRunLeavesSalvageableStream(t *testing.T) {
+	prog, err := qasm.Parse(faultAfterLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		window   uint64
+		maxSteps uint64
+		want     error
+	}{
+		{"fault/unbounded", 0, 0, machine.ErrFault},
+		{"fault/K=2", 2, 0, machine.ErrFault},
+		{"step-limit/K=2", 2, 30_000, machine.ErrStepLimit},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := recordCfg(1, func(c *machine.Config) {
+				c.CheckpointEveryInstrs = 5000
+				c.FlushEveryChunks = 8
+				c.RetainCheckpoints = tc.window
+				if tc.maxSteps != 0 {
+					c.MaxSteps = tc.maxSteps
+				}
+			})
+			var buf bytes.Buffer
+			if _, err := StreamRecord(prog, cfg, &buf); !errors.Is(err, tc.want) {
+				t.Fatalf("record error %v, want %v", err, tc.want)
+			}
+			sv, err := SalvageStream(buf.Bytes())
+			if err != nil {
+				t.Fatalf("salvage of the %d-byte stream: %v", buf.Len(), err)
+			}
+			t.Logf("%d-byte stream: %s", buf.Len(), sv.Report)
+			if !sv.Bundle.Partial {
+				t.Fatalf("failed run's stream salvaged as complete: %s", sv.Report)
+			}
+			if sv.Window() != tc.window {
+				t.Fatalf("salvaged window K=%d, want %d", sv.Window(), tc.window)
+			}
+			if _, evicted := sv.WindowBase(); evicted != (tc.window > 0) {
+				t.Fatalf("evicted window base %v, want %v: %s", evicted, tc.window > 0, sv.Report)
+			}
+			rr, err := Replay(prog, sv.Bundle)
+			if err != nil {
+				t.Fatalf("replay of the salvaged stream: %v", err)
+			}
+			if rr.Truncation == nil {
+				t.Fatal("replay of a torn stream reported no truncation")
+			}
+		})
 	}
 }

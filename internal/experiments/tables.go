@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/cache"
+	"repro/internal/chunk"
 	"repro/internal/machine"
 	"repro/internal/mrr"
 	"repro/internal/report"
@@ -32,7 +33,7 @@ func T1(_ Config, w io.Writer) error {
 	t.AddRow("chunk CTR", fmt.Sprintf("terminates at %d instructions", rc.MaxChunkInstr))
 	t.AddRow("eviction termination", fmt.Sprintf("%v", rc.TerminateOnEviction))
 	t.AddRow("CBUF per thread", fmt.Sprintf("%d B", mc.CbufBytes))
-	t.AddRow("chunk log encoding", mc.Encoding.Name())
+	t.AddRow("chunk log encoding", chunk.Delta{}.Name())
 	t.AddRow("preemption quantum", fmt.Sprintf("%d instructions", mc.TimeSliceInstrs))
 	_, err := fmt.Fprint(w, t.String())
 	return err

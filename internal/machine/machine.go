@@ -90,8 +90,6 @@ type Config struct {
 	// every that many globally retired instructions (0 = never). Only
 	// meaningful when recording.
 	CheckpointEveryInstrs uint64
-	// Encoding is the chunk-log format used by the session.
-	Encoding chunk.Encoding
 	// CbufBytes sizes the per-thread kernel log buffers.
 	CbufBytes int
 	// StackWordsPerThread sizes each thread's scratch region.
@@ -99,8 +97,10 @@ type Config struct {
 	// StreamTo, when non-nil and recording, streams the session
 	// incrementally as a segmented, checksummed stream (see
 	// internal/segment): a writer that dies mid-run leaves a salvageable
-	// prefix behind instead of nothing. Underlying write errors are
-	// sticky and surface once, from Run.
+	// prefix behind instead of nothing. A run that ends in an error
+	// closes the stream without a final segment, so what it left
+	// salvages as a torn recording. Underlying write errors are sticky
+	// and surface once, from Run.
 	StreamTo io.Writer
 	// FlushEveryChunks is the streaming flush cadence: an epoch (commit +
 	// data batches) is emitted once this many chunk entries accumulate.
@@ -113,12 +113,12 @@ type Config struct {
 	// flight-recorder ring: only the last RetainCheckpoints checkpoint
 	// intervals of the stream are retained, with whole epochs older
 	// than the oldest retained checkpoint garbage-collected, so an
-	// always-on recording runs forever at fixed disk cost. The rendered
-	// window (written at run end, or whatever a crashed recorder's last
-	// render left behind) replays from its base checkpoint exactly like
-	// the tail of the unbounded stream. Requires StreamTo; pointless
-	// without CheckpointEveryInstrs, since the window only rolls at
-	// checkpoint boundaries.
+	// always-on recording runs forever at fixed disk cost. The window
+	// reaches StreamTo only when the run ends, with or without an error,
+	// and replays from its base checkpoint exactly like the tail of the
+	// unbounded stream. Requires StreamTo; pointless without
+	// CheckpointEveryInstrs, since the window only rolls at checkpoint
+	// boundaries.
 	RetainCheckpoints uint64
 	// CaptureSignatures retains each chunk's serialized read/write Bloom
 	// signatures alongside the chunk log, for offline conflict screening
@@ -142,7 +142,6 @@ func DefaultConfig() Config {
 		TimeSliceInstrs:     200_000,
 		BurstMax:            32,
 		MaxSteps:            2_000_000_000,
-		Encoding:            chunk.Delta{},
 		CbufBytes:           16 << 10,
 		StackWordsPerThread: 1024,
 	}
@@ -266,7 +265,7 @@ type Machine struct {
 	sigSinks   []func(read, write []byte)
 
 	// Streaming state (nil/zero unless Config.StreamTo is set).
-	stream           segment.Sink
+	stream           *segment.Writer
 	streamEpoch      uint64
 	pendingChunks    uint64
 	streamedChunkPos []int
@@ -334,9 +333,6 @@ func New(prog *isa.Program, cfg Config) *Machine {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	if cfg.Encoding == nil {
-		cfg.Encoding = chunk.Delta{}
-	}
 	if cfg.CbufBytes <= 0 {
 		cfg.CbufBytes = 16 << 10
 	}
@@ -380,7 +376,7 @@ func New(prog *isa.Program, cfg Config) *Machine {
 	}
 	if recording {
 		m.session = capo.NewSession(
-			capo.SessionConfig{Threads: cfg.Threads, CbufBytes: cfg.CbufBytes, Encoding: cfg.Encoding},
+			capo.SessionConfig{Threads: cfg.Threads, CbufBytes: cfg.CbufBytes},
 			m.onCbufFlush)
 		m.chunkSinks = make([]func(chunk.Entry), cfg.Threads)
 		for t := range m.chunkSinks {

@@ -1,13 +1,14 @@
 package machine
 
 import (
+	"repro/internal/chunk"
 	"repro/internal/segment"
 )
 
 // initStream opens the segmented stream: the manifest is written
 // immediately so even a recorder that dies before its first flush leaves
 // an identifiable (if empty) stream behind. With RetainCheckpoints set
-// the sink is the windowed ring writer instead of the unbounded one.
+// the writer keeps the retention window instead of writing as it goes.
 func (m *Machine) initStream() {
 	if m.cfg.RetainCheckpoints > 0 {
 		m.stream = segment.NewWindowWriter(m.cfg.StreamTo, int(m.cfg.RetainCheckpoints))
@@ -19,7 +20,7 @@ func (m *Machine) initStream() {
 		Threads:             m.cfg.Threads,
 		StackWordsPerThread: m.cfg.StackWordsPerThread,
 		CountRepIterations:  m.cfg.MRR.CountRepIterations,
-		EncodingID:          m.cfg.Encoding.ID(),
+		EncodingID:          chunk.DeltaID,
 		FlushEveryChunks:    m.cfg.FlushEveryChunks,
 	})
 	m.streamedChunkPos = make([]int, m.cfg.Threads)
@@ -108,10 +109,10 @@ func (m *Machine) flushStream() {
 }
 
 // finishStream flushes the last epoch and closes the stream with the
-// reference final state. Close renders a windowed sink's retained ring
-// to the underlying writer; for the unbounded writer it is a no-op. The
-// stats therefore always describe the bytes that actually reached
-// Config.StreamTo.
+// reference final state. Close writes a windowed stream's retained
+// window to Config.StreamTo; the unbounded form has written everything
+// already. The stats therefore always describe the bytes that actually
+// reached Config.StreamTo.
 func (m *Machine) finishStream(res *Result) {
 	if m.stream == nil {
 		return

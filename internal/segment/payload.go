@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/capo"
@@ -37,6 +38,10 @@ type Manifest struct {
 }
 
 const manifestVersion = 1
+
+// maxManifestSize bounds a manifest payload without its program name:
+// three bytes, then at most five uvarints of up to 10 bytes each.
+const maxManifestSize = 3 + 5*binary.MaxVarintLen64
 
 // Manifest flag bits. flagWindowed gates the Window field so legacy
 // (unbounded) streams stay byte-identical.
@@ -290,17 +295,6 @@ type FinalPayload struct {
 	Output           []byte
 	FinalContexts    []isa.Context
 	RetiredPerThread []uint64
-}
-
-// Clone returns a deep copy: the windowed sink buffers the final
-// payload until Close, so it must not alias buffers the recorder keeps
-// mutating.
-func (f *FinalPayload) Clone() *FinalPayload {
-	out := *f
-	out.Output = append([]byte(nil), f.Output...)
-	out.FinalContexts = append([]isa.Context(nil), f.FinalContexts...)
-	out.RetiredPerThread = append([]uint64(nil), f.RetiredPerThread...)
-	return &out
 }
 
 func appendFinalPayload(a *wire.Appender, f *FinalPayload) {

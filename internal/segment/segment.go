@@ -18,9 +18,15 @@
 // sound: a Commit declares per-thread clock watermarks and expected
 // batch counts *before* the data, so a scanner can always tell how much
 // of the trailing epoch survived (see Salvage).
+//
+// Writer writes every stream. NewWriter's unbounded form writes each
+// segment as it arrives; NewWindowWriter's flight-recorder form keeps
+// only the last K checkpoint intervals and writes them as one stream
+// when it is closed.
 package segment
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -79,11 +85,11 @@ var (
 	// ErrCorrupt reports a stream that fails structural validation or a
 	// checksum.
 	ErrCorrupt = fmt.Errorf("segment: corrupt stream: %w", chunk.ErrCorrupt)
-	// ErrClosed reports a Write* call on a closed Sink. The violation is
-	// sticky: once tripped, the sink's Err reports it forever, so a
+	// ErrClosed reports a Write* call on a closed Writer. The violation
+	// is sticky: once tripped, the writer's Err reports it forever, so a
 	// recorder that keeps flushing into a closed stream cannot silently
 	// lose epochs.
-	ErrClosed = fmt.Errorf("segment: sink is closed")
+	ErrClosed = fmt.Errorf("segment: writer is closed")
 )
 
 var streamMagic = [4]byte{'Q', 'R', 'S', 'G'}
@@ -102,26 +108,44 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // are sticky: the first failure is retained and every later Write*
 // becomes a no-op, so the recorder can run to completion and surface the
 // stream error once at the end.
+//
+// NewWriter's unbounded form frames and writes each segment as it
+// arrives. NewWindowWriter's flight-recorder form keeps the payloads of
+// the last k checkpoint intervals instead and writes them out at Close
+// (see window.go). Both forms run the same usage checks and encode every
+// payload once, with the same code.
 type Writer struct {
-	w       io.Writer
-	err     error
-	seq     uint32
-	closed  bool
-	scratch []byte
+	w      io.Writer
+	err    error
+	seq    uint32
+	closed bool
+	// buf is the windowed form's own buffer: each payload is encoded
+	// into it before it is kept, and the render frames the window into
+	// it. The unbounded form frames each segment in a pooled appender.
+	buf wire.Appender
 
 	enc     chunk.Encoding
 	threads int
+	// inEpoch is set by a commit and cleared by a checkpoint or the
+	// final segment: chunk and input batches belong to an open epoch.
+	inEpoch bool
 
 	segments   int
 	totalBytes uint64
 	// framingBytes counts non-log overhead: headers, CRCs, and commit
 	// payloads (the bookkeeping that exists only because of streaming).
 	framingBytes uint64
+
+	// Retention state of the windowed form (k > 0); see window.go.
+	k         int
+	man       Manifest
+	intervals []interval
+	evicted   bool
 }
 
-// NewWriter returns a Writer emitting to w. WriteManifest must be the
-// first call; it fixes the thread count and chunk encoding the batch
-// helpers use.
+// NewWriter returns an unbounded Writer emitting to w. WriteManifest
+// must be the first call; it fixes the thread count and chunk encoding
+// the batch helpers use.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w}
 }
@@ -129,13 +153,22 @@ func NewWriter(w io.Writer) *Writer {
 // Err returns the first underlying write or usage error, if any.
 func (w *Writer) Err() error { return w.err }
 
-// Close implements Sink. The unbounded writer emits segments as they
-// arrive, so there is nothing to flush; Close marks the writer finished
-// and reports the sticky error state. Any Write* after Close is a usage
-// error (ErrClosed) — before the closed state existed, such calls kept
-// appending segments past the recorder's lifecycle without a trace.
+// Close finishes the stream and reports the sticky error state; it must
+// be called once the recorder is done, whether or not WriteFinal came.
+// The unbounded form has written every segment already; the windowed
+// form writes its retained window now. Any Write* after Close is a usage
+// error (ErrClosed), and later Close calls return the first error.
 func (w *Writer) Close() error {
+	if w.closed {
+		return w.err
+	}
 	w.closed = true
+	if w.k > 0 && w.err == nil {
+		if err := w.render(w); err != nil {
+			w.err = err
+		}
+		w.write(w.buf.Buf)
+	}
 	return w.err
 }
 
@@ -152,55 +185,95 @@ func (w *Writer) usable() bool {
 	return true
 }
 
-// Segments returns the number of segments written so far.
+// ready gates the Write* calls that follow the manifest; inEpoch adds
+// the check that a commit opened the epoch the batch belongs to.
+func (w *Writer) ready(what string, inEpoch bool) bool {
+	switch {
+	case !w.usable():
+		return false
+	case w.enc == nil:
+		w.err = fmt.Errorf("segment: %s before manifest", what)
+	case inEpoch && !w.inEpoch:
+		w.err = fmt.Errorf("segment: %s outside an epoch", what)
+	default:
+		return true
+	}
+	return false
+}
+
+// Segments returns the number of segments written so far (for the
+// windowed form: the rendered window's, populated by Close).
 func (w *Writer) Segments() int { return w.segments }
 
-// TotalBytes returns the total stream bytes written so far.
+// TotalBytes returns the total stream bytes written so far (for the
+// windowed form: the rendered window's, populated by Close).
 func (w *Writer) TotalBytes() uint64 { return w.totalBytes }
 
 // FramingBytes returns the streaming-only overhead written so far:
-// segment headers, checksums, and commit payloads.
+// segment headers, checksums, and commit payloads (for the windowed
+// form: the rendered window's, populated by Close).
 func (w *Writer) FramingBytes() uint64 { return w.framingBytes }
 
-// writeSegment frames payload under kind and emits it.
-func (w *Writer) writeSegment(kind Kind, payload []byte) {
+// emit encodes one segment's payload. The unbounded form frames and
+// writes it at once; the windowed form keeps the bytes for its render.
+func (w *Writer) emit(kind Kind, encode func(*wire.Appender)) {
+	if w.k > 0 {
+		w.buf.Reset()
+		encode(&w.buf)
+		w.keep(kind, w.buf.Buf)
+		return
+	}
+	a := wire.GetAppender()
+	defer wire.PutAppender(a)
+	w.frame(a, kind, encode)
+	w.write(a.Buf)
+}
+
+// frame appends one segment to a: the header, the payload encode
+// appends, and the checksum.
+func (w *Writer) frame(a *wire.Appender, kind Kind, encode func(*wire.Appender)) {
 	if w.err != nil {
 		return
 	}
-	if len(payload) > maxPayload {
-		w.err = fmt.Errorf("segment: payload of %d bytes exceeds limit", len(payload))
-		return
-	}
-	a := wire.AppenderOf(w.scratch[:0])
-	a.Grow(headerSize + len(payload) + trailerSize)
+	start := a.Len()
 	a.Raw(streamMagic[:])
 	a.U32(w.seq)
 	a.Byte(byte(kind))
-	a.U32(uint32(len(payload)))
-	a.Raw(payload)
-	crc := crc32.Checksum(a.Buf[4:], castagnoli)
-	a.U32(crc)
-	if _, err := w.w.Write(a.Buf); err != nil {
-		w.err = fmt.Errorf("segment: write: %w", err)
+	a.U32(0) // plen, set once the payload is in
+	encode(a)
+	plen := a.Len() - start - headerSize
+	if plen > maxPayload {
+		w.err = fmt.Errorf("segment: payload of %d bytes exceeds limit", plen)
 		return
 	}
+	binary.LittleEndian.PutUint32(a.Buf[start+headerSize-4:], uint32(plen))
+	a.U32(crc32.Checksum(a.Buf[start+4:], castagnoli))
 	w.seq++
 	w.segments++
-	w.totalBytes += uint64(a.Len())
+	w.totalBytes += uint64(a.Len() - start)
 	w.framingBytes += uint64(headerSize + trailerSize)
 	if kind == KindCommit {
-		w.framingBytes += uint64(len(payload))
+		w.framingBytes += uint64(plen)
 	}
-	w.scratch = a.Buf[:0]
 }
 
-// WriteManifest opens the stream. It must be the first segment.
+// write hands framed segments to the underlying writer.
+func (w *Writer) write(p []byte) {
+	if w.err != nil {
+		return
+	}
+	if _, err := w.w.Write(p); err != nil {
+		w.err = fmt.Errorf("segment: write: %w", err)
+	}
+}
+
+// WriteManifest opens the stream. It must be the first call.
 func (w *Writer) WriteManifest(m Manifest) {
 	if !w.usable() {
 		return
 	}
-	if w.seq != 0 {
-		w.err = fmt.Errorf("segment: manifest must be the first segment (seq %d)", w.seq)
+	if w.enc != nil {
+		w.err = fmt.Errorf("segment: duplicate manifest")
 		return
 	}
 	enc, err := chunk.ByID(m.EncodingID)
@@ -208,21 +281,20 @@ func (w *Writer) WriteManifest(m Manifest) {
 		w.err = err
 		return
 	}
-	w.enc = enc
-	w.threads = m.Threads
-	p := wire.GetAppender()
-	defer wire.PutAppender(p)
-	appendManifest(p, m)
-	w.writeSegment(KindManifest, p.Buf)
+	w.enc, w.threads = enc, m.Threads
+	if w.k > 0 {
+		// The window's manifest carries its retention fields, so it is
+		// encoded at render.
+		w.man = m
+		w.intervals = []interval{{}}
+		return
+	}
+	w.emit(KindManifest, func(a *wire.Appender) { appendManifest(a, m) })
 }
 
 // WriteCommit opens a flush epoch.
 func (w *Writer) WriteCommit(c Commit) {
-	if !w.usable() {
-		return
-	}
-	if w.enc == nil {
-		w.err = fmt.Errorf("segment: commit before manifest")
+	if !w.ready("commit", false) {
 		return
 	}
 	if len(c.Watermark) != w.threads || len(c.Exited) != w.threads ||
@@ -230,57 +302,44 @@ func (w *Writer) WriteCommit(c Commit) {
 		w.err = fmt.Errorf("segment: commit arrays do not match %d threads", w.threads)
 		return
 	}
-	p := wire.GetAppender()
-	defer wire.PutAppender(p)
-	appendCommit(p, c)
-	w.writeSegment(KindCommit, p.Buf)
+	w.inEpoch = true
+	w.emit(KindCommit, func(a *wire.Appender) { appendCommit(a, c) })
 }
 
 // WriteChunkBatch emits thread's pending chunk entries. Delta encoding
 // restarts at each batch (the first entry carries an absolute
 // timestamp), so every batch decodes independently.
 func (w *Writer) WriteChunkBatch(thread int, entries []chunk.Entry) {
-	if !w.usable() {
+	if !w.ready("chunk batch", true) {
 		return
 	}
-	if w.enc == nil {
-		w.err = fmt.Errorf("segment: chunk batch before manifest")
+	if thread < 0 || thread >= w.threads {
+		w.err = fmt.Errorf("segment: chunk batch for thread %d of %d", thread, w.threads)
 		return
 	}
-	p := wire.GetAppender()
-	defer wire.PutAppender(p)
-	p.Int(thread)
-	p.Int(len(entries))
-	var prev *chunk.Entry
-	for i := range entries {
-		p.Buf = w.enc.Append(p.Buf, entries[i], prev)
-		prev = &entries[i]
-	}
-	w.writeSegment(KindChunk, p.Buf)
+	w.emit(KindChunk, func(a *wire.Appender) {
+		a.Int(thread)
+		a.Int(len(entries))
+		var prev *chunk.Entry
+		for i := range entries {
+			a.Buf = w.enc.Append(a.Buf, entries[i], prev)
+			prev = &entries[i]
+		}
+	})
 }
 
 // WriteInputBatch emits the epoch's pending input records.
 func (w *Writer) WriteInputBatch(recs []capo.Record) {
-	if !w.usable() {
+	if !w.ready("input batch", true) {
 		return
 	}
-	if w.enc == nil {
-		w.err = fmt.Errorf("segment: input batch before manifest")
-		return
-	}
-	p := wire.GetAppender()
-	defer wire.PutAppender(p)
-	capo.AppendRecords(p, recs)
-	w.writeSegment(KindInput, p.Buf)
+	w.emit(KindInput, func(a *wire.Appender) { capo.AppendRecords(a, recs) })
 }
 
-// WriteCheckpoint emits a flight-recorder checkpoint.
+// WriteCheckpoint emits a flight-recorder checkpoint. It closes the
+// open epoch.
 func (w *Writer) WriteCheckpoint(cp *capo.Checkpoint) {
-	if !w.usable() {
-		return
-	}
-	if w.enc == nil {
-		w.err = fmt.Errorf("segment: checkpoint before manifest")
+	if !w.ready("checkpoint", false) {
 		return
 	}
 	if len(cp.ChunkPos) != w.threads {
@@ -288,23 +347,15 @@ func (w *Writer) WriteCheckpoint(cp *capo.Checkpoint) {
 			len(cp.ChunkPos), w.threads)
 		return
 	}
-	p := wire.GetAppender()
-	defer wire.PutAppender(p)
-	appendCheckpoint(p, cp)
-	w.writeSegment(KindCheckpoint, p.Buf)
+	w.inEpoch = false
+	w.emit(KindCheckpoint, func(a *wire.Appender) { appendCheckpoint(a, cp) })
 }
 
 // WriteFinal closes the stream with the reference final state.
 func (w *Writer) WriteFinal(f *FinalPayload) {
-	if !w.usable() {
+	if !w.ready("final", false) {
 		return
 	}
-	if w.enc == nil {
-		w.err = fmt.Errorf("segment: final before manifest")
-		return
-	}
-	p := wire.GetAppender()
-	defer wire.PutAppender(p)
-	appendFinalPayload(p, f)
-	w.writeSegment(KindFinal, p.Buf)
+	w.inEpoch = false
+	w.emit(KindFinal, func(a *wire.Appender) { appendFinalPayload(a, f) })
 }

@@ -57,8 +57,8 @@ func sinkFinal() *segment.FinalPayload {
 }
 
 // writeValidStream drives one complete, well-formed session into the
-// sink: manifest, one epoch, a checkpoint, and the final state.
-func writeValidStream(s segment.Sink) {
+// writer: manifest, one epoch, a checkpoint, and the final state.
+func writeValidStream(s *segment.Writer) {
 	s.WriteManifest(sinkManifest())
 	s.WriteCommit(sinkCommit(0))
 	s.WriteChunkBatch(0, []chunk.Entry{{Size: 3, TS: 5, Reason: chunk.ReasonFlush}})
@@ -68,70 +68,88 @@ func writeValidStream(s segment.Sink) {
 }
 
 // TestSinkMisuseOrdering sweeps out-of-order and post-Close call
-// sequences over both Sink implementations and requires the same sticky
+// sequences over both forms of the Writer and requires the same sticky
 // usage error from each. Before the Writer grew a closed state, every
 // "after close" row passed silently on it — the recorder could keep
-// appending segments to a stream whose lifecycle had ended.
+// appending segments to a stream whose lifecycle had ended. Likewise
+// the unbounded form once wrote batches for a thread out of range or
+// outside an epoch, which only the windowed form refused.
 func TestSinkMisuseOrdering(t *testing.T) {
 	sinks := []struct {
 		name string
-		make func() segment.Sink
+		make func() *segment.Writer
 	}{
-		{"Writer", func() segment.Sink { return segment.NewWriter(io.Discard) }},
-		{"WindowWriter", func() segment.Sink { return segment.NewWindowWriter(io.Discard, 2) }},
+		{"Writer", func() *segment.Writer { return segment.NewWriter(io.Discard) }},
+		{"WindowWriter", func() *segment.Writer { return segment.NewWindowWriter(io.Discard, 2) }},
 	}
 	cases := []struct {
 		name string
-		run  func(s segment.Sink)
+		run  func(s *segment.Writer)
 		// closed rows must report ErrClosed specifically; the rest any
 		// sticky usage error.
 		wantClosed bool
 	}{
-		{"commit before manifest", func(s segment.Sink) { s.WriteCommit(sinkCommit(0)) }, false},
-		{"chunk batch before manifest", func(s segment.Sink) {
+		{"commit before manifest", func(s *segment.Writer) { s.WriteCommit(sinkCommit(0)) }, false},
+		{"chunk batch before manifest", func(s *segment.Writer) {
 			s.WriteChunkBatch(0, []chunk.Entry{{Size: 1, TS: 1}})
 		}, false},
-		{"input batch before manifest", func(s segment.Sink) {
+		{"input batch before manifest", func(s *segment.Writer) {
 			s.WriteInputBatch([]capo.Record{{Kind: capo.KindSyscall, Thread: 0, TS: 1}})
 		}, false},
-		{"checkpoint before manifest", func(s segment.Sink) { s.WriteCheckpoint(sinkCheckpoint()) }, false},
-		{"final before manifest", func(s segment.Sink) { s.WriteFinal(sinkFinal()) }, false},
-		{"duplicate manifest", func(s segment.Sink) {
+		{"checkpoint before manifest", func(s *segment.Writer) { s.WriteCheckpoint(sinkCheckpoint()) }, false},
+		{"final before manifest", func(s *segment.Writer) { s.WriteFinal(sinkFinal()) }, false},
+		{"duplicate manifest", func(s *segment.Writer) {
 			s.WriteManifest(sinkManifest())
 			s.WriteManifest(sinkManifest())
 		}, false},
-		{"checkpoint arity mismatch", func(s segment.Sink) {
+		{"checkpoint arity mismatch", func(s *segment.Writer) {
 			s.WriteManifest(sinkManifest())
 			cp := sinkCheckpoint()
 			cp.ChunkPos = []int{1}
 			s.WriteCheckpoint(cp)
 		}, false},
-		{"manifest after close", func(s segment.Sink) {
+		{"chunk batch for thread out of range", func(s *segment.Writer) {
+			s.WriteManifest(sinkManifest())
+			s.WriteCommit(sinkCommit(0))
+			s.WriteChunkBatch(2, []chunk.Entry{{Size: 1, TS: 1}})
+		}, false},
+		{"chunk batch before any commit", func(s *segment.Writer) {
+			s.WriteManifest(sinkManifest())
+			s.WriteChunkBatch(0, []chunk.Entry{{Size: 1, TS: 1}})
+		}, false},
+		{"input batch after checkpoint", func(s *segment.Writer) {
+			s.WriteManifest(sinkManifest())
+			s.WriteCommit(sinkCommit(0))
+			s.WriteChunkBatch(0, []chunk.Entry{{Size: 3, TS: 5}})
+			s.WriteCheckpoint(sinkCheckpoint())
+			s.WriteInputBatch([]capo.Record{{Kind: capo.KindSyscall, Thread: 0, TS: 6}})
+		}, false},
+		{"manifest after close", func(s *segment.Writer) {
 			writeValidStream(s)
 			s.Close()
 			s.WriteManifest(sinkManifest())
 		}, true},
-		{"commit after close", func(s segment.Sink) {
+		{"commit after close", func(s *segment.Writer) {
 			writeValidStream(s)
 			s.Close()
 			s.WriteCommit(sinkCommit(1))
 		}, true},
-		{"chunk batch after close", func(s segment.Sink) {
+		{"chunk batch after close", func(s *segment.Writer) {
 			writeValidStream(s)
 			s.Close()
 			s.WriteChunkBatch(0, []chunk.Entry{{Size: 1, TS: 20}})
 		}, true},
-		{"input batch after close", func(s segment.Sink) {
+		{"input batch after close", func(s *segment.Writer) {
 			writeValidStream(s)
 			s.Close()
 			s.WriteInputBatch([]capo.Record{{Kind: capo.KindSyscall, Thread: 0, TS: 21}})
 		}, true},
-		{"checkpoint after close", func(s segment.Sink) {
+		{"checkpoint after close", func(s *segment.Writer) {
 			writeValidStream(s)
 			s.Close()
 			s.WriteCheckpoint(sinkCheckpoint())
 		}, true},
-		{"final after close", func(s segment.Sink) {
+		{"final after close", func(s *segment.Writer) {
 			writeValidStream(s)
 			s.Close()
 			s.WriteFinal(sinkFinal())
@@ -158,6 +176,22 @@ func TestSinkMisuseOrdering(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWindowOnUnboundedWriter pins that only the windowed form has a
+// window to render, and that the unbounded form never evicts.
+func TestWindowOnUnboundedWriter(t *testing.T) {
+	w := segment.NewWriter(io.Discard)
+	writeValidStream(w)
+	if data, err := w.Window(); err == nil {
+		t.Fatalf("Window on an unbounded writer returned %d bytes and no error", len(data))
+	}
+	if w.Evicted() {
+		t.Fatal("unbounded writer reports eviction")
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("Window tripped the writer's sticky error: %v", err)
 	}
 }
 
@@ -190,7 +224,7 @@ func TestWriterWriteAfterCloseEmitsNothing(t *testing.T) {
 }
 
 // TestWindowWriterCloseIdempotent pins that the guard did not break the
-// windowed sink's documented Close idempotence.
+// windowed form's documented Close idempotence.
 func TestWindowWriterCloseIdempotent(t *testing.T) {
 	var buf bytes.Buffer
 	w := segment.NewWindowWriter(&buf, 2)

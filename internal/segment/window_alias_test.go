@@ -11,7 +11,7 @@ import (
 )
 
 // driveAliasSession writes one two-epoch, two-interval session into the
-// windowed sink, passing mutable as the caller-owned buffers. It returns
+// windowed writer, passing mutable as the caller-owned buffers. It returns
 // every buffer the caller keeps a handle on, so the test can scribble
 // over them after the writes returned.
 type aliasBuffers struct {
@@ -22,7 +22,7 @@ type aliasBuffers struct {
 	finalOut []byte
 }
 
-func driveAliasSession(w *segment.WindowWriter) aliasBuffers {
+func driveAliasSession(w *segment.Writer) aliasBuffers {
 	bufs := aliasBuffers{
 		recData:  []byte{0xAA, 0xBB, 0xCC},
 		memImage: imageOf([]byte{1, 2, 3, 4, 5, 6, 7, 8}),

@@ -11,7 +11,7 @@ import (
 	"repro/internal/segment"
 )
 
-// The retention oracle: drive a WindowWriter and an unbounded Writer
+// The retention oracle: drive a windowed and an unbounded Writer
 // with the same randomized write sequence (epoch and checkpoint cadences
 // drawn from a seeded RNG) and check the window against first
 // principles — exactly the last min(K, n) checkpoints survive a clean
@@ -40,10 +40,10 @@ type synthInterval struct {
 	recs    []capo.Record
 }
 
-// synthesize writes the same randomized session into both sinks and
+// synthesize writes the same randomized session into both writers and
 // returns the ground-truth intervals plus the unbounded stream's byte
 // offset at each checkpoint write.
-func synthesize(seed uint64, nCheckpoints int, bufU *bytes.Buffer, wu *segment.Writer, ww *segment.WindowWriter) ([]synthInterval, []int) {
+func synthesize(seed uint64, nCheckpoints int, bufU *bytes.Buffer, wu, ww *segment.Writer) ([]synthInterval, []int) {
 	rng := &windowRNG{s: seed*2654435761 + 1}
 	man := segment.Manifest{
 		ProgramName: "synth", Threads: 2, StackWordsPerThread: 32,
@@ -284,7 +284,7 @@ func TestWindowRetentionOracle(t *testing.T) {
 	}
 }
 
-// TestWindowWriterValidation pins the windowed sink's usage errors.
+// TestWindowWriterValidation pins the windowed form's usage errors.
 func TestWindowWriterValidation(t *testing.T) {
 	if err := segment.NewWindowWriter(nil, 0).Err(); err == nil {
 		t.Error("K=0 window accepted")

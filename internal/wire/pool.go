@@ -11,11 +11,9 @@ const maxPooledCap = 1 << 20
 var appenderPool = sync.Pool{New: func() any { return new(Appender) }}
 
 // GetAppender returns an empty pooled Appender. The streaming flush
-// path uses this for per-epoch segment payloads so a long recording
-// reuses one warm buffer per flush instead of allocating each time.
-// Return it with PutAppender once its bytes have been copied out (the
-// segment writer frames the payload into its own buffer, so the
-// appender is free as soon as writeSegment returns).
+// path frames each segment in one, so a long recording reuses one warm
+// buffer per segment instead of allocating each time. Return it with
+// PutAppender once its bytes have been written or copied out.
 func GetAppender() *Appender {
 	a := appenderPool.Get().(*Appender)
 	a.Reset()

@@ -25,7 +25,6 @@ import (
 	"io"
 
 	"repro/internal/capo"
-	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/harness"
@@ -131,9 +130,6 @@ type Options struct {
 	// CheckpointEveryInstrs enables flight-recorder checkpoints roughly
 	// every that many retired instructions (0 = never); see Tail.
 	CheckpointEveryInstrs uint64
-	// Encoding selects the chunk-log format: "fixed16", "varint" or
-	// "ts-delta" (default).
-	Encoding string
 	// FlushEveryChunks is the segmented-stream flush cadence for
 	// StreamRecord: logs are committed to the stream after that many new
 	// chunks (0 = the default, 1024). Smaller values tighten the
@@ -155,7 +151,7 @@ type Options struct {
 	CaptureSignatures bool
 }
 
-func (o Options) config(mode machine.RecordingMode) (machine.Config, error) {
+func (o Options) config(mode machine.RecordingMode) machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Mode = mode
 	if o.Cores > 0 {
@@ -177,19 +173,7 @@ func (o Options) config(mode machine.RecordingMode) (machine.Config, error) {
 	cfg.FlushEveryChunks = o.FlushEveryChunks
 	cfg.RetainCheckpoints = o.RetainCheckpoints
 	cfg.CaptureSignatures = o.CaptureSignatures
-	if o.Encoding != "" {
-		var found bool
-		for _, e := range chunk.Encodings() {
-			if e.Name() == o.Encoding {
-				cfg.Encoding = e
-				found = true
-			}
-		}
-		if !found {
-			return cfg, fmt.Errorf("quickrec: unknown encoding %q", o.Encoding)
-		}
-	}
-	return cfg, nil
+	return cfg
 }
 
 // WorkloadInfo describes one catalogue entry.
@@ -226,21 +210,13 @@ func Record(prog *Program, opts Options) (*Recording, error) {
 	if opts.HardwareOnly {
 		mode = machine.ModeHardwareOnly
 	}
-	cfg, err := opts.config(mode)
-	if err != nil {
-		return nil, err
-	}
-	return core.Record(prog, cfg)
+	return core.Record(prog, opts.config(mode))
 }
 
 // Native runs prog with recording off, for overhead baselines. The same
 // Options (and Seed) produce the identical interleaving Record sees.
 func Native(prog *Program, opts Options) (*RunStats, error) {
-	cfg, err := opts.config(machine.ModeOff)
-	if err != nil {
-		return nil, err
-	}
-	return machine.New(prog, cfg).Run()
+	return machine.New(prog, opts.config(machine.ModeOff)).Run()
 }
 
 // Replay re-executes a recording against the same program and returns
@@ -413,11 +389,7 @@ func StreamRecord(prog *Program, opts Options, w io.Writer) (*Recording, error) 
 	if opts.HardwareOnly {
 		mode = machine.ModeHardwareOnly
 	}
-	cfg, err := opts.config(mode)
-	if err != nil {
-		return nil, err
-	}
-	return core.StreamRecord(prog, cfg, w)
+	return core.StreamRecord(prog, opts.config(mode), w)
 }
 
 // Salvaged is a recording recovered from a (possibly damaged) segmented

@@ -1,7 +1,6 @@
 package quickrec_test
 
 import (
-	"strings"
 	"testing"
 
 	quickrec "repro"
@@ -124,19 +123,6 @@ func TestSerializationThroughPublicAPI(t *testing.T) {
 	}
 	if err := quickrec.Verify(loaded, rr); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEncodingOption(t *testing.T) {
-	prog, _ := quickrec.BuildWorkload("counter", 2)
-	for _, enc := range []string{"fixed16", "varint", "ts-delta"} {
-		if _, err := quickrec.Record(prog, quickrec.Options{Seed: 2, Encoding: enc}); err != nil {
-			t.Errorf("%s: %v", enc, err)
-		}
-	}
-	if _, err := quickrec.Record(prog, quickrec.Options{Encoding: "zstd"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown encoding") {
-		t.Errorf("bad encoding not rejected: %v", err)
 	}
 }
 
