@@ -1,9 +1,10 @@
 // Command quickrecd is the recording-as-a-service ingest daemon: it
 // accepts segmented log streams from fleets of concurrent recorders
-// over TCP, shards sessions by replay-sphere (tenant) ID, appends each
-// upload to a content-addressed, crash-consistent pack, and verifies
-// stored bundles in the background by salvage plus deterministic
-// replay.
+// over TCP, each upload owned by its own session from HELLO to ACK and
+// admitted only while one of a bounded number of upload slots is free,
+// appends each upload to a content-addressed, crash-consistent pack,
+// and verifies stored bundles in the background by salvage plus
+// deterministic replay.
 //
 // Usage:
 //
@@ -59,7 +60,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: quickrecd <serve|worker|loadgen> [flags]
-  serve   -addr HOST:PORT -store DIR [-shards N] [-queue N] [-credit BYTES]
+  serve   -addr HOST:PORT -store DIR [-upload-slots N] [-credit BYTES]
           [-verifiers N] [-replay-workers N] [-max-upload BYTES] [-statsz SECS]
           [-job-timeout SECS]
                                    run the ingest server; SIGINT/SIGTERM drain and
@@ -79,8 +80,7 @@ func cmdServe(args []string) error {
 	cfg := ingest.DefaultConfig()
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
 	store := fs.String("store", "", "bundle store directory: one append-only pack, objects.qpack (a directory holding an old objects/ tree is refused)")
-	shards := fs.Int("shards", cfg.Shards, "ingest shard workers (tenants hash onto shards)")
-	queue := fs.Int("queue", cfg.QueueDepth, "per-shard queue depth (backpressure bound)")
+	slots := fs.Int("upload-slots", cfg.UploadSlots, "uploads open at once; a HELLO that finds none free is shed (overload bound)")
 	credit := fs.Int("credit", cfg.Credit, "per-session in-flight byte credit")
 	verifiers := fs.Int("verifiers", cfg.Verifiers, "background verifier workers")
 	replayW := fs.Int("replay-workers", cfg.ReplayWorkers, "parallel-replay workers per verification (0 serial, -1 all CPUs)")
@@ -93,8 +93,7 @@ func cmdServe(args []string) error {
 	}
 	cfg.Addr = *addr
 	cfg.StoreDir = *store
-	cfg.Shards = *shards
-	cfg.QueueDepth = *queue
+	cfg.UploadSlots = *slots
 	cfg.Credit = *credit
 	cfg.Verifiers = *verifiers
 	cfg.ReplayWorkers = *replayW
@@ -105,8 +104,8 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("quickrecd: listening on %s, store %s, %d shards, %d verifiers\n",
-		s.Addr(), *store, *shards, *verifiers)
+	fmt.Printf("quickrecd: listening on %s, store %s, %d upload slots, %d verifiers\n",
+		s.Addr(), *store, *slots, *verifiers)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

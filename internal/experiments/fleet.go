@@ -103,7 +103,6 @@ func a11Fleet(prog *isa.Program, rec *core.Bundle, serial *replay.Result,
 	defer os.RemoveAll(dir)
 	scfg := ingest.DefaultConfig()
 	scfg.StoreDir = dir
-	scfg.Shards = 1
 	scfg.Verifiers = 1
 	srv, err := ingest.NewServer(scfg)
 	if err != nil {

@@ -56,8 +56,8 @@ func expectLocally(t *testing.T, stream []byte) localExpectation {
 // and that the server's salvage + parallel prefix-replay verdict agrees
 // bit-for-bit with local verification of the same bytes. The small
 // credit forces the flow-control loop to actually cycle; the test is in
-// CI's -race step, so the shard/verifier concurrency is exercised under
-// the detector.
+// CI's -race step, so the concurrent upload sessions, the store and the
+// verifier pool are exercised under the detector.
 func TestIngestLoopbackE2E(t *testing.T) {
 	workloads := []string{"counter", "reqserver", "fuzz-11"}
 	var streams [][]byte
@@ -73,7 +73,6 @@ func TestIngestLoopbackE2E(t *testing.T) {
 
 	cfg := ingest.DefaultConfig()
 	cfg.StoreDir = t.TempDir()
-	cfg.Shards = 2
 	cfg.Verifiers = 2
 	cfg.ReplayWorkers = 2
 	cfg.Credit = 8 << 10 // several grant cycles per upload
@@ -186,9 +185,10 @@ func TestIngestLoopbackE2E(t *testing.T) {
 	}
 }
 
-// TestIngestShedSurfacesTypedError pins the backpressure contract at
-// the harness level: a server whose shards cannot keep up must shed
-// with the typed retryable error, never hang or drop silently.
+// TestIngestShedSurfacesTypedError pins the overload contract at the
+// harness level: a server with too few upload slots for its uploaders
+// must shed with the typed retryable error, never hang or drop
+// silently.
 func TestIngestShedSurfacesTypedError(t *testing.T) {
 	data, err := ingest.RecordWorkloadStream("counter", 2, 99)
 	if err != nil {
@@ -196,8 +196,7 @@ func TestIngestShedSurfacesTypedError(t *testing.T) {
 	}
 	cfg := ingest.DefaultConfig()
 	cfg.StoreDir = t.TempDir()
-	cfg.Shards = 1
-	cfg.QueueDepth = 1
+	cfg.UploadSlots = 1
 	cfg.ShedTimeout = time.Millisecond
 	cfg.Credit = 1 << 20
 	srv, err := ingest.NewServer(cfg)
@@ -207,10 +206,10 @@ func TestIngestShedSurfacesTypedError(t *testing.T) {
 	go srv.Serve()
 	defer srv.Close()
 
-	// Hammer the single 1-deep shard from many uploaders with no retries:
+	// Hammer the single upload slot from many uploaders with no retries:
 	// under this configuration at least one session is statistically
-	// certain to hit a full queue; every outcome must be either a clean
-	// ack or the typed retryable rejection.
+	// certain to find it taken; every outcome must be either a clean ack
+	// or the typed retryable rejection.
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var okN, shedN int

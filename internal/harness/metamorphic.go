@@ -274,7 +274,6 @@ func checkDistributed(prog *isa.Program, cfg machine.Config) error {
 	defer os.RemoveAll(dir)
 	scfg := ingest.DefaultConfig()
 	scfg.StoreDir = dir
-	scfg.Shards = 1
 	scfg.Verifiers = 1
 	srv, err := ingest.NewServer(scfg)
 	if err != nil {

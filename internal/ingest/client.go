@@ -11,8 +11,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Client is one recorder's connection to the ingest fleet. A client
-// carries one upload session; it is not safe for concurrent use.
+// Client is one recorder's connection to the ingest fleet. It carries
+// one upload: the server closes the connection once it has sent that
+// upload's ACK or ERROR, so a second Upload on the same Client fails.
+// It is not safe for concurrent use.
 type Client struct {
 	*session
 	credit int
@@ -52,8 +54,8 @@ func (c *Client) hello(tenant string, sizeHint uint64) error {
 // sendData streams stream in credit-bounded DATA frames, absorbing
 // GRANT frames as they come back. It never puts more than the granted
 // allowance in flight — that is the client half of the backpressure
-// loop: when a shard lags, grants lag, and the uploader stalls here
-// instead of ballooning the server's queues.
+// loop: when the server lags, grants lag, and the uploader stalls here
+// instead of ballooning the server's buffers.
 func (c *Client) sendData(stream []byte) error {
 	for off := 0; off < len(stream); {
 		for c.credit <= 0 {
@@ -108,8 +110,8 @@ func (c *Client) sendChunk(chunk []byte) error {
 // connection that the write error err failed on, or err when it sent
 // none. A server that rejects an upload mid-stream sends ERROR and
 // closes, and the client's next write then fails on the closed
-// connection; the ERROR is still buffered, so a shed mid-upload stays a
-// retryable *ServerError.
+// connection; the ERROR is still buffered, so a rejection mid-upload
+// (an upload over the size cap, say) stays a typed *ServerError.
 func (c *Client) rejection(err error) error {
 	for {
 		_, _, rerr := c.recv() // nil for a GRANT sent before the ERROR

@@ -84,7 +84,7 @@ func TestMixedVersionCompression(t *testing.T) {
 // decompression bomb: a frame of a few bytes whose LZ tokens expand to
 // 1 GiB (one literal, then an overlapping match of 2^30-1 bytes at
 // distance 1) must be refused before expansion with a non-retryable
-// protocol error, without a byte reaching a shard.
+// protocol error, without a byte reaching the upload.
 func TestDataZBombRejected(t *testing.T) {
 	s := startServer(t, nil)
 	var tokens wire.Appender

@@ -29,10 +29,11 @@ func appendDataZ(a *wire.Appender, data []byte) {
 	binary.LittleEndian.PutUint32(a.Buf[at:], crc32.Checksum(a.Buf[at+4:], castagnoli))
 }
 
-// decodeDataZ undoes appendDataZ, returning the raw stream bytes. A
-// block declaring more than limit raw bytes is refused before it is
-// expanded: a few bytes of LZ tokens can declare a gigabyte.
-func decodeDataZ(data []byte, limit int) ([]byte, error) {
+// decodeDataZ undoes appendDataZ, returning the raw stream bytes, which
+// expand into dst's capacity when the block is compressed. A block
+// declaring more than limit raw bytes is refused before it is expanded:
+// a few bytes of LZ tokens can declare a gigabyte.
+func decodeDataZ(dst, data []byte, limit int) ([]byte, error) {
 	c := wire.CursorOf(data)
 	want, err := c.U32()
 	if err != nil {
@@ -41,7 +42,7 @@ func decodeDataZ(data []byte, limit int) ([]byte, error) {
 	if got := crc32.Checksum(data[c.Pos():], castagnoli); got != want {
 		return nil, fmt.Errorf("%w: dataz crc %#x, want %#x", ErrFrame, got, want)
 	}
-	raw, _, err := wire.DecodeBlockMax(&c, nil, uint64(limit))
+	raw, _, err := wire.DecodeBlockMax(&c, dst, uint64(limit))
 	if err != nil {
 		return nil, fmt.Errorf("%w: dataz block: %v", ErrFrame, err)
 	}

@@ -120,13 +120,13 @@ func FuzzJobFrame(f *testing.F) {
 				t.Fatalf("fetch round trip: %+v, %v", got, err)
 			}
 		case fuzzDataZ:
-			raw, err := decodeDataZ(data, DefaultConfig().Credit)
+			raw, err := decodeDataZ(nil, data, DefaultConfig().Credit)
 			if checkErr(err) {
 				return
 			}
 			var a wire.Appender
 			appendDataZ(&a, raw)
-			if got, err := decodeDataZ(a.Buf, DefaultConfig().Credit); err != nil || !bytes.Equal(got, raw) {
+			if got, err := decodeDataZ(nil, a.Buf, DefaultConfig().Credit); err != nil || !bytes.Equal(got, raw) {
 				t.Fatalf("dataz round trip: %d bytes, %v", len(got), err)
 			}
 		case fuzzDispatchJob:

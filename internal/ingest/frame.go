@@ -1,7 +1,6 @@
 // Package ingest is the recording-as-a-service fleet endpoint: a TCP
 // server that accepts segmented log streams from many concurrent
-// recorders, shards them by replay-sphere (tenant) ID onto per-shard
-// appenders, applies credit-based backpressure, and lands every upload
+// recorders, applies credit-based backpressure, and lands every upload
 // as a crash-consistent, content-addressed bundle that a background
 // verifier pool then salvages and prefix-replays.
 //
@@ -12,14 +11,15 @@
 // A session is: client HELLO, server WELCOME (granting the initial
 // credit), then DATA frames carrying raw segmented-stream bytes — the
 // client may keep at most its granted credit in flight; the server
-// returns credit with GRANT frames as the owning shard consumes each
-// DATA frame — and a FINISH frame carrying the stream's SHA-256. The
-// server answers ACK (bundle digest, stored or duplicate) or ERROR
-// (typed code plus a retryable bit: an overloaded shard sheds the
-// upload and tells the recorder to come back later).
+// returns credit with a GRANT frame as it appends each DATA frame — and
+// a FINISH frame carrying the stream's SHA-256. The server answers ACK
+// (bundle digest, stored or duplicate) or ERROR (typed code plus a
+// retryable bit: a server with no upload slot free sheds the HELLO and
+// tells the recorder to come back later), and then closes the
+// connection: one session carries one upload.
 //
-// The payload codecs ride the shared internal/wire layer, and the
-// per-shard appenders assemble uploads in pooled wire buffers — the
+// The payload codecs ride the shared internal/wire layer, and each
+// upload session assembles its upload in one pooled wire buffer — the
 // same flush path the recorder's own segment writer uses.
 package ingest
 
@@ -146,10 +146,11 @@ func appendFrame(a *wire.Appender, kind FrameKind, build func(*wire.Appender)) {
 }
 
 // readFrame reads one frame from r. The payload is freshly allocated —
-// frame readers hand payloads across goroutines (connection handler to
-// shard worker), so they must not share a scratch buffer. The buffer
-// grows by frameReadStep as payload bytes arrive, so a header that
-// declares a large payload costs at most one step until its bytes come.
+// frame readers hand payloads across goroutines (a broker session
+// reader to the job board, a worker's reader to its job goroutines), so
+// they must not share a scratch buffer. The buffer grows by
+// frameReadStep as payload bytes arrive, so a header that declares a
+// large payload costs at most one step until its bytes come.
 func readFrame(r io.Reader) (FrameKind, []byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -334,8 +335,9 @@ type ErrorCode uint8
 
 // Error codes carried by FrameError.
 const (
-	// CodeOverloaded sheds a session because the owning shard's queue
-	// stayed full past the shed timeout. Always retryable.
+	// CodeOverloaded sheds a session because no upload slot freed within
+	// the shed timeout, or fails an upload whose store write failed.
+	// Always retryable.
 	CodeOverloaded ErrorCode = 1
 	// CodeProtocol reports a malformed or out-of-order frame.
 	CodeProtocol ErrorCode = 2
@@ -383,7 +385,7 @@ func (e *ServerError) Error() string {
 }
 
 // IsRetryable reports whether err is a shed/transient server rejection
-// worth retrying (an overloaded shard, a draining server).
+// worth retrying (an overloaded server, a draining server).
 func IsRetryable(err error) bool {
 	var se *ServerError
 	return errors.As(err, &se) && se.Retryable

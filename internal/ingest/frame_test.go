@@ -26,7 +26,7 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 		fin.Digest[i] = byte(i)
 	}
 	ack := ackPayload{Digest: string(bytes.Repeat([]byte("ab"), digestSize)), Duplicate: true}
-	srvErr := ServerError{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"}
+	srvErr := ServerError{Code: CodeOverloaded, Retryable: true, Msg: "no upload slot free"}
 
 	cases := []struct {
 		kind  FrameKind
@@ -137,7 +137,7 @@ func TestDecodePayloadFaults(t *testing.T) {
 	if _, err := decodeHello(nil); !errors.Is(err, ErrFrame) {
 		t.Fatalf("empty hello: %v", err)
 	}
-	// Empty tenant is rejected — the tenant keys sharding and verdicts.
+	// Empty tenant is rejected — the tenant keys verdicts.
 	var a wire.Appender
 	appendHello(&a, helloPayload{Version: protoVersion, Tenant: "", SizeHint: 0})
 	if _, err := decodeHello(a.Buf); !errors.Is(err, ErrFrame) {

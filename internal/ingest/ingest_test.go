@@ -3,8 +3,10 @@ package ingest
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"testing"
@@ -49,7 +51,6 @@ func startServer(t testing.TB, mut func(*Config)) *Server {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.StoreDir = t.TempDir()
-	cfg.Shards = 2
 	cfg.Verifiers = 1
 	if mut != nil {
 		mut(&cfg)
@@ -135,6 +136,28 @@ func TestUploadStoreVerify(t *testing.T) {
 	ctrs := s.Counters()
 	if ctrs.Accepted != 1 || ctrs.Duplicates != 0 || ctrs.VerdictsBy[StatusAccepted] != 1 {
 		t.Fatalf("counters: %+v", ctrs)
+	}
+}
+
+// TestUploadSessionEndsAtAck pins that the server ends an upload
+// session once it has sent the ACK, so a Client that tries a second
+// upload on the connection fails at once instead of waiting forever for
+// a WELCOME. The read deadline only bounds a server that keeps the
+// connection open.
+func TestUploadSessionEndsAtAck(t *testing.T) {
+	_, stream := recordStream(t, "counter", 2, 8)
+	s := startServer(t, nil)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.Upload("sphere-e", stream); err != nil {
+		t.Fatal(err)
+	}
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if kind, _, err := readFrame(c.br); err != io.EOF {
+		t.Fatalf("read after the ack: %s, %v, want io.EOF", kind, err)
 	}
 }
 
@@ -275,15 +298,36 @@ func TestOversizeUploadRejected(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != CodeTooLarge || se.Retryable {
 		t.Fatalf("oversize upload: %v, want non-retryable too-large", err)
 	}
+
+	// A HELLO that declares no size passes the declared-size check, so
+	// the cap must stop the bytes themselves.
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.hello("sphere-o", 0); err != nil {
+		t.Fatal(err)
+	}
+	err = c.sendData(stream)
+	for err == nil {
+		_, _, err = c.recv() // grants until the rejection
+	}
+	if !errors.As(err, &se) || se.Code != CodeTooLarge || se.Retryable {
+		t.Fatalf("undeclared oversize upload: %v, want non-retryable too-large", err)
+	}
+	if list, _ := s.Store().List(); len(list) != 0 {
+		t.Fatalf("oversize upload stored: %v", list)
+	}
 }
 
 // shedThenAccept is a front end that sheds its first sheds sessions
-// with a retryable overload error (exactly what an overloaded shard
-// sends) and proxies later sessions to the real server — a
+// with a retryable overload error (exactly what a server with no upload
+// slot free sends) and proxies later sessions to the real server — a
 // deterministic way to exercise the client's shed-retry loop. With
-// midUpload it sheds the way a full shard queue does mid-upload: after
-// a WELCOME granting the declared size and one DATA frame, while the
-// client is still sending.
+// midUpload it sheds mid-upload, the way any rejection the server sends
+// while the client is still writing arrives: after a WELCOME granting
+// the declared size and one DATA frame.
 func shedThenAccept(t *testing.T, sheds int, s *Server, midUpload bool) (addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -308,7 +352,7 @@ func shedThenAccept(t *testing.T, sheds int, s *Server, midUpload bool) (addr st
 					fe.recv()
 				}
 				fe.send(FrameError, func(a *wire.Appender) {
-					appendError(a, ServerError{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"})
+					appendError(a, ServerError{Code: CodeOverloaded, Retryable: true, Msg: "no upload slot free"})
 				})
 				conn.Close()
 				continue
@@ -396,39 +440,40 @@ func TestNewServerNeedsWriteTimeout(t *testing.T) {
 	}
 }
 
-func TestShardEnqueueShedsWhenFull(t *testing.T) {
-	// White-box: a shard with no worker, so the queue state is exact.
-	s := &Server{cfg: Config{ShedTimeout: 5 * time.Millisecond}}
-	sh := &shard{ch: make(chan shardMsg, 1)}
-	if !s.enqueue(sh, shardMsg{}) {
-		t.Fatal("enqueue into an empty queue shed")
+func TestUploadAdmissionShedsWhenFull(t *testing.T) {
+	// White-box: a server with one upload slot and no sessions, so the
+	// slot state is exact.
+	slots := make(chan struct{}, 1)
+	s := &Server{cfg: Config{ShedTimeout: 5 * time.Millisecond}, slots: slots}
+	if !s.admit() {
+		t.Fatal("a HELLO was shed with a slot free")
 	}
 	start := time.Now()
-	if s.enqueue(sh, shardMsg{}) {
-		t.Fatal("enqueue into a full queue succeeded")
+	if s.admit() {
+		t.Fatal("a HELLO was admitted with every slot taken")
 	}
 	if waited := time.Since(start); waited < 5*time.Millisecond {
 		t.Fatalf("shed after %v, before the shed timeout elapsed", waited)
 	}
-	// A slot opening during the wait rescues the message instead.
-	slow := &Server{cfg: Config{ShedTimeout: 5 * time.Second}}
+	// A slot freed during the wait admits the HELLO instead.
+	slow := &Server{cfg: Config{ShedTimeout: 5 * time.Second}, slots: slots}
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		<-sh.ch
+		<-slots
 	}()
-	if !slow.enqueue(sh, shardMsg{}) {
-		t.Fatal("enqueue shed although a slot opened within the timeout")
+	if !slow.admit() {
+		t.Fatal("a HELLO was shed although a slot freed within the timeout")
 	}
 }
 
 // TestFaninAllocs pins the allocations and allocated bytes of the
 // service path end to end: 64 uploaders push four seed-variant counter
 // streams (4 threads) through a loopback server, with framing, credit
-// flow, sharding, the store and verification, and the run ends once
+// flow, admission, the store and verification, and the run ends once
 // every verdict is out. Distinct streams keep the store and verifier
 // pool honest, since identical uploads deduplicate. The ceilings are
-// 25% above the largest of five plain runs on go1.24.0; the pushed
-// bytes are exact.
+// 25% above the largest of five plain and three -race runs on go1.24.0,
+// since CI runs the pin both ways; the pushed bytes are exact.
 func TestFaninAllocs(t *testing.T) {
 	const uploaders = 64
 	var streams [][]byte
@@ -442,7 +487,7 @@ func TestFaninAllocs(t *testing.T) {
 		sum := sha256.Sum256(data)
 		distinct[hex.EncodeToString(sum[:])] = true
 	}
-	allocpin.Check(t, 27_423, 364_541_960, func() {
+	allocpin.Check(t, 17_008, 183_866_680, func() {
 		// A fresh store per run: a populated one would measure the
 		// dedupe fast path instead of ingest.
 		cfg := DefaultConfig()
@@ -494,4 +539,22 @@ func TestFaninAllocs(t *testing.T) {
 			t.Error("published no accepted verdicts")
 		}
 	})
+}
+
+// BenchmarkUpload measures the host cost of the upload path: each op
+// is one loopback upload of a recorded ioheavy stream, from dial to
+// ACK. An 8-byte op counter after the stream makes every op's object
+// new, so each op stores, and the fleet tenant skips verification.
+func BenchmarkUpload(b *testing.B) {
+	_, stream := recordStream(b, "ioheavy", 4, 1)
+	s := startServer(b, nil)
+	data := append(stream, make([]byte, 8)...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		binary.LittleEndian.PutUint64(data[len(stream):], uint64(i))
+		if _, dup, _, err := Upload(s.Addr(), FleetTenant, data, 1, 0); err != nil || dup {
+			b.Fatalf("upload %d: dup=%v err=%v", i, dup, err)
+		}
+	}
 }

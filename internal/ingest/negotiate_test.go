@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net"
@@ -129,31 +130,42 @@ func TestClientNegotiatesV3Only(t *testing.T) {
 	}
 }
 
-// TestWriteFrameMarksUploadDead is the regression test for the shard
-// lifecycle bug: a failed write on a server session marks the upload
-// dead, and the shard relies on that to stop assembling (and never ack)
-// a session whose socket is gone.
-func TestWriteFrameMarksUploadDead(t *testing.T) {
+// TestFailedGrantAbortsUpload pins what a failed write does to an
+// upload: the session ends there, counted as aborted, and stores
+// nothing, although its FINISH has already arrived.
+func TestFailedGrantAbortsUpload(t *testing.T) {
 	s := startServer(t, nil)
 	srv, cli := net.Pipe()
-	cli.Close() // the peer vanished: every write must fail
-	up := &upload{session: newSession(srv, s.cfg.WriteTimeout)}
-	if up.send(FrameGrant, func(a *wire.Appender) { a.Byte(1) }) == nil {
-		t.Fatal("send reported success on a closed connection")
+	var hello wire.Appender
+	appendHello(&hello, helloPayload{Version: protoVersion, Tenant: "sphere-g", SizeHint: 4})
+	done := make(chan *ServerError, 1)
+	go func() { done <- s.handleUpload(newSession(srv, s.cfg.WriteTimeout), hello.Buf) }()
+
+	peer := newSession(cli, 0)
+	if kind, _, err := peer.recv(); err != nil || kind != FrameWelcome {
+		t.Fatalf("opening reply: %s, %v", kind, err)
 	}
-	if !up.dead.Load() {
-		t.Fatal("failed send did not mark the upload dead")
+	// The whole upload in one write, which returns once the server has
+	// read it; then the peer vanishes, so the GRANT write fails.
+	data := []byte("qrec")
+	var frames wire.Appender
+	appendFrame(&frames, FrameData, func(a *wire.Appender) { a.Raw(data) })
+	appendFrame(&frames, FrameFinish, func(a *wire.Appender) {
+		appendFinish(a, finishPayload{Digest: sha256.Sum256(data)})
+	})
+	if _, err := cli.Write(frames.Buf); err != nil {
+		t.Fatal(err)
 	}
-	// A dead upload must stay inert through the shard's remaining work:
-	// finishUpload on a dead session neither stores nor acks.
-	before := s.ctrs.accepted.Load()
-	up.buf = wire.GetAppender()
-	defer wire.PutAppender(up.buf)
-	if rej := s.finishUpload(up, [digestSize]byte{}); rej != nil {
-		t.Fatalf("dead upload was rejected: %v", rej)
+	cli.Close()
+	if rej := <-done; rej != nil {
+		t.Fatalf("severed upload ended with a rejection: %v", rej)
 	}
-	if got := s.ctrs.accepted.Load(); got != before {
-		t.Fatalf("dead upload was acked (accepted %d -> %d)", before, got)
+	ctrs := s.Counters()
+	if ctrs.Aborted != 1 || ctrs.Accepted != 0 || ctrs.OpenUploads != 0 {
+		t.Fatalf("counters after a failed grant: %+v, want 1 aborted, none accepted or open", ctrs)
+	}
+	if list, _ := s.Store().List(); len(list) != 0 {
+		t.Fatalf("severed upload stored: %v", list)
 	}
 }
 

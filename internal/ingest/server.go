@@ -5,8 +5,6 @@ import (
 	"crypto/subtle"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -22,19 +20,16 @@ type Config struct {
 	Addr string
 	// StoreDir roots the content-addressed bundle store.
 	StoreDir string
-	// Shards is the number of shard workers; sessions map onto them by
-	// tenant hash, so one tenant's uploads serialize on one appender while
-	// distinct tenants proceed in parallel.
-	Shards int
-	// QueueDepth bounds each shard's message queue. A full queue is the
-	// backpressure signal: session handlers block up to ShedTimeout for a
-	// slot, then shed the session with a retryable error.
-	QueueDepth int
-	// ShedTimeout is how long a handler waits on a full shard queue
-	// before shedding the session.
+	// UploadSlots bounds the uploads open at once. A session holds a
+	// slot from its HELLO until it ends, so the upload bytes the server
+	// holds are at most UploadSlots × MaxUploadBytes. A HELLO that finds
+	// no free slot within ShedTimeout is shed with a retryable error.
+	UploadSlots int
+	// ShedTimeout is how long a HELLO waits for a free upload slot
+	// before its session is shed.
 	ShedTimeout time.Duration
 	// Credit is the per-session in-flight byte allowance granted at
-	// WELCOME; the shard returns credit as it consumes DATA frames.
+	// WELCOME; the session returns credit as it appends each DATA frame.
 	Credit int
 	// MaxUploadBytes caps one upload's assembled size, and one fleet
 	// job result's.
@@ -45,7 +40,7 @@ type Config struct {
 	// replay (0: serial; negative: GOMAXPROCS).
 	ReplayWorkers int
 	// WriteTimeout bounds every server-side frame write, so a reader that
-	// stopped draining its socket cannot wedge a shard worker.
+	// stopped draining its socket cannot wedge the goroutine writing to it.
 	WriteTimeout time.Duration
 	// JobTimeout is how long a dispatched fleet job may stay in flight on
 	// one worker before the broker re-dispatches it to another (straggler
@@ -58,8 +53,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Addr:           "127.0.0.1:0",
-		Shards:         4,
-		QueueDepth:     64,
+		UploadSlots:    256,
 		ShedTimeout:    time.Second,
 		Credit:         256 << 10,
 		MaxUploadBytes: 64 << 20,
@@ -69,42 +63,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// shardMsg is one unit of work on a shard queue.
-type shardMsg struct {
-	up   *upload
-	kind FrameKind // FrameData, FrameFinish; 0 for abort
-	data []byte    // DATA payload
-	dig  [digestSize]byte
-}
-
-// shard is one ingest lane: a bounded queue drained by a single worker
-// goroutine that owns the pooled appenders of every upload hashed onto
-// it.
-type shard struct {
-	ch chan shardMsg
-}
-
-// upload is one in-flight upload's assembly state. The shard worker and
-// the session handler both send frames on its session, and the shard
-// skips an upload whose session is dead (a failed write, or a size
-// overflow). The buf is owned by the shard worker between register and
-// finish/abort.
-type upload struct {
-	*session
-	tenant string
-	buf    *wire.Appender
-	size   int
-	// sh is the upload's shard while it is registered and unfinished, so
-	// the handler aborts it when the session ends. Handler-owned.
-	sh *shard
-}
-
 // Server is the recording-as-a-service ingest endpoint.
 type Server struct {
 	cfg      Config
 	ln       net.Listener
 	store    *Store
-	shards   []*shard
+	slots    chan struct{} // one token per open upload
 	verifier *verifierPool
 	verdicts *verdictBoard
 	broker   *broker
@@ -115,14 +79,13 @@ type Server struct {
 	closed bool
 
 	handlers sync.WaitGroup
-	shardWG  sync.WaitGroup
 }
 
-// NewServer opens the store, starts the shard workers and verifier
-// pool, and begins listening. Serve must be called to accept sessions.
+// NewServer opens the store, starts the verifier pool, and begins
+// listening. Serve must be called to accept sessions.
 func NewServer(cfg Config) (*Server, error) {
-	if cfg.Shards < 1 || cfg.QueueDepth < 1 || cfg.Credit < 1 || cfg.MaxUploadBytes < 1 || cfg.WriteTimeout <= 0 {
-		return nil, fmt.Errorf("ingest: config: shards, queue depth, credit, size cap and write timeout must be positive")
+	if cfg.UploadSlots < 1 || cfg.Credit < 1 || cfg.MaxUploadBytes < 1 || cfg.WriteTimeout <= 0 {
+		return nil, fmt.Errorf("ingest: config: upload slots, credit, size cap and write timeout must be positive")
 	}
 	store, err := OpenStore(cfg.StoreDir)
 	if err != nil {
@@ -137,19 +100,14 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		ln:       ln,
 		store:    store,
+		slots:    make(chan struct{}, cfg.UploadSlots),
 		verdicts: newVerdictBoard(),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	s.verifier = newVerifierPool(cfg.Verifiers, s.verdicts, func(j verifyJob) Verdict {
-		return verifyBundle(j, cfg.ReplayWorkers)
+		return verifyBundle(store, j, cfg.ReplayWorkers)
 	})
 	s.broker = newBroker(s, cfg.JobTimeout)
-	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{ch: make(chan shardMsg, cfg.QueueDepth)}
-		s.shards = append(s.shards, sh)
-		s.shardWG.Add(1)
-		go s.runShard(sh)
-	}
 	return s, nil
 }
 
@@ -185,8 +143,8 @@ func (s *Server) Serve() error {
 // uploads whose verdicts are wanted have been acked.
 func (s *Server) WaitIdle() { s.verifier.waitIdle() }
 
-// Close stops accepting, tears down live sessions, drains the shards
-// and verifier pool, closes the store, and returns. Safe to call once.
+// Close stops accepting, tears down live sessions, drains the verifier
+// pool, closes the store, and returns. Safe to call once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -199,11 +157,7 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	err := s.ln.Close()
-	s.handlers.Wait() // all producers gone; shards can be closed
-	for _, sh := range s.shards {
-		close(sh.ch)
-	}
-	s.shardWG.Wait()
+	s.handlers.Wait()
 	s.broker.close()
 	s.verifier.close()
 	if cerr := s.store.Close(); err == nil {
@@ -212,43 +166,29 @@ func (s *Server) Close() error {
 	return err
 }
 
-// shardFor maps a tenant onto its shard by FNV-1a hash.
-func (s *Server) shardFor(tenant string) *shard {
-	h := fnv.New32a()
-	io.WriteString(h, tenant)
-	return s.shards[int(h.Sum32())%len(s.shards)]
-}
-
-// enqueue offers msg to sh, blocking up to the shed timeout.
-func (s *Server) enqueue(sh *shard, msg shardMsg) bool {
+// admit takes an upload slot, waiting up to the shed timeout for one
+// to free. It reports whether it got one.
+func (s *Server) admit() bool {
 	select {
-	case sh.ch <- msg:
+	case s.slots <- struct{}{}:
 		return true
 	default:
 	}
 	t := time.NewTimer(s.cfg.ShedTimeout)
 	defer t.Stop()
 	select {
-	case sh.ch <- msg:
+	case s.slots <- struct{}{}:
 		return true
 	case <-t.C:
 		return false
 	}
 }
 
-// enqueueMust delivers lifecycle messages (abort) that release shard-
-// owned state; these block without a timeout because dropping them
-// would leak the upload's pooled buffer.
-func (s *Server) enqueueMust(sh *shard, msg shardMsg) {
-	sh.ch <- msg
-}
-
-// handle runs one session. The opening frame selects the session type:
-// HELLO starts an upload (WELCOME, then the DATA/FINISH loop), ATTACH
+// handle runs one session and closes its connection when it ends. The
+// opening frame selects the session type: HELLO starts an upload, ATTACH
 // joins the fleet job plane as a worker or submitter, FETCH streams a
-// stored bundle back. For uploads the handler owns the read side; the
-// shard worker owns the upload buffer and sends GRANT/ACK frames. A
-// session that ends in a rejection sends it as its last frame.
+// stored bundle back. A session that ends in a rejection sends it as its
+// last frame.
 func (s *Server) handle(conn net.Conn) {
 	defer s.handlers.Done()
 	defer func() {
@@ -267,9 +207,7 @@ func (s *Server) handle(conn net.Conn) {
 	var rej *ServerError
 	switch kind {
 	case FrameHello:
-		up := &upload{session: ss}
-		defer s.abort(up) // after the rejection is sent
-		rej = s.handleUpload(up, payload)
+		rej = s.handleUpload(ss, payload)
 	case FrameAttach:
 		rej = s.broker.handleAttach(ss, payload)
 	case FrameFetch:
@@ -283,11 +221,13 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// handleUpload runs an upload session from its HELLO on and returns
-// the rejection that ends it, if any.
-func (s *Server) handleUpload(up *upload, payload []byte) *ServerError {
+// handleUpload runs an upload session from its HELLO to its ACK and
+// returns the rejection that ends it, if any. The session's goroutine
+// owns the upload throughout: it holds an upload slot, assembles the
+// bytes in one pooled buffer, and stores them at FINISH.
+func (s *Server) handleUpload(ss *session, payload []byte) *ServerError {
 	// A future client offering a higher version is answered at v3 (the
-	// WELCOME below), not rejected.
+	// WELCOME), not rejected.
 	hello, err := decodeHello(payload)
 	if err == nil {
 		err = checkVersion(hello.Version)
@@ -302,135 +242,87 @@ func (s *Server) handleUpload(up *upload, payload []byte) *ServerError {
 			Msg: fmt.Sprintf("declared %d bytes, cap %d", hello.SizeHint, s.cfg.MaxUploadBytes)}
 	}
 	s.ctrs.sessions.Add(1)
-	up.tenant = hello.Tenant
-	sh := s.shardFor(hello.Tenant)
-
-	// Register with the shard: the worker attaches the pooled appender.
-	// Registration rides the same bounded queue as data, so an overloaded
-	// shard sheds the session before it ever buffers a byte.
-	if !s.enqueue(sh, shardMsg{up: up, kind: FrameHello}) {
+	// Admission is the one overload valve: a shed session never
+	// buffers a byte.
+	if !s.admit() {
 		s.ctrs.shed.Add(1)
-		return &ServerError{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"}
+		return &ServerError{Code: CodeOverloaded, Retryable: true, Msg: "no upload slot free"}
 	}
-	up.sh = sh
-	if up.send(FrameWelcome, func(a *wire.Appender) {
+	defer func() { <-s.slots }()
+	buf := wire.GetAppender()
+	defer wire.PutAppender(buf)
+	want, ok, rej := s.receiveUpload(ss, buf)
+	if !ok {
+		s.ctrs.aborted.Add(1)
+		return rej
+	}
+	return s.finishUpload(ss, hello.Tenant, buf.Buf, want)
+}
+
+// receiveUpload welcomes an admitted session and appends its DATA and
+// DATAZ frames to buf, granting each frame's bytes back once they are
+// appended, until FINISH. It returns the digest FINISH declares, or
+// !ok when the session ended first: torn, severed by a failed write, or
+// refused with the rejection it returns.
+func (s *Server) receiveUpload(ss *session, buf *wire.Appender) (want [digestSize]byte, ok bool, rej *ServerError) {
+	if ss.send(FrameWelcome, func(a *wire.Appender) {
 		appendWelcome(a, welcomePayload{Version: protoVersion, Credit: uint64(s.cfg.Credit)})
 	}) != nil {
-		return nil
+		return want, false, nil
 	}
-
+	var expanded []byte // DATAZ frames expand here, one after another
 	for {
-		kind, payload, err := up.recv()
+		kind, payload, err := ss.recv()
 		if err != nil {
-			return nil // torn upload: the abort reclaims state
+			return want, false, nil // torn upload
 		}
 		switch kind {
 		case FrameData, FrameDataZ:
 			if kind == FrameDataZ {
-				// Decode before the shard queue so the grant (and every
-				// byte-accounting path) sees decoded sizes. A conforming
-				// client never has more than its credit in flight, so a
-				// block declaring more is refused unexpanded.
-				payload, err = decodeDataZ(payload, s.cfg.Credit)
+				// A conforming client never has more than its credit in
+				// flight, so a block declaring more is refused unexpanded.
+				expanded, err = decodeDataZ(expanded, payload, s.cfg.Credit)
 				if err != nil {
 					s.ctrs.rejected.Add(1)
-					return &ServerError{Code: CodeProtocol, Msg: err.Error()}
+					return want, false, &ServerError{Code: CodeProtocol, Msg: err.Error()}
 				}
+				payload = expanded
 				s.ctrs.framesCompressed.Add(1)
 			}
-			if !s.enqueue(sh, shardMsg{up: up, kind: FrameData, data: payload}) {
-				s.ctrs.shed.Add(1)
-				return &ServerError{Code: CodeOverloaded, Retryable: true, Msg: "shard queue full"}
+			if len(buf.Buf)+len(payload) > s.cfg.MaxUploadBytes {
+				s.ctrs.rejected.Add(1)
+				return want, false, &ServerError{Code: CodeTooLarge, Msg: fmt.Sprintf("upload exceeds %d bytes", s.cfg.MaxUploadBytes)}
 			}
+			buf.Raw(payload)
 			s.ctrs.bytesIngested.Add(uint64(len(payload)))
+			if ss.send(FrameGrant, func(a *wire.Appender) { appendGrant(a, grantPayload{Bytes: uint64(len(payload))}) }) != nil {
+				return want, false, nil
+			}
 		case FrameFinish:
 			fin, err := decodeFinish(payload)
 			if err != nil {
 				s.ctrs.rejected.Add(1)
-				return &ServerError{Code: CodeProtocol, Msg: err.Error()}
+				return want, false, &ServerError{Code: CodeProtocol, Msg: err.Error()}
 			}
-			up.sh = nil // finished: no abort is owed
-			s.enqueueMust(sh, shardMsg{up: up, kind: FrameFinish, dig: fin.Digest})
-			// The shard sends ACK (or ERROR) and releases the buffer; the
-			// session is done once the client closes its side.
-			io.Copy(io.Discard, up.br)
-			return nil
+			return fin.Digest, true, nil
 		default:
 			s.ctrs.rejected.Add(1)
-			return &ServerError{Code: CodeProtocol, Msg: "unexpected " + kind.String() + " frame"}
+			return want, false, &ServerError{Code: CodeProtocol, Msg: "unexpected " + kind.String() + " frame"}
 		}
 	}
 }
 
-// abort releases an upload its session left registered and unfinished:
-// torn, shed or rejected.
-func (s *Server) abort(up *upload) {
-	if up.sh != nil {
-		s.ctrs.aborted.Add(1)
-		s.enqueueMust(up.sh, shardMsg{up: up})
-	}
-}
-
-// runShard drains one shard queue. The worker is the sole owner of
-// every registered upload's assembly buffer, so appends need no locks;
-// it returns credit after consuming each DATA frame, which is what
-// closes the flow-control loop.
-func (s *Server) runShard(sh *shard) {
-	defer s.shardWG.Done()
-	for msg := range sh.ch {
-		up := msg.up
-		var rej *ServerError
-		switch msg.kind {
-		case FrameHello:
-			up.buf = wire.GetAppender()
-		case FrameData:
-			if up.dead.Load() {
-				continue
-			}
-			if up.size+len(msg.data) > s.cfg.MaxUploadBytes {
-				up.dead.Store(true)
-				s.ctrs.rejected.Add(1)
-				rej = &ServerError{Code: CodeTooLarge, Msg: fmt.Sprintf("upload exceeds %d bytes", s.cfg.MaxUploadBytes)}
-				break
-			}
-			up.buf.Raw(msg.data)
-			up.size += len(msg.data)
-			// A failed grant marks the upload dead and severs it; the
-			// handler will see the closed conn and abort.
-			up.send(FrameGrant, func(a *wire.Appender) { appendGrant(a, grantPayload{Bytes: uint64(len(msg.data))}) })
-		case FrameFinish:
-			rej = s.finishUpload(up, msg.dig)
-			s.releaseUpload(up)
-		default: // abort
-			s.releaseUpload(up)
-		}
-		if rej != nil {
-			up.send(FrameError, func(a *wire.Appender) { appendError(a, *rej) })
-		}
-	}
-}
-
-// releaseUpload returns the upload's pooled buffer.
-func (s *Server) releaseUpload(up *upload) {
-	if up.buf != nil {
-		wire.PutAppender(up.buf)
-		up.buf = nil
-	}
-}
-
-// finishUpload verifies the upload digest, stores the bundle, queues
-// verification, and acks, or returns the rejection to send instead.
-func (s *Server) finishUpload(up *upload, want [digestSize]byte) *ServerError {
-	if up.dead.Load() {
-		return nil
-	}
-	got := sha256.Sum256(up.buf.Buf)
+// finishUpload checks the upload's digest against the one FINISH
+// declared, stores the bundle, queues verification, and acks, or
+// returns the rejection to send instead.
+func (s *Server) finishUpload(ss *session, tenant string, data []byte, want [digestSize]byte) *ServerError {
+	got := sha256.Sum256(data)
 	if subtle.ConstantTimeCompare(got[:], want[:]) != 1 {
 		s.ctrs.rejected.Add(1)
 		return &ServerError{Code: CodeDigestMismatch,
 			Msg: fmt.Sprintf("upload hashed to %x, client declared %x", got, want)}
 	}
-	digest, existed, err := s.store.Put(up.buf.Buf, got)
+	digest, existed, err := s.store.Put(data, got)
 	if err != nil {
 		// Store faults (disk full, permissions) are retryable from the
 		// client's point of view: nothing was made addressable.
@@ -442,23 +334,13 @@ func (s *Server) finishUpload(up *upload, want [digestSize]byte) *ServerError {
 	// Fleet bundles are job inputs, not recordings to audit: the fleet
 	// is about to replay them on purpose, so burning a verifier on each
 	// would double every distributed run's work.
-	if up.tenant != FleetTenant && s.verdicts.claim(up.tenant, digest) {
-		// Verification reads the bundle back from the store (not the pooled
-		// buffer, which is about to be recycled): the verdict describes the
-		// durable object.
-		if data, err := s.store.Get(digest); err == nil {
-			s.verifier.enqueue(verifyJob{tenant: up.tenant, digest: digest, data: data})
-		} else {
-			s.verdicts.publish(Verdict{
-				Tenant: up.tenant, Digest: digest,
-				Status: StatusUnverifiable, Detail: err.Error(),
-			})
-		}
+	if tenant != FleetTenant && s.verdicts.claim(tenant, digest) {
+		s.verifier.enqueue(verifyJob{tenant: tenant, digest: digest})
 	}
 	// Count before writing: a client that has read its ACK must find the
 	// upload in Counters. A write that fails takes the count back.
 	s.ctrs.accepted.Add(1)
-	if up.send(FrameAck, func(a *wire.Appender) { appendAck(a, ackPayload{Digest: digest, Duplicate: existed}) }) != nil {
+	if ss.send(FrameAck, func(a *wire.Appender) { appendAck(a, ackPayload{Digest: digest, Duplicate: existed}) }) != nil {
 		s.ctrs.accepted.Add(^uint64(0))
 	}
 	return nil

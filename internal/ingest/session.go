@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -15,21 +14,21 @@ import (
 // one, on both ends: the server's upload, fetch, worker and submitter
 // sessions, and Client, Submitter, WorkerConn and FetchBundle. It owns
 // the conn, its read buffer and its write lock, so frames from several
-// goroutines (a shard worker and a session handler, a broker feeder and
-// a session reader, a worker's job goroutines) never interleave.
+// goroutines (a broker feeder and a session reader, a worker's job
+// goroutines) never interleave. An upload session has one goroutine,
+// which reads and writes it from HELLO to ACK.
 //
 // A server end bounds every write by the server's write timeout, and a
-// failed write marks it dead and severs it: a peer that stopped
-// draining its socket cannot wedge a shard worker or a broker feeder,
-// and the shard stops assembling a dead upload. A client end sets no
-// deadline and hands a failed write back to its caller, which can still
-// read the ERROR the server sent before it closed.
+// failed write severs it: a peer that stopped draining its socket
+// cannot wedge a broker feeder, and the session's reader sees the
+// closed connection and ends. A client end sets no deadline and hands a
+// failed write back to its caller, which can still read the ERROR the
+// server sent before it closed.
 type session struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	wmu     sync.Mutex
 	timeout time.Duration // a server end's write deadline, never 0 (NewServer); 0 on a client end
-	dead    atomic.Bool   // a server-end write failed; no more frames are owed
 	// partial holds the RESULT chunks of jobs whose last chunk has not
 	// arrived, by job ID. Only the reading goroutine touches it.
 	partial map[uint64][]byte
@@ -80,7 +79,6 @@ func (s *session) send(kind FrameKind, build func(*wire.Appender)) error {
 	}
 	if _, err := s.conn.Write(a.Buf); err != nil {
 		if s.timeout > 0 {
-			s.dead.Store(true)
 			s.conn.Close()
 		}
 		return fmt.Errorf("ingest: send %s: %w", kind, err)

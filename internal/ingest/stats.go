@@ -69,13 +69,13 @@ type Counters struct {
 	Shed          uint64 // sessions shed with CodeOverloaded
 	Aborted       uint64 // sessions dropped before FINISH (torn uploads)
 	Rejected      uint64 // sessions rejected for protocol/size/digest faults
-	BytesIngested uint64 // payload bytes accepted into shard queues (decoded)
+	BytesIngested uint64 // upload payload bytes appended (decoded)
 	// FramesCompressed counts DATAZ frames accepted: the chunks clients
 	// found worth compressing.
 	FramesCompressed uint64
 	VerdictsBy       map[VerdictStatus]uint64
 	VerifyQueue      int // bundles waiting for a verifier
-	ShardQueue       int // data messages waiting across all shards
+	OpenUploads      int // upload sessions holding a slot
 }
 
 // counters is the live atomic form behind Counters.
@@ -171,9 +171,7 @@ func (s *Server) Counters() Counters {
 		FramesCompressed: s.ctrs.framesCompressed.Load(),
 		VerdictsBy:       make(map[VerdictStatus]uint64),
 		VerifyQueue:      s.verifier.depth(),
-	}
-	for _, sh := range s.shards {
-		c.ShardQueue += len(sh.ch)
+		OpenUploads:      len(s.slots),
 	}
 	s.verdicts.mu.Lock()
 	for st, n := range s.verdicts.byStatus {
@@ -196,7 +194,7 @@ func (s *Server) Statsz() string {
 	kv.AddUint("uploads aborted (torn)", c.Aborted)
 	kv.AddUint("sessions rejected", c.Rejected)
 	kv.AddUint("bytes ingested", c.BytesIngested)
-	kv.Add("shard queue depth", fmt.Sprintf("%d", c.ShardQueue))
+	kv.Add("open uploads", fmt.Sprintf("%d", c.OpenUploads))
 	kv.Add("verify queue depth", fmt.Sprintf("%d", c.VerifyQueue))
 	for _, st := range []VerdictStatus{StatusAccepted, StatusTorn, StatusDiverged, StatusUnverifiable} {
 		kv.AddUint("verdict "+st.String(), c.VerdictsBy[st])

@@ -8,19 +8,21 @@ import (
 	"repro/internal/workload"
 )
 
-// verifyJob is one stored bundle awaiting verification.
+// verifyJob names one stored bundle awaiting verification. It carries
+// no bytes: the verifier reads the object from the store when it takes
+// the job, so a backlog holds names, not uploads.
 type verifyJob struct {
 	tenant string
 	digest string
-	data   []byte
 }
 
 // verifierPool verifies stored uploads in the background: each of its
 // goroutines takes one queued job at a time, runs verify on it (the
 // server passes verifyBundle) and publishes the verdict, so a queued
 // upload waits only for a free verifier. The queue is an in-memory list
-// fed by shard workers — enqueue never blocks the ingest data path; the
-// measured queue depth is the backlog signal.
+// fed by upload sessions as they store each upload — enqueue never
+// blocks the ingest data path; the measured queue depth is the backlog
+// signal.
 type verifierPool struct {
 	verify   func(verifyJob) Verdict
 	verdicts *verdictBoard
@@ -92,7 +94,6 @@ func (p *verifierPool) run() {
 			return
 		}
 		j := p.queue[0]
-		p.queue[0] = verifyJob{} // the consumed slot must not pin the bundle's bytes
 		p.queue = p.queue[1:]
 		p.busy++
 		p.mu.Unlock()
@@ -103,12 +104,19 @@ func (p *verifierPool) run() {
 	}
 }
 
-// verifyBundle is the whole per-bundle pipeline: salvage, rebuild,
-// replay, compare. It never fails the ingest path — every outcome is a
-// verdict.
-func verifyBundle(j verifyJob, replayWorkers int) Verdict {
+// verifyBundle is the whole per-bundle pipeline: read the stored
+// object back, salvage, rebuild, replay, compare. The verdict describes
+// the durable object, not the bytes the upload arrived in. It never
+// fails the ingest path — every outcome is a verdict.
+func verifyBundle(st *Store, j verifyJob, replayWorkers int) Verdict {
 	v := Verdict{Tenant: j.tenant, Digest: j.digest}
-	sv, err := core.SalvageStream(j.data)
+	data, err := st.Get(j.digest)
+	if err != nil {
+		v.Status = StatusUnverifiable
+		v.Detail = err.Error()
+		return v
+	}
+	sv, err := core.SalvageStream(data)
 	if err != nil {
 		v.Status = StatusDiverged
 		v.Detail = fmt.Sprintf("salvage: %v", err)

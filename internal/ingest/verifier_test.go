@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"crypto/sha256"
 	"testing"
 	"time"
 )
@@ -46,5 +47,21 @@ func TestVerifierTakesJobsOneAtATime(t *testing.T) {
 	}
 	if _, ok := board.lookup("t", "a"); ok {
 		t.Fatal("a's verdict published while a was blocked")
+	}
+}
+
+// TestVerifierReadsStoredObject pins that a verify job carries only a
+// name: the verifier reads the object from the store when it takes the
+// job, and an object it cannot read gets an unverifiable verdict.
+func TestVerifierReadsStoredObject(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	missing := hexDigest(sha256.Sum256([]byte("never stored")))
+	v := verifyBundle(st, verifyJob{tenant: "t", digest: missing}, 0)
+	if v.Status != StatusUnverifiable || v.Tenant != "t" || v.Digest != missing || v.Detail == "" {
+		t.Fatalf("verdict for an unreadable object: %+v, want unverifiable with a cause", v)
 	}
 }

@@ -112,11 +112,13 @@ type Config struct {
 	// RetainCheckpoints, when > 0 and streaming, turns StreamTo into a
 	// flight-recorder ring: only the last RetainCheckpoints checkpoint
 	// intervals of the stream are retained, with whole epochs older
-	// than the oldest retained checkpoint garbage-collected, so an
-	// always-on recording runs forever at fixed disk cost. The window
-	// reaches StreamTo only when the run ends, with or without an error,
-	// and replays from its base checkpoint exactly like the tail of the
-	// unbounded stream. Requires StreamTo; pointless without
+	// than the oldest retained checkpoint garbage-collected, so the
+	// bytes that reach StreamTo stay bounded however long the run. The
+	// window reaches StreamTo only when the run ends, with or without an
+	// error, and replays from its base checkpoint exactly like the tail
+	// of the unbounded stream. The machine's memory is not bounded: it
+	// still keeps every checkpoint for Result.Checkpoints, and the
+	// session every log entry. Requires StreamTo; pointless without
 	// CheckpointEveryInstrs, since the window only rolls at checkpoint
 	// boundaries.
 	RetainCheckpoints uint64

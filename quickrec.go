@@ -137,11 +137,14 @@ type Options struct {
 	FlushEveryChunks uint64
 	// RetainCheckpoints, when > 0, turns StreamRecord into a flight
 	// recorder: only the last RetainCheckpoints checkpoint intervals are
-	// retained (older epochs are garbage-collected), so an always-on
-	// recording runs at fixed disk cost. The stream then replays from
-	// its oldest surviving checkpoint rather than program start. Only
-	// meaningful with CheckpointEveryInstrs, since the window rolls at
-	// checkpoint boundaries; ignored by Record, which keeps no stream.
+	// retained (older epochs are garbage-collected), so the bytes written
+	// to the stream stay bounded however long the run; they are written
+	// only when the run ends. The recorder still keeps every checkpoint
+	// and log entry in memory for the Recording it returns. The stream
+	// then replays from its oldest surviving checkpoint rather than
+	// program start. Only meaningful with CheckpointEveryInstrs, since
+	// the window rolls at checkpoint boundaries; ignored by Record,
+	// which keeps no stream.
 	RetainCheckpoints uint64
 	// CaptureSignatures keeps each chunk's serialized read/write Bloom
 	// signatures in the recording, enabling the offline race detector
