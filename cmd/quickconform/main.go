@@ -1,17 +1,16 @@
 // Command quickconform runs the record/replay conformance matrix:
 // metamorphic properties over the workload catalogue plus systematic
-// single-fault corruption in twelve fault classes — eight corrupt the
-// serialized chunk and input logs, four tear or bit-flip the segmented
-// stream and the flight-recorder window a crashed recorder leaves
-// behind — asserting that every material fault is detected explicitly
-// and never accepted silently.
+// single-fault corruption in ten fault classes — eight corrupt the
+// serialized chunk and input logs, two tear or bit-flip the segmented
+// stream a crashed recorder leaves behind — asserting that every
+// material fault is detected explicitly and never accepted silently.
 //
 // Usage:
 //
 //	quickconform                          # the full acceptance matrix
 //	quickconform -workloads counter,fuzz-7 -cores 1,2 -mutations 6
 //	quickconform -faults bit-flip,drop -seed 3
-//	quickconform -faults torn-write,window-corrupt
+//	quickconform -faults torn-write,stream-corrupt
 //	quickconform -list                    # show fault classes and exit
 //
 // The process exits 0 when the matrix passes (no silent divergence, no

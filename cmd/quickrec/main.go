@@ -69,7 +69,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: quickrec <list|record|replay|verify|salvage|inspect|debug|analyze|race> [flags]
   list                             show the workload catalogue
-  record  -w NAME | -prog FILE.qasm [-threads N] [-seed S] [-hw] [-sigs] [-ckpt N] [-stream FILE [-flush N] [-window K]] -o FILE
+  record  -w NAME | -prog FILE.qasm [-threads N] [-seed S] [-hw] [-sigs] [-ckpt N] [-stream FILE [-flush N]] -o FILE
   replay  -w NAME -i FILE [-workers N] [-remote HOST:PORT]
                                    replay a recording; -workers > 1 replays checkpoint
                                    intervals in parallel (-1 = all CPUs); -remote
@@ -106,18 +106,9 @@ func cmdRecord(args []string) error {
 	out := fs.String("o", "", "output recording file")
 	stream := fs.String("stream", "", "also write the crash-consistent segmented stream to this file")
 	flush := fs.Uint64("flush", 0, "stream flush cadence in chunks (0 = default)")
-	window := fs.Uint64("window", 0, "flight-recorder retention: keep only the last K checkpoint intervals of the stream (0 = keep everything; needs -stream and -ckpt)")
 	fs.Parse(args)
 	if (*name == "" && *progPath == "") || *out == "" {
 		return fmt.Errorf("record needs -w or -prog, and -o")
-	}
-	if *window > 0 {
-		if *stream == "" {
-			return fmt.Errorf("-window bounds the segmented stream; it needs -stream FILE")
-		}
-		if *ckpt == 0 {
-			return fmt.Errorf("-window rolls at checkpoint boundaries; it needs -ckpt N")
-		}
 	}
 	prog, err := loadProgram(*name, *progPath, *threads)
 	if err != nil {
@@ -127,8 +118,7 @@ func cmdRecord(args []string) error {
 		*name = prog.Name
 	}
 	opts := quickrec.Options{Threads: *threads, Seed: *seed, HardwareOnly: *hw,
-		CaptureSignatures: *sigs, CheckpointEveryInstrs: *ckpt, FlushEveryChunks: *flush,
-		RetainCheckpoints: *window}
+		CaptureSignatures: *sigs, CheckpointEveryInstrs: *ckpt, FlushEveryChunks: *flush}
 	var rec *quickrec.Recording
 	if *stream != "" {
 		f, err := os.Create(*stream)

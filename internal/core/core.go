@@ -117,9 +117,7 @@ func Replay(prog *isa.Program, b *Bundle) (*replay.Result, error) {
 
 // ReplayBounded replays the bundle serially under a step budget — the
 // harness's guard when triaging salvaged (possibly damaged) recordings
-// that could otherwise run away. Unlike the raw replay.Input path it
-// wires a bundle's checkpoint start state, so it works on windowed
-// (flight-recorder ring) salvages too.
+// that could otherwise run away.
 func ReplayBounded(prog *isa.Program, b *Bundle, maxSteps uint64) (*replay.Result, error) {
 	in, err := ReplayInput(prog, b)
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/isa"
@@ -40,11 +39,6 @@ func SalvageStream(data []byte) (*Salvaged, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Manifest.BaseCheckpoint && st.Base == nil {
-		// A windowed stream whose history was evicted is only replayable
-		// from its base checkpoint; losing the base loses the recording.
-		return nil, fmt.Errorf("core: windowed stream lost its base checkpoint: %w", segment.ErrTruncated)
-	}
 	b := &Bundle{
 		ProgramName:         st.Manifest.ProgramName,
 		Threads:             st.Manifest.Threads,
@@ -64,33 +58,12 @@ func SalvageStream(data []byte) (*Salvaged, error) {
 	// an interval partition point; truncation (if any) lands in the final
 	// interval because unusable checkpoints were already dropped.
 	b.IntervalCheckpoints = st.Checkpoints
-	if st.Base != nil {
-		// Replay-from-window-base: the retained logs start at the base
-		// checkpoint, so the bundle carries its snapshot as the initial
-		// state (exactly like a flight-recorder tail bundle). The base
-		// also sits at IntervalCheckpoints[0]; partitioning skips it as a
-		// non-advancing cut and the remaining checkpoints still split the
-		// window for parallel replay.
-		b.Checkpoint = &st.Base.Snapshot
-	}
 	return &Salvaged{Bundle: b, Report: rep}, nil
 }
 
 // HasCheckpoint reports whether a flight-recorder checkpoint survived
 // inside the salvaged prefix.
 func (s *Salvaged) HasCheckpoint() bool { return len(s.Bundle.IntervalCheckpoints) > 0 }
-
-// Window returns the stream's retention window in checkpoint intervals
-// (0: unbounded stream).
-func (s *Salvaged) Window() uint64 { return s.Report.Window }
-
-// WindowBase reports the retention window's base checkpoint: the
-// retired-instruction count replay resumes from, and whether the stream
-// had evicted history at all (false for unbounded streams and windowed
-// streams young enough to still reach back to program start).
-func (s *Salvaged) WindowBase() (retiredAt uint64, ok bool) {
-	return s.Report.BaseRetired, s.Report.HasBase
-}
 
 // Tail returns the flight-recorder tail bundle: the last surviving
 // checkpoint plus only the salvaged log entries after it. Like the full

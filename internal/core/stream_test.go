@@ -198,11 +198,9 @@ loop:   addi r5, r5, 1
 `
 
 // TestFailedRunLeavesSalvageableStream pins that a recording ending in a
-// machine error still closes its stream. The unbounded form has written
-// its flushed epochs as it went; a flight-recorder window reaches its
-// writer only at Close, so a failed run that skipped Close left nothing.
-// Each failed stream must salvage as a torn recording that replays from
-// its start (the window base, for K=2) until the logs run out.
+// machine error leaves the epochs it flushed on its stream. Each failed
+// stream must salvage as a torn recording that replays from program
+// start until the logs run out.
 func TestFailedRunLeavesSalvageableStream(t *testing.T) {
 	prog, err := qasm.Parse(faultAfterLoop)
 	if err != nil {
@@ -210,20 +208,17 @@ func TestFailedRunLeavesSalvageableStream(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
-		window   uint64
 		maxSteps uint64
 		want     error
 	}{
-		{"fault/unbounded", 0, 0, machine.ErrFault},
-		{"fault/K=2", 2, 0, machine.ErrFault},
-		{"step-limit/K=2", 2, 30_000, machine.ErrStepLimit},
+		{"fault/unbounded", 0, machine.ErrFault},
+		{"step-limit/unbounded", 30_000, machine.ErrStepLimit},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := recordCfg(1, func(c *machine.Config) {
 				c.CheckpointEveryInstrs = 5000
 				c.FlushEveryChunks = 8
-				c.RetainCheckpoints = tc.window
 				if tc.maxSteps != 0 {
 					c.MaxSteps = tc.maxSteps
 				}
@@ -239,12 +234,6 @@ func TestFailedRunLeavesSalvageableStream(t *testing.T) {
 			t.Logf("%d-byte stream: %s", buf.Len(), sv.Report)
 			if !sv.Bundle.Partial {
 				t.Fatalf("failed run's stream salvaged as complete: %s", sv.Report)
-			}
-			if sv.Window() != tc.window {
-				t.Fatalf("salvaged window K=%d, want %d", sv.Window(), tc.window)
-			}
-			if _, evicted := sv.WindowBase(); evicted != (tc.window > 0) {
-				t.Fatalf("evicted window base %v, want %v: %s", evicted, tc.window > 0, sv.Report)
 			}
 			rr, err := Replay(prog, sv.Bundle)
 			if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/races"
 	"repro/internal/replay"
 	"repro/internal/report"
-	"repro/internal/segment"
 	"repro/internal/signature"
 	"repro/internal/stats"
 	"repro/internal/swrecord"
@@ -368,89 +366,5 @@ func A8(cfg Config, w io.Writer) error {
 		return err
 	}
 	_, err := fmt.Fprintln(w, "checkpoints partition the logs exactly; intervals replay concurrently and validate against the next checkpoint")
-	return err
-}
-
-// A9 evaluates the flight-recorder retention window (the always-on
-// deployment regime): a long-running request server is recorded through
-// rings of increasing size K, then the recorder is "crashed" inside the
-// open interval and the dump salvaged. Reported per K: the window's
-// on-disk footprint against the unbounded stream, recording cycles (the
-// ring's buffering cost), and salvage quality — how many checkpoint
-// intervals the torn dump retains and what fraction of the run a replay
-// from the window base recovers.
-func A9(cfg Config, w io.Writer) error {
-	threads := cfg.maxThreads()
-	prog := workload.ReqServer(96, 4, 16, threads)
-	record := func(k uint64) (*core.Bundle, []byte, error) {
-		mcfg := machine.DefaultConfig()
-		mcfg.Mode = machine.ModeFull
-		mcfg.Threads = threads
-		mcfg.Seed = cfg.Seed
-		mcfg.KernelSeed = cfg.Seed + 1
-		mcfg.CheckpointEveryInstrs = 2000
-		mcfg.FlushEveryChunks = 8
-		mcfg.RetainCheckpoints = k
-		var buf bytes.Buffer
-		b, err := core.StreamRecord(prog, mcfg, &buf)
-		return b, buf.Bytes(), err
-	}
-	full, udata, err := record(0)
-	if err != nil {
-		return err
-	}
-	var retired uint64
-	for _, r := range full.RetiredPerThread {
-		retired += r
-	}
-	maxSteps := retired*4 + 100_000
-	t := report.Table{
-		Title: fmt.Sprintf("Flight-recorder retention window (reqserver, %d threads, ckpt every 2000 instrs, %d total ckpts)",
-			threads, len(full.IntervalCheckpoints)),
-		Columns: []string{"K", "bytes", "vs unbounded", "cycles", "ckpts kept", "covered instrs", "of run"},
-	}
-	for _, k := range []uint64{1, 2, 4, 8, 0} {
-		b, data, err := record(k)
-		if err != nil {
-			return err
-		}
-		label := report.U(k)
-		if k == 0 {
-			label = "∞"
-		}
-		// Crash inside the open interval: torn through the last segment.
-		offs := segment.Offsets(data)
-		cut := len(data)
-		if len(offs) >= 2 {
-			cut = (offs[len(offs)-2] + offs[len(offs)-1]) / 2
-		}
-		sv, err := core.SalvageStream(data[:cut])
-		if err != nil {
-			return err
-		}
-		rr, err := core.ReplayBounded(prog, sv.Bundle, maxSteps)
-		if err != nil {
-			return err
-		}
-		var replayed uint64
-		for _, r := range rr.RetiredPerThread {
-			replayed += r
-		}
-		// A windowed replay starts at the base checkpoint (its state is
-		// materialised, not re-executed), so the span the dump actually
-		// covers is what lies beyond the base.
-		base, _ := sv.WindowBase()
-		span := replayed - base
-		t.AddRow(label, report.U(uint64(len(data))),
-			report.F(float64(len(data))/float64(len(udata)), 2),
-			report.U(b.RecordStats.Cycles),
-			report.U(uint64(len(sv.Bundle.IntervalCheckpoints))),
-			report.U(span),
-			report.F(float64(span)/float64(retired), 2))
-	}
-	if _, err := fmt.Fprint(w, t.String()); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, "the ring bounds disk cost at ~K intervals; a crash still yields the last K checkpoints' worth of replayable execution")
 	return err
 }

@@ -120,7 +120,6 @@ func All() []Experiment {
 		{"A6", "Stream framing overhead (crash-consistent streaming extension)", A6},
 		{"A7", "Offline data-race detection over recorded logs", A7},
 		{"A8", "Checkpoint-partitioned parallel replay speedup", A8},
-		{"A9", "Flight-recorder retention window: salvage quality and cost vs K", A9},
 		{"A10", "Serialization shootout: bundle wire formats vs stdlib strawmen", A10},
 		{"A11", "Fleet replay/race-detection cost vs worker count", A11},
 	}

@@ -25,7 +25,7 @@ func runExp(t *testing.T, id string) string {
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
-	want := []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10", "A11"}
+	want := []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A10", "A11"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("%d experiments registered, want %d", len(all), len(want))

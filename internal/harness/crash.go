@@ -16,22 +16,11 @@ import (
 
 // The stream recordings the stream fault classes damage: a flush every
 // 8 chunks and a flight-recorder checkpoint every 3,000 instructions,
-// so even short workloads span many segments and checkpoints, and a
-// window of 2 checkpoint intervals for the windowed classes.
+// so even short workloads span many segments and checkpoints.
 const (
 	streamFlushEveryChunks      = 8
 	streamCheckpointEveryInstrs = 3000
-	streamWindow                = 2
 )
-
-// streamFaults maps each stream fault class onto the stream it damages
-// and how: torn classes cut the stream, the others flip one bit.
-var streamFaults = map[FaultClass]struct{ windowed, torn bool }{
-	FaultTornWrite:     {false, true},
-	FaultStreamCorrupt: {false, false},
-	FaultWindowTorn:    {true, true},
-	FaultWindowCorrupt: {true, false},
-}
 
 // stream is a pristine segmented recording and the reference its
 // damaged copies are judged against: its own salvage, and that
@@ -43,26 +32,14 @@ type stream struct {
 	inputs   map[int][]capo.Record // ref's input records, per thread
 	res      *replay.Result
 	maxSteps uint64
-	// fatalSeg is the last segment whose damage may lose the whole
-	// recording: the manifest, or the base checkpoint a window resumes
-	// from.
-	fatalSeg int
-	// suffix is the outcome of a torn stream that salvages cleanly: a
-	// verified prefix, or a window suffix anchored at the base
-	// checkpoint.
-	suffix Outcome
 }
 
-// recordStream records prog under cfg as a segmented stream, through a
-// retention window when windowed, and derives its reference.
-func recordStream(prog *isa.Program, cfg machine.Config, windowed bool) (*stream, error) {
+// recordStream records prog under cfg as a segmented stream and
+// derives its reference.
+func recordStream(prog *isa.Program, cfg machine.Config) (*stream, error) {
 	cfg.FlushEveryChunks = streamFlushEveryChunks
 	cfg.CheckpointEveryInstrs = streamCheckpointEveryInstrs
-	s := &stream{suffix: OutcomePrefix}
-	if windowed {
-		cfg.RetainCheckpoints = streamWindow
-		s.suffix = OutcomeWindow
-	}
+	s := &stream{}
 	var buf bytes.Buffer
 	if _, err := core.StreamRecord(prog, cfg, &buf); err != nil {
 		return nil, fmt.Errorf("stream recording failed: %w", err)
@@ -82,9 +59,6 @@ func recordStream(prog *isa.Program, cfg machine.Config, windowed bool) (*stream
 	}
 	if s.res, s.maxSteps, err = replayPristine(prog, s.ref.Bundle); err != nil {
 		return nil, err
-	}
-	if _, evicted := s.ref.WindowBase(); evicted {
-		s.fatalSeg = 1
 	}
 	return s, nil
 }
@@ -106,16 +80,16 @@ func (s *stream) flip(prog *isa.Program, pos, bit int) (Outcome, string) {
 
 // check classifies one damaged copy of the stream whose first damaged
 // segment is seg (len(s.offs) when it is whole). Salvage must fail
-// with a typed error, which only damage at or before fatalSeg may
-// cause, or keep no damaged segment and pass checkSalvage. A salvage
-// of the whole stream verifies (OutcomeVerify), one of a torn stream
-// is a prefix or window suffix, and one of a corrupted stream counts
-// as detected at decode, since the CRC discarded the damaged segment.
-// Anything else is OutcomeSilent.
+// with a typed error, which only damage to the manifest may cause, or
+// keep no damaged segment and pass checkSalvage. A salvage of the
+// whole stream verifies (OutcomeVerify), one of a torn stream is a
+// prefix, and one of a corrupted stream counts as detected at decode,
+// since the CRC discarded the damaged segment. Anything else is
+// OutcomeSilent.
 func (s *stream) check(prog *isa.Program, damaged []byte, seg int) (Outcome, string) {
 	sv, err := core.SalvageStream(damaged)
 	switch {
-	case err != nil && seg > s.fatalSeg:
+	case err != nil && seg > 0:
 		return OutcomeSilent, fmt.Sprintf("damage in segment %d lost the whole recording: %v", seg, err)
 	case err != nil && (errors.Is(err, chunk.ErrTruncated) || errors.Is(err, chunk.ErrCorrupt)):
 		return OutcomeDecode, err.Error()
@@ -135,23 +109,16 @@ func (s *stream) check(prog *isa.Program, damaged []byte, seg int) (Outcome, str
 	case len(damaged) == len(s.data):
 		return OutcomeDecode, fmt.Sprintf("corrupt segment %d discarded (%s)", seg, sv.Report)
 	}
-	return s.suffix, fmt.Sprintf("salvaged %s (%s)", s.suffix, sv.Report)
+	return OutcomePrefix, fmt.Sprintf("salvaged prefix (%s)", sv.Report)
 }
 
 // checkSalvage holds one salvage of a damaged copy to the crash
-// contract against the pristine salvage: it resumes from the same base
-// checkpoint (an unbounded stream has none), every log is an
-// entry-wise prefix of the pristine one, it replays within the step
-// budget, and the replay is a prefix of the pristine replay (output
-// bytes, retired counts). A whole salvage must verify exactly.
+// contract against the pristine salvage: every log is an entry-wise
+// prefix of the pristine one, it replays within the step budget, and
+// the replay is a prefix of the pristine replay (output bytes, retired
+// counts). A whole salvage must verify exactly.
 func (s *stream) checkSalvage(prog *isa.Program, sv *core.Salvaged) error {
 	b, rb := sv.Bundle, s.ref.Bundle
-	base, evicted := sv.WindowBase()
-	refBase, refEvicted := s.ref.WindowBase()
-	if evicted != refEvicted || base != refBase {
-		return fmt.Errorf("salvage resumes from base (%d, %v), pristine stream from (%d, %v)",
-			base, evicted, refBase, refEvicted)
-	}
 	if len(b.ChunkLogs) != len(rb.ChunkLogs) {
 		return fmt.Errorf("salvaged %d chunk logs, pristine stream has %d", len(b.ChunkLogs), len(rb.ChunkLogs))
 	}

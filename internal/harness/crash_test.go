@@ -12,7 +12,7 @@ import (
 )
 
 // streamClasses are the fault classes that damage a segmented stream.
-var streamClasses = []FaultClass{FaultTornWrite, FaultStreamCorrupt, FaultWindowTorn, FaultWindowCorrupt}
+var streamClasses = []FaultClass{FaultTornWrite, FaultStreamCorrupt}
 
 func TestCrashSweepSmall(t *testing.T) {
 	cfg := Config{
@@ -30,8 +30,8 @@ func TestCrashSweepSmall(t *testing.T) {
 	if rep.Silent() != 0 {
 		t.Fatalf("silent crash outcomes:\n%s", rep)
 	}
-	if len(rep.Cells) != 4 {
-		t.Fatalf("got %d cells, want 4", len(rep.Cells))
+	if len(rep.Cells) != 2 {
+		t.Fatalf("got %d cells, want 2", len(rep.Cells))
 	}
 	torn := rep.Cells[0]
 	if torn.Class != FaultTornWrite {
@@ -58,43 +58,24 @@ func TestCrashSweepSmall(t *testing.T) {
 	if flips.Injected != 6 || flips.Detected() != 6 {
 		t.Fatalf("bit flips: %d of %d detected", flips.Detected(), flips.Injected)
 	}
-	wtorn := rep.Cells[2]
-	if wtorn.Class != FaultWindowTorn {
-		t.Fatalf("third cell class %q", wtorn.Class)
-	}
-	if wtorn.Detected() != wtorn.Injected {
-		t.Fatalf("window-torn: %d of %d detected:\n%s", wtorn.Detected(), wtorn.Injected, rep)
-	}
-	if wtorn.Window == 0 {
-		t.Fatal("no torn window cut yielded a replayable suffix")
-	}
-	if wtorn.Verify != 1 {
-		t.Fatalf("whole-window cut verified %d times, want 1", wtorn.Verify)
-	}
-	wflips := rep.Cells[3]
-	if wflips.Class != FaultWindowCorrupt {
-		t.Fatalf("fourth cell class %q", wflips.Class)
-	}
-	if wflips.Injected != 6 || wflips.Detected() != 6 {
-		t.Fatalf("window bit flips: %d of %d detected:\n%s", wflips.Detected(), wflips.Injected, rep)
-	}
-	for _, want := range []string{"torn-write", "window-torn", "window-corrupt"} {
+	for _, want := range []string{"torn-write", "stream-corrupt"} {
 		if !strings.Contains(rep.String(), want) {
 			t.Fatalf("report table misses the %s class", want)
 		}
 	}
 }
 
-// TestWindowedCrashServerWorkloads pins the flight-recorder acceptance
-// scenario end to end: a long-running server workload records through a
-// K-interval retention window at a fixed disk cost below the unbounded
-// stream, the recorder crashes mid-stream (inside the open interval),
-// and the dump salvages to a replayable suffix of at least K−1 full
-// checkpoint intervals anchored at the surviving base checkpoint.
+// TestWindowedCrashServerWorkloads pins the flight-recorder scenario
+// end to end: a long-running server workload streams its recording
+// unbounded, the recorder crashes inside the last checkpoint interval,
+// and the salvaged stream's tail (its last surviving checkpoint and the
+// logs after it) replays until the torn logs run out. The consistency
+// cut can drop the checkpoints nearest the crash, so the tail may
+// start before the crashed interval.
 func TestWindowedCrashServerWorkloads(t *testing.T) {
-	const k, threads = 3, 4
+	const threads = 4
 	// Longer instances than the suite's defaults, so the run crosses
-	// well over K checkpoint boundaries and the window genuinely evicts.
+	// many checkpoint boundaries.
 	progs := map[string]*isa.Program{
 		"reqserver": workload.ReqServer(96, 4, 16, threads),
 		"sigserver": workload.SigServer(400, threads),
@@ -108,48 +89,53 @@ func TestWindowedCrashServerWorkloads(t *testing.T) {
 			if name == "sigserver" {
 				mcfg.SignalPeriodInstrs = 700
 			}
-			var ub, wb bytes.Buffer
-			full, err := core.StreamRecord(prog, mcfg, &ub)
+			var buf bytes.Buffer
+			full, err := core.StreamRecord(prog, mcfg, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wcfg := mcfg
-			wcfg.RetainCheckpoints = k
-			if _, err := core.StreamRecord(prog, wcfg, &wb); err != nil {
-				t.Fatal(err)
-			}
-			if n := len(full.IntervalCheckpoints); n < k+2 {
-				t.Fatalf("only %d checkpoints; the workload is too short to evict", n)
-			}
-			if wb.Len() >= ub.Len() {
-				t.Errorf("window did not bound disk cost: %d windowed vs %d unbounded bytes", wb.Len(), ub.Len())
-			}
-			offs := segment.Offsets(wb.Bytes())
-			if len(offs) < 3 {
-				t.Fatalf("window dump has only %d segments", len(offs))
+			if n := len(full.IntervalCheckpoints); n < 5 {
+				t.Fatalf("only %d checkpoints; the workload is too short", n)
 			}
 			_, maxSteps, err := replayPristine(prog, full)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Crash points inside the open interval: just before the final
-			// segment and torn through it.
-			for _, cut := range []int{offs[len(offs)-2], (offs[len(offs)-2] + offs[len(offs)-1]) / 2} {
-				sv, err := core.SalvageStream(wb.Bytes()[:cut])
+			// The last interval runs from the last checkpoint segment to
+			// the final one; segment i starts at offs[i-1], and its kind
+			// byte follows the magic and sequence number.
+			data := buf.Bytes()
+			offs := segment.Offsets(data)
+			last := 0
+			for i := 1; i < len(offs); i++ {
+				if segment.Kind(data[offs[i-1]+8]) == segment.KindCheckpoint {
+					last = i
+				}
+			}
+			mid := (last + len(offs) - 1) / 2
+			if mid <= last {
+				t.Fatalf("no segment between the last checkpoint (segment %d) and the final one (%d)", last, len(offs)-1)
+			}
+			// Crash points inside the last interval: at a segment boundary
+			// and torn through the segment after it.
+			for _, cut := range []int{offs[mid], (offs[mid] + offs[mid+1]) / 2} {
+				sv, err := core.SalvageStream(data[:cut])
 				if err != nil {
-					t.Fatalf("cut at %d/%d: %v", cut, wb.Len(), err)
+					t.Fatalf("cut at %d/%d: %v", cut, len(data), err)
 				}
-				if sv.Window() != k {
-					t.Fatalf("cut at %d: salvaged window K=%d, want %d", cut, sv.Window(), k)
+				if !sv.Bundle.Partial {
+					t.Fatalf("cut at %d: torn stream salvaged as complete", cut)
 				}
-				if _, evicted := sv.WindowBase(); !evicted {
-					t.Fatalf("cut at %d: no base checkpoint — window never evicted?", cut)
+				tail, err := sv.Tail()
+				if err != nil {
+					t.Fatalf("cut at %d: %v", cut, err)
 				}
-				if got := len(sv.Bundle.IntervalCheckpoints); got < k-1 {
-					t.Fatalf("cut at %d: only %d checkpoint intervals survive, want >= %d", cut, got, k-1)
+				rr, err := core.ReplayBounded(prog, tail, maxSteps)
+				if err != nil {
+					t.Fatalf("cut at %d: salvaged tail does not replay: %v", cut, err)
 				}
-				if _, err := core.ReplayBounded(prog, sv.Bundle, maxSteps); err != nil {
-					t.Fatalf("cut at %d: salvaged window suffix does not replay: %v", cut, err)
+				if rr.Truncation == nil {
+					t.Fatalf("cut at %d: tail replay of a torn stream reported no truncation", cut)
 				}
 			}
 		})

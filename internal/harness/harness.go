@@ -13,7 +13,7 @@
 //     recordings survive serialization, and replay itself is
 //     deterministic.
 //
-//   - Systematic single-fault injection, in twelve fault classes. Eight
+//   - Systematic single-fault injection, in ten fault classes. Eight
 //     corrupt serialized chunk logs and Capo input logs: bit flips,
 //     truncations, record drops, duplicates, reorderings, chunk-counter
 //     lies, header length-field lies and payload corruption. Every
@@ -23,11 +23,10 @@
 //     provably does not change the execution (MRR logs are conservative
 //     over-approximations, so some perturbations are legal alternative
 //     serializations) is classified as benign by replaying it and
-//     comparing against the *original* reference state. The other four
+//     comparing against the *original* reference state. The other two
 //     tear or bit-flip the segmented stream a crashed recorder leaves
-//     behind, unbounded or through a flight-recorder window: salvage
-//     must fail with a typed error or recover a replayable prefix (or
-//     window suffix) of the pristine stream's own replay.
+//     behind: salvage must fail with a typed error or recover a
+//     replayable prefix of the pristine stream's own replay.
 //
 // The matrix runner sweeps workloads × core counts × fault classes and
 // produces a triage Report; cmd/quickconform is its CLI.
@@ -163,21 +162,19 @@ func runCell(cfg Config, rep *Report, name string, prog *isa.Program, cores int)
 		return err
 	}
 	origKey := scheduleKey(rec)
-	streams := map[bool]*stream{} // by windowed
+	var s *stream
 
 	for ci, class := range cfg.Faults {
 		m := &mutator{rng: cfg.Seed ^ hashCell(name, cores, ci)}
 		cell := Cell{Workload: name, Cores: cores, Class: class}
 		inject := func() (Outcome, string) { return injectOnce(prog, rec, origKey, maxSteps, class, m) }
-		if sf, ok := streamFaults[class]; ok {
-			s := streams[sf.windowed]
+		if class == FaultTornWrite || class == FaultStreamCorrupt {
 			if s == nil {
-				if s, err = recordStream(prog, mcfg, sf.windowed); err != nil {
+				if s, err = recordStream(prog, mcfg); err != nil {
 					return err
 				}
-				streams[sf.windowed] = s
 			}
-			if sf.torn {
+			if class == FaultTornWrite {
 				for _, n := range s.offs {
 					cell.tally(s.cut(prog, n))
 				}

@@ -31,11 +31,10 @@ func TestRunSmallMatrix(t *testing.T) {
 	if fails := rep.MetaFailures(); len(fails) != 0 {
 		t.Errorf("metamorphic failures: %v", fails)
 	}
-	// Five base properties plus parallel-replay-matches-serial,
-	// distributed-matches-serial and the two flight-recorder window
-	// properties per cell; neither workload here declares a race
-	// expectation.
-	wantMeta := len(cfg.Workloads) * len(cfg.Cores) * 9
+	// Five base properties plus parallel-replay-matches-serial and
+	// distributed-matches-serial per cell; neither workload here
+	// declares a race expectation.
+	wantMeta := len(cfg.Workloads) * len(cfg.Cores) * 7
 	if got := len(rep.Meta); got != wantMeta {
 		t.Errorf("metamorphic results: got %d, want %d", got, wantMeta)
 	}
@@ -118,8 +117,8 @@ func TestConfigFill(t *testing.T) {
 }
 
 func TestFaultByName(t *testing.T) {
-	if n := len(AllFaults()); n != 12 {
-		t.Errorf("AllFaults lists %d classes, want 12", n)
+	if n := len(AllFaults()); n != 10 {
+		t.Errorf("AllFaults lists %d classes, want 10", n)
 	}
 	for _, class := range AllFaults() {
 		got, ok := FaultByName(string(class))
@@ -141,7 +140,6 @@ func TestOutcomeString(t *testing.T) {
 		OutcomeBenign: "benign",
 		OutcomeSilent: "SILENT",
 		OutcomePrefix: "prefix",
-		OutcomeWindow: "window",
 	}
 	for o, want := range cases {
 		if got := o.String(); got != want {

@@ -42,7 +42,6 @@ func checkProperties(p properties, prog *isa.Program, cfg machine.Config, rec *c
 	checkMetamorphic(p, prog, cfg, rec)
 	p.add(PropParallelReplay, checkParallelReplay(prog, cfg))
 	p.add(PropDistributed, checkDistributed(prog, cfg))
-	checkWindowed(p, prog, cfg)
 	if spec, ok := workload.ByName(p.workload); ok && spec.RaceExpectation != "" {
 		p.add(PropRaceExpectation, checkRaceExpectation(spec, prog, cfg))
 	}
@@ -86,8 +85,6 @@ const (
 	PropParallelReplay       = "parallel-replay-matches-serial"
 	PropDistributed          = "distributed-matches-serial"
 	PropReencodeIdentity     = "reencode-is-identity"
-	PropWindowedTail         = "windowed-tail-matches-unbounded"
-	PropWindowMonotone       = "window-size-monotone"
 )
 
 // checkMetamorphic runs the metamorphic properties against prog under
@@ -318,134 +315,6 @@ func checkDistributed(prog *isa.Program, cfg machine.Config) error {
 			len(sRep.Races), len(sRep.Candidates), len(dRep.Races), len(dRep.Candidates))
 	}
 	return nil
-}
-
-// checkWindowed pins the flight-recorder ring's defining properties by
-// recording the same execution three ways — streamed unbounded, streamed
-// through a K=2 retention window, and streamed through a window too
-// large to ever evict — and relating the salvaged results:
-//
-//   - windowed-tail-matches-unbounded: the windowed stream salvages to
-//     exactly the tail of the unbounded recording from the window's base
-//     checkpoint — identical logs, identical serial replay, and parallel
-//     replay from the window base agrees with both and verifies. An
-//     operator replaying a flight-recorder window sees bit-for-bit what
-//     an unbounded recording would have shown from that point.
-//   - window-size-monotone: a window large enough to never evict is the
-//     unbounded stream — its salvaged bundle is byte-identical — and a
-//     smaller window never costs more stream bytes than a larger one.
-func checkWindowed(p properties, prog *isa.Program, cfg machine.Config) {
-	// Same low cadence as the parallel-replay property, so even short
-	// conformance workloads cross several checkpoints and actually evict.
-	cfg.CheckpointEveryInstrs = 500
-	var bufU, bufW, bufM bytes.Buffer
-	full, err := core.StreamRecord(prog, cfg, &bufU)
-	if err == nil {
-		wcfg := cfg
-		wcfg.RetainCheckpoints = 2
-		_, err = core.StreamRecord(prog, wcfg, &bufW)
-	}
-	if err == nil {
-		mcfg := cfg
-		mcfg.RetainCheckpoints = 1 << 30
-		_, err = core.StreamRecord(prog, mcfg, &bufM)
-	}
-	if err != nil {
-		err = fmt.Errorf("windowed recording failed: %w", err)
-		p.add(PropWindowedTail, err)
-		p.add(PropWindowMonotone, err)
-		return
-	}
-
-	p.add(PropWindowedTail, func() error {
-		sw, err := core.SalvageStream(bufW.Bytes())
-		if err != nil {
-			return fmt.Errorf("salvage of clean windowed stream: %w", err)
-		}
-		wb := sw.Bundle
-		if wb.Partial {
-			return fmt.Errorf("clean windowed stream salvaged as partial")
-		}
-		j := len(full.IntervalCheckpoints) - len(wb.IntervalCheckpoints)
-		if j < 0 {
-			return fmt.Errorf("window kept %d checkpoints, unbounded recording has only %d",
-				len(wb.IntervalCheckpoints), len(full.IntervalCheckpoints))
-		}
-		ref := full
-		if base, evicted := sw.WindowBase(); evicted {
-			if j == 0 {
-				return fmt.Errorf("window evicted history yet kept all %d checkpoints",
-					len(full.IntervalCheckpoints))
-			}
-			if want := full.IntervalCheckpoints[j].RetiredAt; base != want {
-				return fmt.Errorf("window base at %d retired instructions, unbounded checkpoint %d is at %d",
-					base, j, want)
-			}
-			if ref, err = core.TailAt(full, j); err != nil {
-				return fmt.Errorf("tail of unbounded recording at checkpoint %d: %w", j, err)
-			}
-		} else if j != 0 {
-			return fmt.Errorf("window dropped %d checkpoints without reporting a base", j)
-		}
-		for t := range ref.ChunkLogs {
-			if !bytes.Equal(wb.ChunkLogs[t].Marshal(chunk.Fixed{}), ref.ChunkLogs[t].Marshal(chunk.Fixed{})) {
-				return fmt.Errorf("thread %d chunk log differs from unbounded tail", t)
-			}
-		}
-		if !bytes.Equal(capo.MarshalRecords(wb.InputLog.Records), capo.MarshalRecords(ref.InputLog.Records)) {
-			return fmt.Errorf("input log differs from unbounded tail")
-		}
-		rw, err := core.Replay(prog, wb)
-		if err != nil {
-			return fmt.Errorf("serial replay of windowed bundle: %w", err)
-		}
-		rt, err := core.Replay(prog, ref)
-		if err != nil {
-			return fmt.Errorf("serial replay of unbounded tail: %w", err)
-		}
-		if err := sameReplay(rw, rt); err != nil {
-			return fmt.Errorf("windowed replay differs from tail replay: %w", err)
-		}
-		// Parallel replay of the windowed bundle partitions from the
-		// window base at the retained interior checkpoints.
-		pw, err := core.ReplayWorkers(prog, wb, 4)
-		if err != nil {
-			return fmt.Errorf("parallel replay from window base: %w", err)
-		}
-		if err := sameReplay(pw, rw); err != nil {
-			return fmt.Errorf("parallel replay from window base differs from serial: %w", err)
-		}
-		if err := core.Verify(wb, pw); err != nil {
-			return fmt.Errorf("windowed bundle fails verification: %w", err)
-		}
-		return nil
-	}())
-
-	p.add(PropWindowMonotone, func() error {
-		su, err := core.SalvageStream(bufU.Bytes())
-		if err != nil {
-			return fmt.Errorf("salvage of unbounded stream: %w", err)
-		}
-		sm, err := core.SalvageStream(bufM.Bytes())
-		if err != nil {
-			return fmt.Errorf("salvage of never-evicting windowed stream: %w", err)
-		}
-		if !su.Report.Complete || !sm.Report.Complete {
-			return fmt.Errorf("clean streams salvaged as incomplete (unbounded %v, windowed %v)",
-				su.Report.Complete, sm.Report.Complete)
-		}
-		if _, evicted := sm.WindowBase(); evicted {
-			return fmt.Errorf("never-evicting window reports an evicted base")
-		}
-		if !bytes.Equal(su.Bundle.Marshal(), sm.Bundle.Marshal()) {
-			return fmt.Errorf("never-evicting window salvages to a different bundle than the unbounded stream")
-		}
-		if bufW.Len() > bufM.Len() {
-			return fmt.Errorf("K=2 window wrote %d stream bytes, larger window wrote %d",
-				bufW.Len(), bufM.Len())
-		}
-		return nil
-	}())
 }
 
 // checkRaceExpectation runs the offline race detector against a

@@ -19,7 +19,7 @@ type FaultClass string
 // corrupt the decoded form directly (their serialized form always
 // re-decodes, so decode-stage detection is not available to them by
 // construction). Stream classes damage the segmented stream a crashed
-// recorder leaves behind, unbounded or windowed, and go through salvage.
+// recorder leaves behind and go through salvage.
 const (
 	// FaultBitFlip flips one bit anywhere in a serialized log blob.
 	FaultBitFlip FaultClass = "bit-flip"
@@ -50,13 +50,6 @@ const (
 	// FaultStreamCorrupt flips one bit somewhere in the stream, as disk
 	// or transport corruption would.
 	FaultStreamCorrupt FaultClass = "stream-corrupt"
-	// FaultWindowTorn tears a flight-recorder window dump: recording ran
-	// with RetainCheckpoints, and the rendered ring is cut at a segment
-	// boundary or an arbitrary offset mid-dump.
-	FaultWindowTorn FaultClass = "window-torn"
-	// FaultWindowCorrupt flips one bit in a flight-recorder window dump,
-	// inside or outside the epochs the window retained.
-	FaultWindowCorrupt FaultClass = "window-corrupt"
 )
 
 // AllFaults returns every fault class, in report order.
@@ -64,7 +57,7 @@ func AllFaults() []FaultClass {
 	return []FaultClass{
 		FaultBitFlip, FaultTruncate, FaultLenLie,
 		FaultDrop, FaultDuplicate, FaultReorder, FaultSizeLie, FaultPayload,
-		FaultTornWrite, FaultStreamCorrupt, FaultWindowTorn, FaultWindowCorrupt,
+		FaultTornWrite, FaultStreamCorrupt,
 	}
 }
 
@@ -108,10 +101,6 @@ const (
 	// OutcomePrefix: a torn stream salvaged to a consistent prefix that
 	// replayed as a verified prefix of the original execution.
 	OutcomePrefix
-	// OutcomeWindow: a torn flight-recorder window salvaged to a
-	// replayable suffix anchored at its surviving base checkpoint — the
-	// windowed-stream variant of OutcomePrefix.
-	OutcomeWindow
 )
 
 // String names the outcome.
@@ -131,8 +120,6 @@ func (o Outcome) String() string {
 		return "SILENT"
 	case OutcomePrefix:
 		return "prefix"
-	case OutcomeWindow:
-		return "window"
 	}
 	return fmt.Sprintf("outcome(%d)", int(o))
 }

@@ -279,7 +279,7 @@ func TestInjectOnceNeverSilent(t *testing.T) {
 	origKey := scheduleKey(rec)
 
 	for _, class := range AllFaults() {
-		if _, ok := streamFaults[class]; ok {
+		if class == FaultTornWrite || class == FaultStreamCorrupt {
 			continue
 		}
 		m := &mutator{rng: 0xabcdef ^ hashCell("unit", 1, 0)}

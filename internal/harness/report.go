@@ -23,10 +23,6 @@ type Cell struct {
 	// Prefix counts torn streams salvaged to a verified prefix replay
 	// (zero outside torn-write cells).
 	Prefix int
-	// Window counts torn flight-recorder windows salvaged to a
-	// replayable suffix anchored at the surviving base checkpoint — the
-	// windowed variant of Prefix (zero outside window-torn cells).
-	Window int
 	// Benign counts mutations that replayed to exactly the original
 	// execution (legal alternative serializations); they are re-rolled
 	// and excluded from the detection denominator.
@@ -39,9 +35,8 @@ type Cell struct {
 }
 
 // Detected sums the detection points: decode rejection, replay
-// divergence, verification failure, and verified prefix (or windowed
-// suffix) salvage.
-func (c Cell) Detected() int { return c.Decode + c.Replay + c.Verify + c.Prefix + c.Window }
+// divergence, verification failure, and verified prefix salvage.
+func (c Cell) Detected() int { return c.Decode + c.Replay + c.Verify + c.Prefix }
 
 // tally counts one classified injection into the cell and reports
 // whether it was material; inert and benign ones are re-rolled.
@@ -60,8 +55,6 @@ func (c *Cell) tally(out Outcome, detail string) bool {
 		c.Verify++
 	case OutcomePrefix:
 		c.Prefix++
-	case OutcomeWindow:
-		c.Window++
 	default:
 		c.Silent++
 		if len(c.SilentExamples) < 4 {
@@ -155,13 +148,13 @@ func (r *Report) String() string {
 
 	t := report.Table{
 		Title:   "Fault-injection coverage (single-fault log and stream corruptions)",
-		Columns: []string{"workload", "cores", "fault", "injected", "decode", "replay", "verify", "prefix", "window", "benign*", "silent"},
+		Columns: []string{"workload", "cores", "fault", "injected", "decode", "replay", "verify", "prefix", "benign*", "silent"},
 	}
 	for _, c := range r.Cells {
 		t.AddRow(c.Workload, fmt.Sprint(c.Cores), string(c.Class),
 			fmt.Sprint(c.Injected), fmt.Sprint(c.Decode), fmt.Sprint(c.Replay),
-			fmt.Sprint(c.Verify), fmt.Sprint(c.Prefix), fmt.Sprint(c.Window),
-			fmt.Sprint(c.Benign), fmt.Sprint(c.Silent))
+			fmt.Sprint(c.Verify), fmt.Sprint(c.Prefix), fmt.Sprint(c.Benign),
+			fmt.Sprint(c.Silent))
 	}
 	sb.WriteString(t.String())
 	sb.WriteString("  *benign = mutation replayed to exactly the original execution (legal\n" +

@@ -466,6 +466,39 @@ func TestUploadAdmissionShedsWhenFull(t *testing.T) {
 	}
 }
 
+// TestReserveGrowsGeometrically pins how an upload's buffer grows as
+// 64 KiB frames arrive: to at least twice its length when a frame does
+// not fit, capped at the HELLO's size hint while the bytes fit in it,
+// and never reserved from the hint alone.
+func TestReserveGrowsGeometrically(t *testing.T) {
+	const frame = 64 << 10
+	cases := []struct {
+		name   string
+		frames int
+		hint   uint64
+		want   []int // capacity after each frame, in KiB
+	}{
+		{"no hint", 5, 0, []int{64, 128, 256, 256, 512}},
+		{"exact hint", 7, 7 * frame, []int{64, 128, 256, 256, 448, 448, 448}},
+		// A hint of the largest upload allowed claims nothing up front.
+		{"cap-sized hint", 1, 64 << 20, []int{64}},
+		// Once the bytes outgrow the hint, growth doubles again.
+		{"outgrown hint", 4, 3 * frame, []int{64, 128, 192, 384}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf wire.Appender
+			for i, want := range tc.want {
+				reserve(&buf, frame, tc.hint)
+				buf.Raw(make([]byte, frame))
+				if got := cap(buf.Buf); got != want<<10 {
+					t.Fatalf("after frame %d: capacity %d B, want %d KiB", i+1, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestFaninAllocs pins the allocations and allocated bytes of the
 // service path end to end: 64 uploaders push four seed-variant counter
 // streams (4 threads) through a loopback server, with framing, credit
@@ -487,7 +520,7 @@ func TestFaninAllocs(t *testing.T) {
 		sum := sha256.Sum256(data)
 		distinct[hex.EncodeToString(sum[:])] = true
 	}
-	allocpin.Check(t, 17_008, 183_866_680, func() {
+	allocpin.Check(t, 16_783, 117_228_560, func() {
 		// A fresh store per run: a populated one would measure the
 		// dedupe fast path instead of ingest.
 		cfg := DefaultConfig()

@@ -251,7 +251,7 @@ func (s *Server) handleUpload(ss *session, payload []byte) *ServerError {
 	defer func() { <-s.slots }()
 	buf := wire.GetAppender()
 	defer wire.PutAppender(buf)
-	want, ok, rej := s.receiveUpload(ss, buf)
+	want, ok, rej := s.receiveUpload(ss, buf, hello.SizeHint)
 	if !ok {
 		s.ctrs.aborted.Add(1)
 		return rej
@@ -263,8 +263,9 @@ func (s *Server) handleUpload(ss *session, payload []byte) *ServerError {
 // DATAZ frames to buf, granting each frame's bytes back once they are
 // appended, until FINISH. It returns the digest FINISH declares, or
 // !ok when the session ended first: torn, severed by a failed write, or
-// refused with the rejection it returns.
-func (s *Server) receiveUpload(ss *session, buf *wire.Appender) (want [digestSize]byte, ok bool, rej *ServerError) {
+// refused with the rejection it returns. sizeHint is the HELLO's
+// declared size (see reserve).
+func (s *Server) receiveUpload(ss *session, buf *wire.Appender, sizeHint uint64) (want [digestSize]byte, ok bool, rej *ServerError) {
 	if ss.send(FrameWelcome, func(a *wire.Appender) {
 		appendWelcome(a, welcomePayload{Version: protoVersion, Credit: uint64(s.cfg.Credit)})
 	}) != nil {
@@ -293,6 +294,7 @@ func (s *Server) receiveUpload(ss *session, buf *wire.Appender) (want [digestSiz
 				s.ctrs.rejected.Add(1)
 				return want, false, &ServerError{Code: CodeTooLarge, Msg: fmt.Sprintf("upload exceeds %d bytes", s.cfg.MaxUploadBytes)}
 			}
+			reserve(buf, len(payload), sizeHint)
 			buf.Raw(payload)
 			s.ctrs.bytesIngested.Add(uint64(len(payload)))
 			if ss.send(FrameGrant, func(a *wire.Appender) { appendGrant(a, grantPayload{Bytes: uint64(len(payload))}) }) != nil {
@@ -310,6 +312,24 @@ func (s *Server) receiveUpload(ss *session, buf *wire.Appender) (want [digestSiz
 			return want, false, &ServerError{Code: CodeProtocol, Msg: "unexpected " + kind.String() + " frame"}
 		}
 	}
+}
+
+// reserve makes room in an upload's buffer for n more bytes. A frame
+// that does not fit grows buf to at least twice its length, but no
+// further than the HELLO's sizeHint while the bytes still fit in it.
+// Nothing is reserved from the hint before bytes arrive, so buf holds
+// under about twice what the session sent, and a HELLO alone claims no
+// memory.
+func reserve(buf *wire.Appender, n int, sizeHint uint64) {
+	need := len(buf.Buf) + n
+	if need <= cap(buf.Buf) {
+		return
+	}
+	size := max(need, 2*len(buf.Buf))
+	if uint64(need) <= sizeHint {
+		size = min(size, int(sizeHint))
+	}
+	buf.Grow(size - len(buf.Buf))
 }
 
 // finishUpload checks the upload's digest against the one FINISH

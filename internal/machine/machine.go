@@ -98,9 +98,9 @@ type Config struct {
 	// incrementally as a segmented, checksummed stream (see
 	// internal/segment): a writer that dies mid-run leaves a salvageable
 	// prefix behind instead of nothing. A run that ends in an error
-	// closes the stream without a final segment, so what it left
-	// salvages as a torn recording. Underlying write errors are sticky
-	// and surface once, from Run.
+	// writes no final segment, so what it left salvages as a torn
+	// recording. Underlying write errors are sticky and surface once,
+	// from Run.
 	StreamTo io.Writer
 	// FlushEveryChunks is the streaming flush cadence: an epoch (commit +
 	// data batches) is emitted once this many chunk entries accumulate.
@@ -109,19 +109,6 @@ type Config struct {
 	// overhead under 5% of log payload; see experiment A6). Smaller
 	// values tighten the crash-consistency window at the cost of framing.
 	FlushEveryChunks uint64
-	// RetainCheckpoints, when > 0 and streaming, turns StreamTo into a
-	// flight-recorder ring: only the last RetainCheckpoints checkpoint
-	// intervals of the stream are retained, with whole epochs older
-	// than the oldest retained checkpoint garbage-collected, so the
-	// bytes that reach StreamTo stay bounded however long the run. The
-	// window reaches StreamTo only when the run ends, with or without an
-	// error, and replays from its base checkpoint exactly like the tail
-	// of the unbounded stream. The machine's memory is not bounded: it
-	// still keeps every checkpoint for Result.Checkpoints, and the
-	// session every log entry. Requires StreamTo; pointless without
-	// CheckpointEveryInstrs, since the window only rolls at checkpoint
-	// boundaries.
-	RetainCheckpoints uint64
 	// CaptureSignatures retains each chunk's serialized read/write Bloom
 	// signatures alongside the chunk log, for offline conflict screening
 	// (the race detector). Off by default: the captured bytes are an

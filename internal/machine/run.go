@@ -28,8 +28,8 @@ var ErrFault = errors.New("machine: execution fault")
 
 // Run executes the program to completion and returns the result. A
 // machine can run only once. An execution fault ends the run with an
-// error wrapping ErrFault. A run that fails still closes its stream, as
-// it stands: no last flush and no final segment, so what reached
+// error wrapping ErrFault. A run that fails leaves its stream as it
+// stands: no last flush and no final segment, so what reached
 // Config.StreamTo salvages as a torn recording.
 func (m *Machine) Run() (res *Result, err error) {
 	if m.ran {
@@ -43,9 +43,6 @@ func (m *Machine) Run() (res *Result, err error) {
 				panic(r)
 			}
 			res, err = nil, fmt.Errorf("%w: %v", ErrFault, f)
-		}
-		if err != nil && m.stream != nil {
-			m.stream.Close() // the run's error outranks the stream's
 		}
 	}()
 

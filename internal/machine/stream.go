@@ -7,14 +7,9 @@ import (
 
 // initStream opens the segmented stream: the manifest is written
 // immediately so even a recorder that dies before its first flush leaves
-// an identifiable (if empty) stream behind. With RetainCheckpoints set
-// the writer keeps the retention window instead of writing as it goes.
+// an identifiable (if empty) stream behind.
 func (m *Machine) initStream() {
-	if m.cfg.RetainCheckpoints > 0 {
-		m.stream = segment.NewWindowWriter(m.cfg.StreamTo, int(m.cfg.RetainCheckpoints))
-	} else {
-		m.stream = segment.NewWriter(m.cfg.StreamTo)
-	}
+	m.stream = segment.NewWriter(m.cfg.StreamTo)
 	m.stream.WriteManifest(segment.Manifest{
 		ProgramName:         m.prog.Name,
 		Threads:             m.cfg.Threads,
@@ -109,10 +104,8 @@ func (m *Machine) flushStream() {
 }
 
 // finishStream flushes the last epoch and closes the stream with the
-// reference final state. Close writes a windowed stream's retained
-// window to Config.StreamTo; the unbounded form has written everything
-// already. The stats therefore always describe the bytes that actually
-// reached Config.StreamTo.
+// reference final state. Every segment has reached Config.StreamTo by
+// then, so the stats describe the bytes written there.
 func (m *Machine) finishStream(res *Result) {
 	if m.stream == nil {
 		return

@@ -75,15 +75,12 @@ type interval struct {
 // partition splits the input at its usable checkpoints. It returns nil
 // (caller replays serially) unless parallel replay applies: Workers must
 // resolve to at least 2 and at least one checkpoint must survive
-// validation. Start may be non-nil: a windowed (flight-recorder ring)
-// recording begins at its window-base checkpoint and still partitions at
-// the later surviving checkpoints — interval 0 then starts from Start
+// validation. Start may be non-nil: interval 0 then starts from Start
 // instead of the program's initial state. A checkpoint whose positions
-// equal the start of the logs (the window base itself, re-listed among
-// the cuts) is skipped as non-advancing. Checkpoints with missing state
-// or with log positions that are non-monotonic or beyond the logs (a
-// salvaged prefix cut them off) are skipped, so truncation always lands
-// in the final interval.
+// equal the previous cut's is skipped as non-advancing. Checkpoints
+// with missing state or with log positions that are non-monotonic or
+// beyond the logs (a salvaged prefix cut them off) are skipped, so
+// truncation always lands in the final interval.
 func partition(in Input) []*interval {
 	// A remote executor always partitions (the interval list is the job
 	// list); local replay partitions only when Workers asks for it.
@@ -118,7 +115,7 @@ func partitionCuts(in Input) []*interval {
 	ivs := make([]*interval, 0, len(cuts)+1)
 	base := make([]int, in.Threads) // current cut's chunk positions
 	baseInput := 0
-	start := in.Start // window base (or nil: the program's initial state)
+	start := in.Start // nil: the program's initial state
 	for k := 0; k <= len(cuts); k++ {
 		iv := &interval{
 			index:     k,

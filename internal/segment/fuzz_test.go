@@ -54,6 +54,24 @@ func compressedKindStream() (data []byte, prefix int) {
 	return data, start
 }
 
+// windowManifestStream returns corpusStream with its manifest in the
+// retired flight-recorder window form: flags (0x02, or 0x06 for a
+// window with a base checkpoint) and a trailing retention window of 2
+// intervals, framed with a valid CRC.
+func windowManifestStream(flags byte) []byte {
+	valid := corpusStream()
+	end := segment.Offsets(valid)[0]
+	payload := append([]byte(nil), valid[13:end-4]...) // magic, seq, kind, plen | payload | crc
+	payload[1] = flags
+	payload = append(payload, 2)
+	seg := binary.LittleEndian.AppendUint32([]byte("QRSG"), 0)
+	seg = append(seg, byte(segment.KindManifest))
+	seg = binary.LittleEndian.AppendUint32(seg, uint32(len(payload)))
+	seg = append(seg, payload...)
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(seg[4:], crc32.MakeTable(crc32.Castagnoli)))
+	return append(seg, valid[end:]...)
+}
+
 // FuzzSegmentStream feeds arbitrary bytes to the salvage scanner. The
 // scanner must never panic, never keep bytes past the input, and every
 // stream it reports as cleanly complete must also satisfy the strict
@@ -76,6 +94,7 @@ func FuzzSegmentStream(f *testing.F) {
 	f.Add([]byte("QRSG"))
 	compressed, _ := compressedKindStream()
 	f.Add(compressed)
+	f.Add(windowManifestStream(0x06))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, rep, err := segment.Salvage(data)

@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/capo"
@@ -25,31 +24,14 @@ type Manifest struct {
 	// FlushEveryChunks documents the flush cadence the stream was written
 	// with (informational).
 	FlushEveryChunks uint64
-	// Window is the flight-recorder retention window in checkpoint
-	// intervals; 0 means the stream is unbounded (the default). The
-	// field is flag-gated on the wire, so non-windowed streams encode
-	// exactly as they did before retention existed.
-	Window uint64
-	// BaseCheckpoint marks a windowed stream whose oldest intervals were
-	// garbage-collected: the first segment after the manifest must be
-	// the window-base checkpoint, and every checkpoint's log positions
-	// are relative to that base. Only valid with Window > 0.
-	BaseCheckpoint bool
 }
 
 const manifestVersion = 1
 
-// maxManifestSize bounds a manifest payload without its program name:
-// three bytes, then at most five uvarints of up to 10 bytes each.
-const maxManifestSize = 3 + 5*binary.MaxVarintLen64
-
-// Manifest flag bits. flagWindowed gates the Window field so legacy
-// (unbounded) streams stay byte-identical.
-const (
-	flagCountReps byte = 1
-	flagWindowed  byte = 2
-	flagHasBase   byte = 4
-)
+// flagCountReps is the one manifest flag bit. Bits 2 (a retention
+// window) and 4 (a window's base checkpoint) belonged to the retired
+// flight-recorder window form; a manifest setting either is corrupt.
+const flagCountReps byte = 1
 
 func appendManifest(a *wire.Appender, m Manifest) {
 	a.Byte(manifestVersion)
@@ -57,21 +39,12 @@ func appendManifest(a *wire.Appender, m Manifest) {
 	if m.CountRepIterations {
 		flags |= flagCountReps
 	}
-	if m.Window > 0 {
-		flags |= flagWindowed
-	}
-	if m.BaseCheckpoint {
-		flags |= flagHasBase
-	}
 	a.Byte(flags)
 	a.Byte(m.EncodingID)
 	a.Int(m.Threads)
 	a.Uvarint(m.StackWordsPerThread)
 	a.Uvarint(m.FlushEveryChunks)
 	a.String(m.ProgramName)
-	if m.Window > 0 {
-		a.Uvarint(m.Window)
-	}
 }
 
 func decodeManifest(data []byte) (Manifest, error) {
@@ -83,14 +56,10 @@ func decodeManifest(data []byte) (Manifest, error) {
 		return m, fmt.Errorf("%w: manifest version %d", ErrCorrupt, data[0])
 	}
 	flags := data[1]
-	if flags > flagCountReps|flagWindowed|flagHasBase {
+	if flags > flagCountReps {
 		return m, fmt.Errorf("%w: manifest flags %#x", ErrCorrupt, flags)
 	}
-	if flags&flagHasBase != 0 && flags&flagWindowed == 0 {
-		return m, fmt.Errorf("%w: manifest base flag without a retention window", ErrCorrupt)
-	}
-	m.CountRepIterations = flags&flagCountReps != 0
-	m.BaseCheckpoint = flags&flagHasBase != 0
+	m.CountRepIterations = flags == flagCountReps
 	m.EncodingID = data[2]
 	rd := newReader(data)
 	rd.Skip(3)
@@ -113,18 +82,7 @@ func decodeManifest(data []byte) (Manifest, error) {
 		return m, err
 	}
 	m.ProgramName = string(name)
-	if flags&flagWindowed != 0 {
-		if m.Window, err = rd.Uvarint(); err != nil {
-			return m, err
-		}
-		if m.Window == 0 {
-			return m, fmt.Errorf("%w: windowed manifest with zero retention window", ErrCorrupt)
-		}
-	}
-	if err := rd.Done(); err != nil {
-		return m, err
-	}
-	return m, nil
+	return m, rd.Done()
 }
 
 // Commit opens a flush epoch. It is written *before* the epoch's data

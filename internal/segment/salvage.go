@@ -27,12 +27,6 @@ type Stream struct {
 	// Final is the reference final state; non-nil iff the stream is
 	// complete (ends with an intact Final segment).
 	Final *FinalPayload
-	// Base is the retention window's base checkpoint: the snapshot a
-	// windowed stream's replay starts from once older intervals were
-	// garbage-collected. Nil for unbounded streams and for windowed
-	// streams that never evicted. When set it aliases Checkpoints[0]
-	// and its log positions are zero (the retained logs start at it).
-	Base *capo.Checkpoint
 }
 
 // Report describes what a Salvage pass kept and why it stopped.
@@ -61,13 +55,6 @@ type Report struct {
 	// CheckpointsDropped counts snapshots discarded because their log
 	// positions exceed the salvaged prefix.
 	CheckpointsDropped int
-	// Window is the stream's retention window in checkpoint intervals
-	// (0: unbounded). HasBase reports that the window evicted history
-	// and opens with a base checkpoint; BaseRetired is that base's
-	// global retired-instruction count.
-	Window      uint64
-	HasBase     bool
-	BaseRetired uint64
 
 	// stopErr is the typed error that ended the scan (nil when the whole
 	// stream parsed); Decode surfaces it so callers can classify with
@@ -77,19 +64,12 @@ type Report struct {
 
 // String renders the report for CLI output.
 func (r *Report) String() string {
-	window := ""
-	if r.Window > 0 {
-		window = fmt.Sprintf("; retention window K=%d", r.Window)
-		if r.HasBase {
-			window += fmt.Sprintf(" (base checkpoint at %d retired instructions)", r.BaseRetired)
-		}
-	}
 	if r.Complete {
-		return fmt.Sprintf("stream complete: %d segments, %d bytes, %d epochs%s",
-			r.SegmentsKept, r.BytesKept, r.Epochs, window)
+		return fmt.Sprintf("stream complete: %d segments, %d bytes, %d epochs",
+			r.SegmentsKept, r.BytesKept, r.Epochs)
 	}
-	s := fmt.Sprintf("stream torn: kept %d/%d bytes (%d segments, %d epochs)%s; stopped: %s",
-		r.BytesKept, r.BytesTotal, r.SegmentsKept, r.Epochs, window, r.Reason)
+	s := fmt.Sprintf("stream torn: kept %d/%d bytes (%d segments, %d epochs); stopped: %s",
+		r.BytesKept, r.BytesTotal, r.SegmentsKept, r.Epochs, r.Reason)
 	if r.Horizon != math.MaxUint64 {
 		s += fmt.Sprintf("; consistency cut at ts %d dropped %d chunk entries, %d input records",
 			r.Horizon, r.DroppedEntries, r.DroppedRecords)
@@ -203,12 +183,6 @@ type scanner struct {
 	nextEpoch     uint64
 	comp          []uint64 // per-thread completeness watermark
 	unconstrained []bool   // exited with all data retained
-
-	// needBase is set after a manifest with BaseCheckpoint: the next
-	// segment must be the window-base checkpoint. base holds it once
-	// scanned.
-	needBase bool
-	base     *capo.Checkpoint
 }
 
 // sealEpoch folds the open epoch into the per-thread completeness
@@ -268,39 +242,12 @@ func (sc *scanner) apply(s rawSegment) error {
 		sc.lastTS = make([]uint64, m.Threads)
 		sc.comp = make([]uint64, m.Threads)
 		sc.unconstrained = make([]bool, m.Threads)
-		sc.needBase = m.BaseCheckpoint
 		return nil
 	}
 	if sc.final != nil {
 		return fmt.Errorf("%w: segment after final", ErrCorrupt)
 	}
 	threads := sc.man.Threads
-
-	if sc.needBase {
-		// A windowed stream with evicted history opens with its base
-		// checkpoint: the state replay resumes from, with log positions
-		// rebased to the start of the retained logs.
-		if s.kind != KindCheckpoint {
-			return fmt.Errorf("%w: windowed stream must open with its base checkpoint (got %s)", ErrCorrupt, s.kind)
-		}
-		cp, err := decodeCheckpoint(s.payload, threads)
-		if err != nil {
-			return err
-		}
-		for t, pos := range cp.ChunkPos {
-			if pos != 0 {
-				return fmt.Errorf("%w: window base checkpoint has nonzero chunk position %d for thread %d",
-					ErrCorrupt, pos, t)
-			}
-		}
-		if cp.InputPos != 0 {
-			return fmt.Errorf("%w: window base checkpoint has nonzero input position %d", ErrCorrupt, cp.InputPos)
-		}
-		sc.base = cp
-		sc.ckpts = append(sc.ckpts, cp)
-		sc.needBase = false
-		return nil
-	}
 
 	switch s.kind {
 	case KindManifest:
@@ -490,18 +437,12 @@ func Salvage(data []byte) (*Stream, *Report, error) {
 		rep.Reason = err.Error()
 	}
 	rep.Epochs = sc.epochs
-	rep.Window = sc.man.Window
-	if sc.base != nil {
-		rep.HasBase = true
-		rep.BaseRetired = sc.base.RetiredAt
-	}
 
 	st := &Stream{
 		Manifest:  *sc.man,
 		ChunkLogs: sc.logs,
 		InputLog:  &capo.InputLog{Records: sc.records},
 		Final:     sc.final,
-		Base:      sc.base,
 	}
 
 	if sc.final != nil && stop == nil {

@@ -19,10 +19,9 @@
 // batch counts *before* the data, so a scanner can always tell how much
 // of the trailing epoch survived (see Salvage).
 //
-// Writer writes every stream. NewWriter's unbounded form writes each
-// segment as it arrives; NewWindowWriter's flight-recorder form keeps
-// only the last K checkpoint intervals and writes them as one stream
-// when it is closed.
+// Writer writes every stream, each segment as it arrives. A recording's
+// last checkpoint intervals come from salvaging the whole stream and
+// taking its tail (core.TailAt).
 package segment
 
 import (
@@ -104,25 +103,16 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Writer emits a segmented stream. Errors from the underlying io.Writer
-// are sticky: the first failure is retained and every later Write*
-// becomes a no-op, so the recorder can run to completion and surface the
-// stream error once at the end.
-//
-// NewWriter's unbounded form frames and writes each segment as it
-// arrives. NewWindowWriter's flight-recorder form keeps the payloads of
-// the last k checkpoint intervals instead and writes them out at Close
-// (see window.go). Both forms run the same usage checks and encode every
-// payload once, with the same code.
+// Writer emits a segmented stream, framing each segment in a pooled
+// appender and writing it as it arrives. Errors from the underlying
+// io.Writer are sticky: the first failure is retained and every later
+// Write* becomes a no-op, so the recorder can run to completion and
+// surface the stream error once at the end.
 type Writer struct {
 	w      io.Writer
 	err    error
 	seq    uint32
 	closed bool
-	// buf is the windowed form's own buffer: each payload is encoded
-	// into it before it is kept, and the render frames the window into
-	// it. The unbounded form frames each segment in a pooled appender.
-	buf wire.Appender
 
 	enc     chunk.Encoding
 	threads int
@@ -135,17 +125,11 @@ type Writer struct {
 	// framingBytes counts non-log overhead: headers, CRCs, and commit
 	// payloads (the bookkeeping that exists only because of streaming).
 	framingBytes uint64
-
-	// Retention state of the windowed form (k > 0); see window.go.
-	k         int
-	man       Manifest
-	intervals []interval
-	evicted   bool
 }
 
-// NewWriter returns an unbounded Writer emitting to w. WriteManifest
-// must be the first call; it fixes the thread count and chunk encoding
-// the batch helpers use.
+// NewWriter returns a Writer emitting to w. WriteManifest must be the
+// first call; it fixes the thread count and chunk encoding the batch
+// helpers use.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w}
 }
@@ -153,22 +137,12 @@ func NewWriter(w io.Writer) *Writer {
 // Err returns the first underlying write or usage error, if any.
 func (w *Writer) Err() error { return w.err }
 
-// Close finishes the stream and reports the sticky error state; it must
-// be called once the recorder is done, whether or not WriteFinal came.
-// The unbounded form has written every segment already; the windowed
-// form writes its retained window now. Any Write* after Close is a usage
-// error (ErrClosed), and later Close calls return the first error.
+// Close ends the stream and reports the sticky error state. Every
+// segment has been written already, so Close writes nothing. Any Write*
+// after Close is a usage error (ErrClosed), and later Close calls
+// return the first error.
 func (w *Writer) Close() error {
-	if w.closed {
-		return w.err
-	}
 	w.closed = true
-	if w.k > 0 && w.err == nil {
-		if err := w.render(w); err != nil {
-			w.err = err
-		}
-		w.write(w.buf.Buf)
-	}
 	return w.err
 }
 
@@ -201,68 +175,42 @@ func (w *Writer) ready(what string, inEpoch bool) bool {
 	return false
 }
 
-// Segments returns the number of segments written so far (for the
-// windowed form: the rendered window's, populated by Close).
+// Segments returns the number of segments written so far.
 func (w *Writer) Segments() int { return w.segments }
 
-// TotalBytes returns the total stream bytes written so far (for the
-// windowed form: the rendered window's, populated by Close).
+// TotalBytes returns the total stream bytes written so far.
 func (w *Writer) TotalBytes() uint64 { return w.totalBytes }
 
 // FramingBytes returns the streaming-only overhead written so far:
-// segment headers, checksums, and commit payloads (for the windowed
-// form: the rendered window's, populated by Close).
+// segment headers, checksums, and commit payloads.
 func (w *Writer) FramingBytes() uint64 { return w.framingBytes }
 
-// emit encodes one segment's payload. The unbounded form frames and
-// writes it at once; the windowed form keeps the bytes for its render.
+// emit frames one segment in a pooled appender — the header, the
+// payload encode appends, and the checksum — and writes it. Callers
+// have checked that the writer is usable.
 func (w *Writer) emit(kind Kind, encode func(*wire.Appender)) {
-	if w.k > 0 {
-		w.buf.Reset()
-		encode(&w.buf)
-		w.keep(kind, w.buf.Buf)
-		return
-	}
 	a := wire.GetAppender()
 	defer wire.PutAppender(a)
-	w.frame(a, kind, encode)
-	w.write(a.Buf)
-}
-
-// frame appends one segment to a: the header, the payload encode
-// appends, and the checksum.
-func (w *Writer) frame(a *wire.Appender, kind Kind, encode func(*wire.Appender)) {
-	if w.err != nil {
-		return
-	}
-	start := a.Len()
 	a.Raw(streamMagic[:])
 	a.U32(w.seq)
 	a.Byte(byte(kind))
 	a.U32(0) // plen, set once the payload is in
 	encode(a)
-	plen := a.Len() - start - headerSize
+	plen := a.Len() - headerSize
 	if plen > maxPayload {
 		w.err = fmt.Errorf("segment: payload of %d bytes exceeds limit", plen)
 		return
 	}
-	binary.LittleEndian.PutUint32(a.Buf[start+headerSize-4:], uint32(plen))
-	a.U32(crc32.Checksum(a.Buf[start+4:], castagnoli))
+	binary.LittleEndian.PutUint32(a.Buf[headerSize-4:], uint32(plen))
+	a.U32(crc32.Checksum(a.Buf[4:], castagnoli))
 	w.seq++
 	w.segments++
-	w.totalBytes += uint64(a.Len() - start)
-	w.framingBytes += uint64(headerSize + trailerSize)
+	w.totalBytes += uint64(a.Len())
+	w.framingBytes += headerSize + trailerSize
 	if kind == KindCommit {
 		w.framingBytes += uint64(plen)
 	}
-}
-
-// write hands framed segments to the underlying writer.
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
-	}
-	if _, err := w.w.Write(p); err != nil {
+	if _, err := w.w.Write(a.Buf); err != nil {
 		w.err = fmt.Errorf("segment: write: %w", err)
 	}
 }
@@ -282,13 +230,6 @@ func (w *Writer) WriteManifest(m Manifest) {
 		return
 	}
 	w.enc, w.threads = enc, m.Threads
-	if w.k > 0 {
-		// The window's manifest carries its retention fields, so it is
-		// encoded at render.
-		w.man = m
-		w.intervals = []interval{{}}
-		return
-	}
 	w.emit(KindManifest, func(a *wire.Appender) { appendManifest(a, m) })
 }
 

@@ -3,6 +3,7 @@ package segment_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -449,5 +450,24 @@ func TestCompressedKindRejected(t *testing.T) {
 	if rep.BytesKept != prefix || rep.SegmentsKept != 2 || rep.Complete {
 		t.Fatalf("salvage kept %d bytes in %d segments (complete=%v), want the %d-byte prefix of 2",
 			rep.BytesKept, rep.SegmentsKept, rep.Complete, prefix)
+	}
+}
+
+// TestRetiredWindowManifestRejected pins the retired flight-recorder
+// window form: a manifest that sets flag 0x02 (a retention window) or
+// 0x06 (a window opening with a base checkpoint) is corrupt, so strict
+// Decode fails with ErrCorrupt, and Salvage, left with no usable
+// manifest, fails with a typed error.
+func TestRetiredWindowManifestRejected(t *testing.T) {
+	for _, flags := range []byte{0x02, 0x06} {
+		t.Run(fmt.Sprintf("flags=%#02x", flags), func(t *testing.T) {
+			data := windowManifestStream(flags)
+			if _, err := segment.Decode(data); !errors.Is(err, segment.ErrCorrupt) {
+				t.Fatalf("Decode: %v, want ErrCorrupt", err)
+			}
+			if _, _, err := segment.Salvage(data); !errors.Is(err, segment.ErrCorrupt) {
+				t.Fatalf("Salvage: %v, want a typed ErrCorrupt", err)
+			}
+		})
 	}
 }

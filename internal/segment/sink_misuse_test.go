@@ -13,8 +13,8 @@ import (
 	"repro/internal/segment"
 )
 
-// sinkManifest is the two-thread manifest the misuse and aliasing tests
-// open their streams with.
+// sinkManifest is the two-thread manifest the misuse tests open their
+// streams with.
 func sinkManifest() segment.Manifest {
 	return segment.Manifest{
 		ProgramName: "misuse", Threads: 2, StackWordsPerThread: 32,
@@ -68,20 +68,12 @@ func writeValidStream(s *segment.Writer) {
 }
 
 // TestSinkMisuseOrdering sweeps out-of-order and post-Close call
-// sequences over both forms of the Writer and requires the same sticky
-// usage error from each. Before the Writer grew a closed state, every
-// "after close" row passed silently on it — the recorder could keep
-// appending segments to a stream whose lifecycle had ended. Likewise
-// the unbounded form once wrote batches for a thread out of range or
-// outside an epoch, which only the windowed form refused.
+// sequences over the Writer and requires a sticky usage error from each.
+// Before the Writer grew a closed state, every "after close" row passed
+// silently on it — the recorder could keep appending segments to a
+// stream whose lifecycle had ended. Likewise it once wrote batches for
+// a thread out of range or outside an epoch.
 func TestSinkMisuseOrdering(t *testing.T) {
-	sinks := []struct {
-		name string
-		make func() *segment.Writer
-	}{
-		{"Writer", func() *segment.Writer { return segment.NewWriter(io.Discard) }},
-		{"WindowWriter", func() *segment.Writer { return segment.NewWindowWriter(io.Discard, 2) }},
-	}
 	cases := []struct {
 		name string
 		run  func(s *segment.Writer)
@@ -155,43 +147,25 @@ func TestSinkMisuseOrdering(t *testing.T) {
 			s.WriteFinal(sinkFinal())
 		}, true},
 	}
-	for _, sk := range sinks {
-		for _, tc := range cases {
-			t.Run(sk.name+"/"+tc.name, func(t *testing.T) {
-				s := sk.make()
-				tc.run(s)
-				err := s.Err()
-				if err == nil {
-					t.Fatalf("%s accepted silently", tc.name)
-				}
-				if tc.wantClosed && !errors.Is(err, segment.ErrClosed) {
-					t.Fatalf("error %v, want ErrClosed", err)
-				}
-				// The violation must be sticky: a later, otherwise-legal
-				// write keeps reporting the first error.
-				before := err.Error()
-				s.WriteCommit(sinkCommit(9))
-				if got := s.Err(); got == nil || got.Error() != before {
-					t.Fatalf("usage error not sticky: had %q, then %v", before, got)
-				}
-			})
-		}
-	}
-}
-
-// TestWindowOnUnboundedWriter pins that only the windowed form has a
-// window to render, and that the unbounded form never evicts.
-func TestWindowOnUnboundedWriter(t *testing.T) {
-	w := segment.NewWriter(io.Discard)
-	writeValidStream(w)
-	if data, err := w.Window(); err == nil {
-		t.Fatalf("Window on an unbounded writer returned %d bytes and no error", len(data))
-	}
-	if w.Evicted() {
-		t.Fatal("unbounded writer reports eviction")
-	}
-	if err := w.Err(); err != nil {
-		t.Fatalf("Window tripped the writer's sticky error: %v", err)
+	for _, tc := range cases {
+		t.Run("Writer/"+tc.name, func(t *testing.T) {
+			s := segment.NewWriter(io.Discard)
+			tc.run(s)
+			err := s.Err()
+			if err == nil {
+				t.Fatalf("%s accepted silently", tc.name)
+			}
+			if tc.wantClosed && !errors.Is(err, segment.ErrClosed) {
+				t.Fatalf("error %v, want ErrClosed", err)
+			}
+			// The violation must be sticky: a later, otherwise-legal
+			// write keeps reporting the first error.
+			before := err.Error()
+			s.WriteCommit(sinkCommit(9))
+			if got := s.Err(); got == nil || got.Error() != before {
+				t.Fatalf("usage error not sticky: had %q, then %v", before, got)
+			}
+		})
 	}
 }
 
@@ -223,20 +197,21 @@ func TestWriterWriteAfterCloseEmitsNothing(t *testing.T) {
 	}
 }
 
-// TestWindowWriterCloseIdempotent pins that the guard did not break the
-// windowed form's documented Close idempotence.
+// TestWindowWriterCloseIdempotent pins that Close writes nothing, the
+// second time included: every segment reached the stream as it was
+// written, and a second Close reports the first one's state.
 func TestWindowWriterCloseIdempotent(t *testing.T) {
 	var buf bytes.Buffer
-	w := segment.NewWindowWriter(&buf, 2)
+	w := segment.NewWriter(&buf)
 	writeValidStream(w)
+	n := buf.Len()
 	if err := w.Close(); err != nil {
 		t.Fatalf("first close: %v", err)
 	}
-	n := buf.Len()
 	if err := w.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
 	if buf.Len() != n {
-		t.Fatalf("second close re-rendered the window (%d -> %d bytes)", n, buf.Len())
+		t.Fatalf("close wrote %d bytes after the stream's last segment", buf.Len()-n)
 	}
 }

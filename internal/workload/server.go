@@ -8,11 +8,11 @@ import (
 
 // Long-running server workloads: request-processing loops that sustain
 // syscall and synchronization traffic indefinitely — the always-on
-// services a flight recorder (Config.RetainCheckpoints) is built for.
-// Both are bounded by a per-thread request count so tests terminate, but
-// the loop body has no phase structure: any checkpoint window cut out of
-// the middle of a run looks like any other, which is exactly what the
-// windowed-recording properties need.
+// services a flight recorder (checkpoints plus a recording's tail, see
+// core.TailAt) is built for. Both are bounded by a per-thread request
+// count so tests terminate, but the loop body has no phase structure:
+// any checkpoint interval cut out of the middle of a run looks like any
+// other, which is exactly what the flight-recorder tests need.
 
 // ReqServer builds a request server over a shared futex-locked bounded
 // ring: every thread is both producer and consumer. Per iteration a
@@ -172,7 +172,7 @@ func ReqServer(requestsPerThread int64, slots, buckets uint64, threads int) *isa
 // the syscall traffic at arbitrary instruction boundaries; without it
 // the handler simply never fires and the workload is a plain
 // syscall-heavy service loop. Either way the request loop sustains
-// input-log and chunk traffic for flight-recorder windows to cut.
+// input-log and chunk traffic for flight-recorder tails to cut.
 func SigServer(requestsPerThread int64, threads int) *isa.Program {
 	var lay mem.Layout
 	total := lay.AllocWords(1)

@@ -135,17 +135,6 @@ type Options struct {
 	// chunks (0 = the default, 1024). Smaller values tighten the
 	// crash-consistency window at the cost of framing overhead.
 	FlushEveryChunks uint64
-	// RetainCheckpoints, when > 0, turns StreamRecord into a flight
-	// recorder: only the last RetainCheckpoints checkpoint intervals are
-	// retained (older epochs are garbage-collected), so the bytes written
-	// to the stream stay bounded however long the run; they are written
-	// only when the run ends. The recorder still keeps every checkpoint
-	// and log entry in memory for the Recording it returns. The stream
-	// then replays from its oldest surviving checkpoint rather than
-	// program start. Only meaningful with CheckpointEveryInstrs, since
-	// the window rolls at checkpoint boundaries; ignored by Record,
-	// which keeps no stream.
-	RetainCheckpoints uint64
 	// CaptureSignatures keeps each chunk's serialized read/write Bloom
 	// signatures in the recording, enabling the offline race detector
 	// (Races). Off by default: the signatures are an analysis artefact,
@@ -174,7 +163,6 @@ func (o Options) config(mode machine.RecordingMode) machine.Config {
 	cfg.SignalPeriodInstrs = o.SignalPeriodInstrs
 	cfg.CheckpointEveryInstrs = o.CheckpointEveryInstrs
 	cfg.FlushEveryChunks = o.FlushEveryChunks
-	cfg.RetainCheckpoints = o.RetainCheckpoints
 	cfg.CaptureSignatures = o.CaptureSignatures
 	return cfg
 }
@@ -278,9 +266,6 @@ type PauseState = replay.PauseState
 // record-and-replay debugging: any moment of a recorded execution can be
 // revisited deterministically.
 func ReplayUntil(prog *Program, rec *Recording, tid int, n uint64) (*PauseState, error) {
-	if prog.Name != rec.ProgramName {
-		return nil, fmt.Errorf("quickrec: recording is of %q, not %q", rec.ProgramName, prog.Name)
-	}
 	return core.ReplayUntil(prog, rec, tid, n)
 }
 
@@ -298,10 +283,9 @@ func Trace(prog *Program, rec *Recording, tid int, from, to uint64) ([]TraceEntr
 // (filled with defaults) is the acceptance matrix run with seed 0 —
 // every Seed value is honored as-is, zero included. Workload entries
 // are catalogue names, or "fuzz-<seed>" for a generated program, the
-// name its recordings carry. Faults selects among the twelve fault
-// classes (all by default): eight corrupt the serialized logs, and
-// torn-write, stream-corrupt, window-torn and window-corrupt damage the
-// segmented stream and the flight-recorder window.
+// name its recordings carry. Faults selects among the ten fault classes
+// (all by default): eight corrupt the serialized logs, and torn-write
+// and stream-corrupt damage the segmented stream.
 type ConformanceConfig = harness.Config
 
 // ConformanceReport is a conformance run's findings: metamorphic
